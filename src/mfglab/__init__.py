@@ -10,7 +10,6 @@ long-time collapse onto the minimizing set.
 __version__ = "0.1.0"
 
 from .errors import (
-    AssumptionViolationError,
     ConfigError,
     DomainEscapeError,
     InvalidMeasureError,
@@ -86,7 +85,6 @@ from .asymptotics import (
 
 __all__ = [
     "__version__",
-    "AssumptionViolationError",
     "BUILTIN_MODELS",
     "ConfigError",
     "CostFunctional",

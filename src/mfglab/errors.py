@@ -50,11 +50,3 @@ class StaticResidualError(SolverError):
     def __init__(self, message: str, residual: float, tol: float):
         super().__init__(message, residual=residual)
         self.tol = tol
-
-
-class AssumptionViolationError(MfgError):
-    """Model diagnostics found a violated structural assumption."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report

@@ -114,12 +114,6 @@ class SpatialGrid:
         flat = np.ravel_multi_index(tuple(j.T), self.shape)
         return flat
 
-    def contains(self, points, slack: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = self.lower_array - slack
-        hi = self.upper_array + slack
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
-
     # -- interpolation -----------------------------------------------------
 
     def locate(self, points):

@@ -3,8 +3,8 @@
 Measures are Lagrangian particle lists: positions plus weights on the
 simplex.  The 1-Wasserstein distance is computed exactly: in dimension one
 by the CDF-difference integral, in dimension two by the Hungarian
-assignment for equal uniform clouds and by a north-west-corner seeded
-transportation simplex for general supports (both capped at
+assignment for equal uniform clouds and by the transportation LP, solved
+with HiGHS, for general supports (both capped at
 ``DEFAULT_SIZE_CAP`` support points; the harness downsamples beyond that
 and records it in metadata).
 """
@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import DomainEscapeError, InvalidMeasureError, SizeCapError, SolverError
 from .grid_geometry import NodeSet, SpatialGrid, distance_to_set
@@ -145,119 +146,30 @@ def _w1_exact_1d(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     return float(np.sum(np.abs(cdf_gap[:-1]) * np.diff(xs)))
 
 
-def _w1_assignment(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    cost = np.sqrt((diff * diff).sum(axis=-1))
+def _w1_assignment(cost: np.ndarray) -> float:
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() / a.size)
+    return float(cost[rows, cols].sum() / cost.shape[0])
 
 
-def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
-    """Initial basic feasible flow; always returns n + m - 1 basis arcs."""
-    n, m = supply.size, demand.size
-    a = supply.copy()
-    b = demand.copy()
-    flow = {}
-    arcs = []
-    i = j = 0
-    while True:
-        q = min(a[i], b[j])
-        flow[(i, j)] = q
-        arcs.append((i, j))
-        a[i] -= q
-        b[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
-        if a[i] <= b[j] and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
-        else:
-            i += 1
-    return flow, arcs
+def _w1_transport_lp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
+    """Exact optimal-transport value as the transportation LP, solved by HiGHS.
 
-
-def _transport_simplex(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
-    """Exact optimal-transport value on a dense bipartite cost matrix.
-
-    Classical transportation simplex: north-west-corner seed, duals solved
-    on the spanning basis tree, most negative reduced cost enters, first
-    blocking arc leaves.  Degenerate pivots are allowed; a pivot cap guards
-    against cycling.
+    The coupling is ``cost`` flattened row-major.  The marginal constraints
+    are sparse: dense, they would take about 800 MB at the 512 x 256 cap.
     """
     n, m = cost.shape
-    flow, arcs = _northwest_corner(supply, demand)
-    # basis adjacency over nodes 0..n-1 (rows) and n..n+m-1 (cols)
-    adj = [set() for _ in range(n + m)]
-    for (i, j) in arcs:
-        adj[i].add(n + j)
-        adj[n + j].add(i)
-
-    max_pivots = 400 + 40 * (n + m)
-    for _ in range(max_pivots):
-        # duals via breadth-first traversal of the basis tree
-        u = np.full(n, np.nan)
-        v = np.full(m, np.nan)
-        u[0] = 0.0
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            for other in adj[node]:
-                if node < n:
-                    j = other - n
-                    if np.isnan(v[j]):
-                        v[j] = cost[node, j] - u[node]
-                        stack.append(other)
-                else:
-                    j = node - n
-                    if np.isnan(u[other]):
-                        u[other] = cost[other, j] - v[j]
-                        stack.append(other)
-        reduced = cost - u[:, None] - v[None, :]
-        enter = np.unravel_index(int(np.argmin(reduced)), reduced.shape)
-        if reduced[enter] >= -1e-12:
-            break
-        ei, ej = int(enter[0]), int(enter[1])
-        # tree path from col ej back to row ei
-        target = ei
-        start = n + ej
-        parent = {start: None}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node == target:
-                break
-            for other in adj[node]:
-                if other not in parent:
-                    parent[other] = node
-                    stack.append(other)
-        path = [target]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        # path runs ei -> ... -> n + ej; cycle closes with the entering arc.
-        # Walking from the entering col end, edges alternate -theta, +theta.
-        edges = []
-        seq = path[::-1]  # n + ej -> ... -> ei
-        for k in range(len(seq) - 1):
-            aa, bb = seq[k], seq[k + 1]
-            arc = (aa, bb - n) if aa < n else (bb, aa - n)
-            edges.append(arc)
-        minus = edges[0::2]
-        theta_arc = min(minus, key=lambda arc: (flow[arc], arc))
-        theta = flow[theta_arc]
-        flow[(ei, ej)] = theta
-        adj[ei].add(n + ej)
-        adj[n + ej].add(ei)
-        sign = -1.0
-        for arc in edges:
-            flow[arc] += sign * theta
-            sign = -sign
-        del flow[theta_arc]
-        adj[theta_arc[0]].discard(n + theta_arc[1])
-        adj[n + theta_arc[1]].discard(theta_arc[0])
-    else:
-        raise SolverError("transportation simplex exceeded its pivot cap")
-    return float(sum(cost[i, j] * q for (i, j), q in flow.items()))
+    row_sums = sparse.kron(sparse.eye(n), np.ones((1, m)))
+    col_sums = sparse.kron(np.ones((1, n)), sparse.eye(m))
+    res = linprog(
+        cost.ravel(),
+        A_eq=sparse.vstack([row_sums, col_sums], format="csc"),
+        b_eq=np.concatenate([supply, demand]),
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise SolverError(f"transportation LP failed: {res.message}")
+    return float(res.fun)
 
 
 def wasserstein1(a: DiscreteMeasure, b: DiscreteMeasure, size_cap: int = DEFAULT_SIZE_CAP) -> float:
@@ -265,7 +177,7 @@ def wasserstein1(a: DiscreteMeasure, b: DiscreteMeasure, size_cap: int = DEFAULT
 
     Dimension one uses the CDF formula; dimension two uses the Hungarian
     assignment when both clouds are uniform with equal size, otherwise the
-    transportation simplex.  Supports larger than ``size_cap`` raise
+    transportation LP solved by HiGHS.  Supports larger than ``size_cap`` raise
     :class:`SizeCapError` (see :func:`wasserstein1_capped`).
     """
     if a.dim != b.dim:
@@ -281,11 +193,11 @@ def wasserstein1(a: DiscreteMeasure, b: DiscreteMeasure, size_cap: int = DEFAULT
         and np.allclose(a.weights, 1.0 / a.size, atol=1e-12, rtol=0.0)
         and np.allclose(b.weights, 1.0 / b.size, atol=1e-12, rtol=0.0)
     )
-    if uniform:
-        return _w1_assignment(a, b)
     diff = a.points[:, None, :] - b.points[None, :, :]
     cost = np.sqrt((diff * diff).sum(axis=-1))
-    return _transport_simplex(cost, a.weights, b.weights)
+    if uniform:
+        return _w1_assignment(cost)
+    return _w1_transport_lp(cost, a.weights, b.weights)
 
 
 def wasserstein1_capped(

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linear_sum_assignment, linprog
 
 from mfglab import (
     DiscreteMeasure,
     InvalidMeasureError,
     MeasurePath,
     SizeCapError,
+    SolverError,
     SpatialGrid,
     mix,
     mix_paths,
@@ -110,11 +111,54 @@ class TestW1Oracles:
             a, b = random_measure(rng), random_measure(rng)
             assert wasserstein1(a, b) == pytest.approx(w1_linprog(a, b), abs=1e-10)
 
-    def test_2d_matches_coupling_lp(self):
+    def test_2d_integer_weights_match_expanded_assignment(self):
+        # Weights k_i / N with integer k_i: the transportation polytope with
+        # integral marginals has integral vertices, so an optimal coupling
+        # moves whole units and W1 equals the assignment between the two
+        # clouds with each point repeated k_i times.  N = 13 is prime and
+        # a has at least two points, so no pair takes the uniform shortcut.
         rng = np.random.default_rng(12)
+        n_units = 13
+
+        def integer_weights(size):
+            cuts = np.sort(rng.choice(np.arange(1, n_units), size - 1, replace=False))
+            return np.diff(np.concatenate([[0], cuts, [n_units]]))
+
         for _ in range(25):
-            a, b = random_measure(rng, dim=2), random_measure(rng, dim=2)
-            assert wasserstein1(a, b) == pytest.approx(w1_linprog(a, b), abs=1e-9)
+            ka = integer_weights(int(rng.integers(2, 7)))
+            kb = integer_weights(int(rng.integers(1, 7)))
+            pts_a = rng.uniform(-2, 2, size=(ka.size, 2))
+            pts_b = rng.uniform(-2, 2, size=(kb.size, 2))
+            a = DiscreteMeasure.from_weighted(pts_a, ka / n_units)
+            b = DiscreteMeasure.from_weighted(pts_b, kb / n_units)
+            diff = np.repeat(pts_a, ka, axis=0)[:, None, :] - np.repeat(pts_b, kb, axis=0)[None, :, :]
+            cost = np.sqrt((diff * diff).sum(axis=-1))
+            rows, cols = linear_sum_assignment(cost)
+            assert wasserstein1(a, b) == pytest.approx(cost[rows, cols].sum() / n_units, abs=1e-12)
+
+    def test_2d_dirac_against_closed_form(self):
+        # W1(delta_x, mu) = sum_j w_j |x - y_j|: the only coupling sends all mass from x
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            x = rng.uniform(-2, 2, size=2)
+            size = int(rng.integers(2, 7))
+            mu = DiscreteMeasure.from_weighted(
+                rng.uniform(-2, 2, size=(size, 2)), rng.random(size) + 0.05, normalize=True
+            )
+            expected = float(mu.weights @ np.linalg.norm(mu.points - x, axis=1))
+            dirac = DiscreteMeasure.dirac(x)
+            assert wasserstein1(dirac, mu) == pytest.approx(expected, abs=1e-12)
+            assert wasserstein1(mu, dirac) == pytest.approx(expected, abs=1e-12)
+
+    def test_2d_lp_failure_raises_solver_error(self, monkeypatch):
+        def infeasible(*args, **kwargs):
+            return OptimizeResult(status=2, success=False, fun=None, message="The problem is infeasible.")
+
+        monkeypatch.setattr("mfglab.measures.linprog", infeasible)
+        a = DiscreteMeasure.from_weighted([[0.0, 0.0], [1.0, 0.0]], [0.25, 0.75])
+        b = DiscreteMeasure.dirac([0.0, 1.0])
+        with pytest.raises(SolverError, match="infeasible"):
+            wasserstein1(a, b)
 
     def test_2d_uniform_assignment_matches_lp(self):
         rng = np.random.default_rng(13)
