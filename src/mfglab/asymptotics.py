@@ -9,6 +9,7 @@ ergodic potential and the measures approach the Dirac limit.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,8 @@ from .measures import (
     support_distance,
     wasserstein1_capped,
 )
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_S_GRID = (0.1, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_T_LIST = (5.0, 10.0, 20.0, 40.0)
@@ -338,7 +341,6 @@ def run_sweep(
 
 
 def singleton_limit_check(
-    F: CostFunctional,
     records: list,
     x_star,
     grid: SpatialGrid,
@@ -348,13 +350,12 @@ def singleton_limit_check(
 ) -> dict:
     """Dirac-limit and ergodic-potential report for a one-point minimizing set.
 
-    Rebuilds the ergodic potential anchored at ``x_star``, tabulates per
-    (T, s) the distance of the transported measure to the Dirac limit and
-    the sup distance (over the R-ball) of u(x, sT) - c* T (1 - s) to that
-    potential, and passes when both decay in T (within slack) at every
-    s >= 0.25 and the potential error at the largest horizon stays below
-    ``wkam_cap`` at interior s (the terminal slice s = 1 carries the flat
-    terminal condition, not the potential).
+    Tabulates per (T, s) the records' ``d1_to_limit`` and ``wkam_err`` and
+    passes when both decay in T (within slack) at every s >= 0.25 and the
+    potential error at the largest horizon stays below ``wkam_cap`` at
+    interior s (the terminal slice s = 1 carries the flat terminal
+    condition, not the potential).  Raises ``ValueError`` when every
+    ``wkam_err`` is NaN (the sweep could not build the potential).
     """
     if len(records) == 0:
         raise ValueError("no sweep records supplied")
@@ -369,31 +370,15 @@ def singleton_limit_check(
             )
     records = sorted(records, key=lambda r: r.T)
     s_grid = records[0].s_grid
-    c_star = records[0].c_star_used
-    T_values = np.array([r.T for r in records])
-
-    triple = build_ergodic_triple(F, DiscreteMeasure.dirac(x_star), grid)
-    v_erg = triple.v.ravel()
-    ball = np.sqrt((grid.nodes * grid.nodes).sum(axis=1)) <= records[0].R + 1e-12
-    limit = DiscreteMeasure.dirac(x_star)
-
-    n_T, n_s = len(records), s_grid.size
-    wkam = np.empty((n_T, n_s))
-    d1 = np.empty((n_T, n_s))
-    for i, rec in enumerate(records):
-        for j, s in enumerate(s_grid):
-            shifted = rec.u_slices[j] - c_star * rec.T * (1.0 - s)
-            wkam[i, j] = float(np.abs(shifted[ball] - v_erg[ball]).max())
-            d1[i, j], _ = wasserstein1_capped(rec.slice_measures[j], limit)
+    d1 = np.stack([r.d1_to_limit for r in records])
+    wkam = np.stack([r.wkam_err for r in records])
+    if np.isnan(wkam).all():
+        raise ValueError("the sweep records carry no ergodic-potential error")
 
     tail = s_grid >= 0.25
     interior = tail & (s_grid < 1.0 - 1e-12)
-    d1_monotone = np.array(
-        [nonincreasing_with_slack(d1[:, j], slack, atol) for j in range(n_s)]
-    )
-    wkam_monotone = np.array(
-        [nonincreasing_with_slack(wkam[:, j], slack, atol) for j in range(n_s)]
-    )
+    d1_monotone = np.array([nonincreasing_with_slack(c, slack, atol) for c in d1.T])
+    wkam_monotone = np.array([nonincreasing_with_slack(c, slack, atol) for c in wkam.T])
     wkam_final = float(wkam[-1, interior].max()) if interior.any() else float("nan")
     passed = (
         bool(d1_monotone[tail].all())
@@ -403,8 +388,8 @@ def singleton_limit_check(
     )
     return {
         "x_star": x_star,
-        "c_star": float(c_star),
-        "T_values": T_values,
+        "c_star": float(records[0].c_star_used),
+        "T_values": np.array([r.T for r in records]),
         "s_grid": s_grid.copy(),
         "d1_table": d1,
         "wkam_table": wkam,
@@ -412,7 +397,6 @@ def singleton_limit_check(
         "wkam_monotone": wkam_monotone,
         "wkam_final": wkam_final,
         "wkam_cap": float(wkam_cap),
-        "ergodic_triple": triple,
         "passed": passed,
     }
 
@@ -452,3 +436,78 @@ def semilimit_surrogates(
         upper[j] = block.max(axis=0)
     gaps = (upper - lower).max(axis=1)
     return lower, upper, gaps
+
+
+def sweep_verdict(
+    records: list,
+    F: CostFunctional,
+    grid: SpatialGrid,
+    *,
+    slack: float,
+    atol: float,
+    support_cap: float,
+    rate_ratio_cap: float,
+    wkam_cap: float,
+    semilimit_tol: float,
+) -> dict:
+    """Summary of a horizon sweep, judged from the metrics in its records.
+
+    Checks support decay in T (within slack) at s >= 0.25 and its final
+    value, the spread of T times the value-rate error, the stability of the
+    trajectory bounds, the singleton limit report (one-point minimizing set
+    with a built potential) and the semilimit gaps (three or more horizons).
+    ``passed`` requires every check and no tainted horizon.
+    """
+    records = sorted(records, key=lambda r: r.T)
+    s_grid = records[0].s_grid
+    tail = [j for j, s in enumerate(s_grid) if s >= 0.25]
+    support_decay_ok = all(
+        nonincreasing_with_slack([r.support_dist[j] for r in records], slack, atol)
+        for j in tail
+    )
+    support_final = float(records[-1].support_dist[-1])
+    rate_values = [r.T * float(r.value_rate_err.max()) for r in records]
+    rate_ratio = bounded_ratio(rate_values)
+    summary = {
+        "T_list": [r.T for r in records],
+        "s_grid": s_grid,
+        "estimated_limit": bool(records[0].estimated),
+        "c_star": records[0].c_star_used,
+        "tainted_any": any(r.tainted for r in records),
+        "support_decay_ok": support_decay_ok,
+        "support_final": support_final,
+        "support_final_ok": support_final <= support_cap,
+        "value_rate_times_T": rate_values,
+        "value_rate_ratio": rate_ratio,
+        "value_rate_ok": rate_ratio <= rate_ratio_cap,
+        "chi_hat_stable": stable_within([r.chi_hat for r in records]),
+        "chi_prime_hat_stable": stable_within([r.chi_prime_hat for r in records]),
+        "r1_hat_stable": stable_within([r.r1_hat for r in records], atol=grid.max_spacing),
+        "occ_bound_max": float(np.nanmax([r.occ_bound for r in records])),
+    }
+    if records[0].argmin_points.shape[0] == 1:
+        try:
+            report = singleton_limit_check(
+                records,
+                records[0].argmin_points[0],
+                grid,
+                wkam_cap=wkam_cap,
+                slack=slack,
+                atol=atol,
+            )
+        except ValueError as exc:
+            logger.warning("singleton limit check unavailable: %s", exc)
+        else:
+            keep = ("d1_table", "wkam_table", "wkam_final", "passed")
+            summary["singleton"] = {k: report[k] for k in keep}
+    if len(records) >= 3:
+        _, _, gaps = semilimit_surrogates(records, F, grid)
+        summary["semilimit_gaps"] = gaps
+        summary["semilimit_gap_max"] = float(gaps.max())
+        summary["semilimit_ok"] = float(gaps.max()) <= semilimit_tol
+
+    checks = [v for k, v in summary.items() if k.endswith("_ok") or k.endswith("_stable")]
+    if "singleton" in summary:
+        checks.append(summary["singleton"]["passed"])
+    summary["passed"] = bool(all(checks)) and not summary["tainted_any"]
+    return summary

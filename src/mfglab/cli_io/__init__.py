@@ -21,7 +21,7 @@ from .formats import (
     write_measure_csv,
     write_path_jsonl,
 )
-from .main import build_parser, entrypoint, main, run
+from .main import build_parser, entrypoint, run
 
 __all__ = [
     "ConfigFileError",
@@ -34,7 +34,6 @@ __all__ = [
     "build_parser",
     "config_from_dict",
     "entrypoint",
-    "main",
     "make_damping",
     "normalize",
     "parse_config",

@@ -13,17 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ..asymptotics import (
-    SweepParams,
-    bounded_ratio,
-    nonincreasing_with_slack,
-    run_sweep,
-    semilimit_surrogates,
-    singleton_limit_check,
-    stable_within,
-)
+from ..asymptotics import SweepParams, run_sweep, sweep_verdict
 from ..cost_models import validate_assumptions
 from ..eikonal_ergodic import build_ergodic_triple, converse_check
 from ..errors import ConfigError, MfgError
@@ -344,65 +334,17 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> int:
         rows,
     )
 
-    s_grid = records[0].s_grid
-    slack, atol = sw["slack"], sw["atol"]
-    tail = [j for j, s in enumerate(s_grid) if s >= 0.25]
-    support_decay_ok = all(
-        nonincreasing_with_slack([r.support_dist[j] for r in records], slack, atol)
-        for j in tail
+    summary = sweep_verdict(
+        records,
+        F,
+        grid,
+        slack=sw["slack"],
+        atol=sw["atol"],
+        support_cap=sw["support_cap"],
+        rate_ratio_cap=sw["rate_ratio_cap"],
+        wkam_cap=sw["wkam_cap"],
+        semilimit_tol=sw["semilimit_tol"],
     )
-    last = records[-1]
-    support_final = float(last.support_dist[-1])
-    rate_values = [r.T * float(r.value_rate_err.max()) for r in records]
-    rate_ratio = bounded_ratio(rate_values)
-    summary = {
-        "T_list": [r.T for r in records],
-        "s_grid": s_grid,
-        "estimated_limit": bool(records[0].estimated),
-        "c_star": records[0].c_star_used,
-        "tainted_any": any(r.tainted for r in records),
-        "support_decay_ok": support_decay_ok,
-        "support_final": support_final,
-        "support_final_ok": support_final <= sw["support_cap"],
-        "value_rate_times_T": rate_values,
-        "value_rate_ratio": rate_ratio,
-        "value_rate_ok": rate_ratio <= sw["rate_ratio_cap"],
-        "chi_hat_stable": stable_within([r.chi_hat for r in records]),
-        "chi_prime_hat_stable": stable_within([r.chi_prime_hat for r in records]),
-        "r1_hat_stable": stable_within([r.r1_hat for r in records], atol=grid.max_spacing),
-        "occ_bound_max": float(np.nanmax([r.occ_bound for r in records])),
-    }
-    if records[0].argmin_points.shape[0] == 1:
-        try:
-            report = singleton_limit_check(
-                F,
-                records,
-                records[0].argmin_points[0],
-                grid,
-                wkam_cap=sw["wkam_cap"],
-                slack=slack,
-                atol=atol,
-            )
-        except (ValueError, MfgError) as exc:
-            LOG.warning("singleton limit check unavailable: %s", exc)
-            report = None
-        if report is not None:
-            summary["singleton"] = {
-                "d1_table": report["d1_table"],
-                "wkam_table": report["wkam_table"],
-                "wkam_final": report["wkam_final"],
-                "passed": report["passed"],
-            }
-    if len(records) >= 3:
-        _, _, gaps = semilimit_surrogates(records, F, grid)
-        summary["semilimit_gaps"] = gaps
-        summary["semilimit_gap_max"] = float(gaps.max())
-        summary["semilimit_ok"] = float(gaps.max()) <= sw["semilimit_tol"]
-
-    checks = [v for k, v in summary.items() if k.endswith("_ok") or k.endswith("_stable")]
-    if "singleton" in summary:
-        checks.append(summary["singleton"]["passed"])
-    summary["passed"] = bool(all(checks)) and not summary["tainted_any"]
     write_json(out / "sweep_summary.json", summary, "sweep", sha, seed)
     for r in records:
         if r.tainted:
@@ -471,9 +413,5 @@ def entrypoint(argv=None) -> int:
         return 3
 
 
-def main():
-    sys.exit(entrypoint())
-
-
 if __name__ == "__main__":
-    main()
+    sys.exit(entrypoint())

@@ -15,6 +15,7 @@ from mfglab import (
     semilimit_surrogates,
     singleton_limit_check,
     stable_within,
+    sweep_verdict,
 )
 from mfglab.cost_models import quadratic_congestion
 
@@ -179,7 +180,7 @@ class TestFlatCostExactLimits:
 
     def test_singleton_check_passes(self, records):
         F, g, recs = records
-        report = singleton_limit_check(F, recs, [0.0], g)
+        report = singleton_limit_check(recs, [0.0], g)
         assert report["passed"]
         assert report["wkam_final"] == pytest.approx(0.0, abs=1e-14)
         np.testing.assert_allclose(report["d1_table"], 0.0, atol=1e-14)
@@ -227,13 +228,82 @@ class TestSingletonPreconditions:
     def test_multi_point_argmin_rejected(self):
         recs = [dummy_record(1.0, (0.5, 1.0), [DiscreteMeasure.dirac([0.0])] * 2, [[-1.0], [1.0]])]
         with pytest.raises(ValueError, match="singleton"):
-            singleton_limit_check(flat_cost(), recs, [0.0], small_grid(40))
+            singleton_limit_check(recs, [0.0], small_grid(40))
 
     def test_wrong_anchor_rejected(self):
         recs = [dummy_record(1.0, (0.5, 1.0), [DiscreteMeasure.dirac([0.0])] * 2, [[1.0]])]
         with pytest.raises(ValueError, match="is not"):
-            singleton_limit_check(flat_cost(), recs, [0.0], small_grid(40))
+            singleton_limit_check(recs, [0.0], small_grid(40))
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="record"):
-            singleton_limit_check(flat_cost(), [], [0.0], small_grid(40))
+            singleton_limit_check([], [0.0], small_grid(40))
+
+
+VERDICT_CAPS = dict(
+    slack=0.25, atol=0.01, support_cap=0.05, rate_ratio_cap=3.0,
+    wkam_cap=0.05, semilimit_tol=0.05,
+)
+
+
+def verdict_records(n_T=3, support=None):
+    """Flat-cost records whose every check passes; support_dist per horizon."""
+    s_grid = (0.25, 0.5, 1.0)
+    recs = []
+    for i in range(n_T):
+        rec = dummy_record(2.0 ** i, s_grid, [DiscreteMeasure.dirac([0.0])] * 3, [[0.0]])
+        if support is not None:
+            rec.support_dist = np.full(3, support[i])
+        recs.append(rec)
+    return recs
+
+
+class TestSweepVerdict:
+    def test_tainted_record_fails_the_verdict(self):
+        recs = verdict_records()
+        recs[1].tainted = True
+        summary = sweep_verdict(recs, flat_cost(), small_grid(40), **VERDICT_CAPS)
+        checks = [v for k, v in summary.items() if k.endswith("_ok") or k.endswith("_stable")]
+        assert all(checks) and summary["singleton"]["passed"]
+        assert summary["tainted_any"]
+        assert not summary["passed"]
+
+    def test_two_records_give_no_semilimit_keys(self):
+        summary = sweep_verdict(verdict_records(2), flat_cost(), small_grid(40), **VERDICT_CAPS)
+        assert not [k for k in summary if k.startswith("semilimit_")]
+        assert summary["passed"]
+
+    def test_missing_potential_drops_singleton(self, caplog):
+        recs = verdict_records()
+        for r in recs:
+            r.wkam_err = np.full(3, np.nan)
+        with pytest.raises(ValueError, match="potential"):
+            singleton_limit_check(recs, [0.0], small_grid(40))
+        with caplog.at_level("WARNING", logger="mfglab.asymptotics"):
+            summary = sweep_verdict(recs, flat_cost(), small_grid(40), **VERDICT_CAPS)
+        assert "singleton" not in summary
+        assert "singleton limit check unavailable" in caplog.text
+
+    def test_singleton_tables_are_the_records_metrics(self):
+        recs = verdict_records()
+        rng = np.random.default_rng(3)
+        for r in recs:
+            r.d1_to_limit = rng.random(3) * 1e-3
+            r.wkam_err = rng.random(3) * 1e-3
+        summary = sweep_verdict(recs, flat_cost(), small_grid(40), **VERDICT_CAPS)
+        np.testing.assert_array_equal(
+            summary["singleton"]["d1_table"], np.stack([r.d1_to_limit for r in recs])
+        )
+        np.testing.assert_array_equal(
+            summary["singleton"]["wkam_table"], np.stack([r.wkam_err for r in recs])
+        )
+
+    def test_support_step_above_slack_fails_decay(self):
+        # 0.1 -> 0.14 grows by 40 %, above the 25 % slack plus the 0.01 floor
+        grows = verdict_records(support=[0.2, 0.1, 0.14])
+        summary = sweep_verdict(grows, flat_cost(), small_grid(40), **VERDICT_CAPS)
+        assert not summary["support_decay_ok"]
+        # the same step inside the slack passes
+        within = verdict_records(support=[0.2, 0.1, 0.11])
+        summary = sweep_verdict(within, flat_cost(), small_grid(40), **VERDICT_CAPS)
+        assert summary["support_decay_ok"]

@@ -244,6 +244,14 @@ class TestEvolveCommand:
         ]
         assert len(stats_lines) - 1 == 8
 
+    def test_non_converged_solve_exits_0_with_warning(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, EVOLVE_CONFIG + "  max_iter: 1\n  tol: 1.0e-15\n")
+        with caplog.at_level("WARNING", logger="mfglab.cli"):
+            assert entrypoint(["evolve", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "evolve_summary.json").read_text())
+        assert summary["converged"] is False
+        assert "without reaching tol" in caplog.text
+
     def test_boundary_escape_exits_3(self, tmp_path):
         text = EVOLVE_CONFIG.replace(
             "kind: uniform_box\n  lower: [-0.5]\n  upper: [0.5]\n  n_particles: 8",
@@ -302,6 +310,15 @@ class TestSweepCommand:
         assert "singleton" in summary  # quadratic congestion has a one-point argmin
         assert "semilimit_gaps" not in summary  # needs three horizons
 
+    def test_failed_verdict_exits_0_with_warning(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, SWEEP_CONFIG + "  max_iter: 1\n  tol: 1.0e-15\n")
+        with caplog.at_level("WARNING", logger="mfglab.cli"):
+            assert entrypoint(["sweep", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert summary["tainted_any"] is True
+        assert summary["passed"] is False
+        assert "did not reach the fixed-point tolerance" in caplog.text
+
 
 VALIDATE_CONFIG = """
 seed: 0
@@ -333,6 +350,14 @@ class TestValidateCommand:
         assert "validation: FAIL" in out
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert any("argmin leaves the core box" in v for v in report["violations"])
+
+
+class TestModuleImport:
+    def test_main_submodule_is_the_module(self):
+        import mfglab.cli_io.main as m
+
+        assert callable(m.run)
+        assert callable(m.parse_config)
 
 
 class TestEntrypointErrors:
