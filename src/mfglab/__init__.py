@@ -56,7 +56,6 @@ from .eikonal_ergodic import (
     build_ergodic_triple,
     continuity_residual,
     converse_check,
-    mather_identity_check,
     solve_eikonal,
     value_function_crosscheck,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "distance_to_set",
     "gamma_estimate",
     "harmonic_damping",
-    "mather_identity_check",
     "mix",
     "mix_paths",
     "model_congestion",

@@ -158,7 +158,6 @@ class SweepRecord:
     tainted: bool
     iterations: int
     br_residual: float
-    fixed_point_residual: float
     c_star_used: float
     argmin_points: np.ndarray
     estimated: bool
@@ -330,7 +329,6 @@ def run_sweep(
                 tainted=not eq.converged,
                 iterations=eq.iterations,
                 br_residual=eq.br_residual,
-                fixed_point_residual=eq.fixed_point_residual,
                 c_star_used=c_star,
                 argmin_points=argmin_points.copy(),
                 estimated=estimated,
@@ -506,8 +504,14 @@ def sweep_verdict(
         summary["semilimit_gap_max"] = float(gaps.max())
         summary["semilimit_ok"] = float(gaps.max()) <= semilimit_tol
 
-    checks = [v for k, v in summary.items() if k.endswith("_ok") or k.endswith("_stable")]
-    if "singleton" in summary:
-        checks.append(summary["singleton"]["passed"])
-    summary["passed"] = bool(all(checks)) and not summary["tainted_any"]
+    summary["passed"] = not failed_checks(summary) and not summary["tainted_any"]
     return summary
+
+
+def failed_checks(summary: dict) -> list[str]:
+    """Names of the false checks of a sweep summary: every false ``*_ok``
+    and ``*_stable`` key, and ``singleton.passed``."""
+    failed = [k for k, v in summary.items() if k.endswith(("_ok", "_stable")) and not v]
+    if "singleton" in summary and not summary["singleton"]["passed"]:
+        failed.append("singleton.passed")
+    return failed

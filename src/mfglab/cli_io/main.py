@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from ..asymptotics import SweepParams, run_sweep, sweep_verdict
+from ..asymptotics import SweepParams, failed_checks, run_sweep, sweep_verdict
 from ..cost_models import validate_assumptions
 from ..eikonal_ergodic import build_ergodic_triple, converse_check
 from ..errors import ConfigError, MfgError
@@ -231,7 +231,6 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
             "converged": eq.converged,
             "iterations": eq.iterations,
             "br_residual": eq.br_residual,
-            "fixed_point_residual": eq.fixed_point_residual,
             "chi_hat": stats.chi_hat,
             "chi_prime_hat": stats.chi_prime_hat,
             "r1_hat": stats.r1_hat,
@@ -354,6 +353,9 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> int:
                 r.T,
                 r.br_residual,
             )
+    failed = failed_checks(summary)
+    if failed:
+        LOG.warning("sweep failed its limit checks: %s", ", ".join(failed))
     return 0
 
 

@@ -4,8 +4,11 @@ A model bundles a vectorised evaluator with the structural metadata the
 solvers and diagnostics rely on: a bound on |F| over the box, a core box
 that must contain every slice argmin, the cost gap outside the core, and,
 when known in closed form, the argmin set and critical value of the
-long-time limit.  None of the built-ins is monotone in the measure; the
-coupling enters through bounded kernel integrals.
+long-time limit.  The coupled built-ins enter the measure through
+bounded kernel integrals and need not be monotone in it: for
+``separated_kernel``, m1 = delta_0 and m2 = delta_1 give
+int (F(., m1) - F(., m2)) d(m1 - m2) = -2 k(1) < 0.  ``two_wells`` and
+``lqr_oracle`` do not depend on m, so that integral vanishes for them.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ Given a measure m in static equilibrium, the long-run value c is the
 minimum of its cost slice and the corrector v solves |grad v| = ell with
 ell = sqrt(2 (F - c)) and v = 0 on the grid-tolerant argmin set.  The
 solver is Godunov-upwind fast sweeping (Gauss-Seidel over all axis
-orderings); validation covers the Hamilton-Jacobi residual off the
-Dirichlet set, the distributional continuity equation tested against
-smooth bumps, a converse support/critical-value check, and the integral
-identity tying the average cost under m to the critical value.
+orderings); validation compares v with an independent shortest-path
+estimate, tests the distributional continuity equation against smooth
+bumps, and runs a converse support/critical-value check.  The integral
+identity tying the average cost under m to the critical value is the
+static residual of m.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .cost_models import CostFunctional, slice_stats
 from .errors import SolverError, StaticResidualError
-from .grid_geometry import NodeSet, SpatialGrid, distance_to_set
+from .grid_geometry import NodeSet, SpatialGrid
 from .measures import DiscreteMeasure, support_distance
 from .static_game import residual as static_residual
 
@@ -170,39 +171,22 @@ def solve_eikonal(
 # -- independent shortest-path estimate ---------------------------------------
 
 
-def value_function_crosscheck(ell, dirichlet: NodeSet, grid: SpatialGrid, x_samples):
-    """Shortest-path estimate of the weighted distance, as an oracle.
+def _graph_distance(ell, dirichlet: NodeSet, grid: SpatialGrid) -> np.ndarray:
+    """Multi-source Dijkstra distance from the Dirichlet nodes at every node.
 
-    Builds the grid graph (2 neighbors in 1D, 8 in 2D) with edge cost equal
-    to the mean of ell at the endpoints times the edge length, runs
-    multi-source Dijkstra from the Dirichlet nodes, and reads the value at
-    the node nearest each sample.  Returns a list of (point, value) pairs.
+    The grid graph has 2 neighbors in 1D and 8 in 2D, with edge cost equal
+    to the mean of ell at the endpoints times the edge length.
     """
-    arr = np.asarray(ell, dtype=float).reshape(grid.shape)
-    flat = arr.ravel()
-    shape = grid.shape
-    if grid.dim == 1:
-        offsets = [(1,)]
-    else:
-        offsets = [(1, 0), (0, 1), (1, 1), (1, -1)]
+    flat = np.asarray(ell, dtype=float).reshape(grid.shape).ravel()
+    offsets = [(1,)] if grid.dim == 1 else [(1, 0), (0, 1), (1, 1), (1, -1)]
+    idx_grid = np.arange(grid.n_nodes).reshape(grid.shape)
     rows, cols, costs = [], [], []
-    idx_grid = np.arange(grid.n_nodes).reshape(shape)
     for off in offsets:
-        src_slices = []
-        dst_slices = []
-        for ax, o in enumerate(off):
-            if o == 1:
-                src_slices.append(slice(0, shape[ax] - 1))
-                dst_slices.append(slice(1, shape[ax]))
-            elif o == -1:
-                src_slices.append(slice(1, shape[ax]))
-                dst_slices.append(slice(0, shape[ax] - 1))
-            else:
-                src_slices.append(slice(None))
-                dst_slices.append(slice(None))
-        src = idx_grid[tuple(src_slices)].ravel()
-        dst = idx_grid[tuple(dst_slices)].ravel()
-        length = float(np.sqrt(((np.asarray(off) != 0) * grid.spacing**2).sum()))
+        # node pairs (i, i + off) that both lie in the grid
+        src = idx_grid[tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(off, grid.shape))]
+        dst = idx_grid[tuple(slice(max(o, 0), n - max(-o, 0)) for o, n in zip(off, grid.shape))]
+        src, dst = src.ravel(), dst.ravel()
+        length = float(np.linalg.norm(np.asarray(off) * grid.spacing))
         rows.append(src)
         cols.append(dst)
         costs.append(0.5 * (flat[src] + flat[dst]) * length)
@@ -210,7 +194,26 @@ def value_function_crosscheck(ell, dirichlet: NodeSet, grid: SpatialGrid, x_samp
         (np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.n_nodes, grid.n_nodes),
     )
-    dist = dijkstra(graph, directed=False, indices=dirichlet.indices, min_only=True)
+    return dijkstra(graph, directed=False, indices=dirichlet.indices, min_only=True)
+
+
+def _graph_stretch(grid: SpatialGrid) -> float:
+    """Worst ratio of graph path length to straight-line length: 1 on the
+    1D line graph; in 2D, 1 / cos(theta / 2) with theta the widest angle
+    between adjacent stencil directions (1.0824 for square cells)."""
+    if grid.dim == 1:
+        return 1.0
+    h0, h1 = grid.spacing
+    return float(1.0 / np.cos(0.5 * max(np.arctan2(h1, h0), np.arctan2(h0, h1))))
+
+
+def value_function_crosscheck(ell, dirichlet: NodeSet, grid: SpatialGrid, x_samples):
+    """Shortest-path estimate of the weighted distance, as an oracle.
+
+    Reads the grid-graph Dijkstra distance from the Dirichlet nodes at the
+    node nearest each sample.  Returns a list of (point, value) pairs.
+    """
+    dist = _graph_distance(ell, dirichlet, grid)
     pts = np.atleast_2d(np.asarray(x_samples, dtype=float))
     nearest = grid.nearest_node_index(pts)
     return [(pts[k].copy(), float(dist[nearest[k]])) for k in range(pts.shape[0])]
@@ -305,9 +308,12 @@ def continuity_residual(v, m: DiscreteMeasure, grid: SpatialGrid, test_functions
 class ErgodicTriple:
     """A candidate (c, v, m) with its validation residuals.
 
-    ``residuals`` carries hj_residual (max Hamilton-Jacobi defect away from
-    the Dirichlet set and the box boundary), continuity_residual,
-    mather_residual, support_violation, and the continuity family size.
+    ``residuals`` carries crosscheck_gap (worst node violation of the
+    bracket v <= dist <= kappa v by the shortest-path distance, see
+    :func:`build_ergodic_triple`), continuity_residual, support_violation,
+    static_residual (which for the rest measure m x delta_0 is also the
+    gap between its average action and the critical value), and the
+    continuity family size.
     ``boundary_monotone`` records whether v increases toward the box
     boundary (the outflow condition that replaces decay at infinity on a
     truncated domain).
@@ -321,19 +327,6 @@ class ErgodicTriple:
     residuals: dict = field(default_factory=dict)
     boundary_monotone: bool = True
     metadata: dict = field(default_factory=dict)
-
-
-def mather_identity_check(F: CostFunctional, m: DiscreteMeasure, grid: SpatialGrid) -> float:
-    """|average of F under m minus the critical value| for a rest measure.
-
-    For the Lagrangian |q|^2/2 + F the measure m x delta_0 minimizes the
-    average action exactly when m charges only minimizers of F(., m), so
-    this equals the static-equilibrium residual up to rounding.
-    """
-    particle_vals = F.evaluate_many(m.points, m)
-    grid_min = float(F.evaluate_many(grid.nodes, m).min())
-    c = min(grid_min, float(particle_vals.min()))
-    return abs(float(m.weights @ particle_vals) - c)
 
 
 def _boundary_monotone(v: np.ndarray, grid: SpatialGrid, tol: float) -> bool:
@@ -351,12 +344,6 @@ def _boundary_monotone(v: np.ndarray, grid: SpatialGrid, tol: float) -> bool:
     return True
 
 
-def _boundary_distance(points: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    lo_gap = points - grid.lower_array
-    hi_gap = grid.upper_array - points
-    return np.minimum(lo_gap, hi_gap).min(axis=1)
-
-
 def build_ergodic_triple(
     F: CostFunctional,
     m: DiscreteMeasure,
@@ -371,10 +358,12 @@ def build_ergodic_triple(
 
     Requires the static residual of m to be at most ``static_tol``; the
     critical value is the grid minimum of F(., m), ell = sqrt(2 (F - c)),
-    and v solves the Dirichlet eikonal problem on the argmin set.  The
-    Hamilton-Jacobi residual is evaluated only at nodes farther than two
-    cells from both the Dirichlet set and the box boundary, where the
-    upwind norm is two-sided and the solution is differentiable.
+    and v solves the Dirichlet eikonal problem on the argmin set.  v is
+    checked at every node against the grid-graph Dijkstra distance, which
+    shares no stencil with the fast-sweeping solver: ``crosscheck_gap`` is
+    the worst violation of v <= dist <= kappa v, with kappa the graph's
+    worst path stretch (1 in 1D, 1.0824 on square 2D cells), so it is
+    O(h) and shrinks as the grid is refined.
     """
     res = static_residual(F, m, grid)
     if res > static_tol:
@@ -388,16 +377,13 @@ def build_ergodic_triple(
     ell = np.sqrt(2.0 * stats.fbar)
     v = solve_eikonal(ell, stats.argmin_set, grid, sweep_tol=sweep_tol, max_sweeps=max_sweeps)
 
-    collar = 2.0 * grid.max_spacing
-    # c + |grad v|^2/2 - F(., m) with F - c = fbar
-    hvals = 0.5 * grid.upwind_gradient_norm_field(v) ** 2 - stats.fbar
-    far_from_set = distance_to_set(grid.nodes, stats.argmin_set) > collar
-    far_from_boundary = _boundary_distance(grid.nodes, grid) > collar
-    eligible = (far_from_set & far_from_boundary).reshape(grid.shape)
-    hj = float(np.abs(hvals[eligible]).max()) if eligible.any() else 0.0
+    # every graph path is a path, and the graph stretches none by more
+    # than kappa, so v <= dist <= kappa v up to O(h) at every node
+    dist = _graph_distance(ell, stats.argmin_set, grid)
+    flat = v.ravel()
+    gap = float(np.maximum(flat - dist, dist - _graph_stretch(grid) * flat).max())
 
     cont, family = continuity_residual(v, m, grid, test_functions)
-    mather = mather_identity_check(F, m, grid)
     support_violation = support_distance(m, stats.argmin_set)
     tol_mono = max(1e-9, 1e-12 * float(np.max(v)))
     return ErgodicTriple(
@@ -407,10 +393,9 @@ def build_ergodic_triple(
         grid=grid,
         dirichlet=stats.argmin_set,
         residuals={
-            "hj_residual": hj,
+            "crosscheck_gap": gap,
             "continuity_residual": cont,
             "continuity_family": family,
-            "mather_residual": mather,
             "support_violation": float(support_violation),
             "static_residual": float(res),
         },

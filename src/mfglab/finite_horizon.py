@@ -328,15 +328,16 @@ class MfgEquilibrium:
     against; ``flow_path`` is the pure transport of the initial cloud under
     that value field's feedback.  ``br_residual`` is the worst checkpoint
     d1 between the two (how far the path is from its own best response);
-    ``fixed_point_residual`` is the worst checkpoint d1 between the last
-    two damped iterates.
+    ``converged`` means ``br_residual <= tol``.  ``trace`` rows are
+    ``(iteration, br_residual, step_residual)``, where the step is the
+    worst checkpoint d1 the damped update moved the path: a diagnostic,
+    not a stopping rule.
     """
 
     value: ValueField
     path: MeasurePath
     flow_path: MeasurePath
     trajectory_stats: TrajectoryStats
-    fixed_point_residual: float
     br_residual: float
     converged: bool
     iterations: int
@@ -363,10 +364,13 @@ def solve_mfg(
     """Damped fixed-point iteration coupling backward HJB to forward transport.
 
     Iterates path_{k+1} = (1 - lam_k) path_k + lam_k transport(hjb(path_k))
-    as a per-time particle mixture, stopping when either the best-response
-    distance or the damped step (max d1 over 9 equispaced checkpoint times)
-    reaches ``tol``.  Non-convergence returns the best iterate seen with
-    ``converged=False`` and the full residual trace.
+    as a per-time particle mixture, stopping when the best-response
+    distance (max d1 over 9 equispaced checkpoint times) reaches ``tol``.
+    The damped step is traced but never stops the loop: by
+    Kantorovich-Rubinstein duality it is lam_k times that distance, so it
+    departs from it only when the mixture is resampled to ``path_cap``.
+    Non-convergence returns the best iterate seen with ``converged=False``
+    and the full residual trace.
     """
     if damping_schedule is None:
         damping_schedule = harmonic_damping
@@ -396,22 +400,19 @@ def solve_mfg(
         capped_any = capped_any or c1 or c2
         trace.append((k, br_res, step_res))
         iterations = k + 1
-        current = (value, path, flow_path, stats, br_res, step_res)
         if br_res < best_br:
-            best, best_br = current, br_res
-        if br_res <= tol or step_res <= tol:
+            best, best_br = (value, path, flow_path, stats), br_res
+        if br_res <= tol:
             converged = True
-            best = current
             break
         path = mixed
-    value, path, flow_path, stats, br_res, step_res = best
+    value, path, flow_path, stats = best
     return MfgEquilibrium(
         value=value,
         path=path,
         flow_path=flow_path,
         trajectory_stats=stats,
-        fixed_point_residual=float(step_res),
-        br_residual=float(br_res),
+        br_residual=float(best_br),
         converged=converged,
         iterations=iterations,
         trace=trace,

@@ -100,8 +100,8 @@ def solve_static(
 ) -> StaticSolveResult:
     """Damped best-response iteration m_{k+1} = (1 - lam_k) m_k + lam_k BR(m_k).
 
-    Stops when the equilibrium residual or the d1 step between consecutive
-    iterates drops to ``tol``.  Returns the best iterate with its residual;
+    Stops when the equilibrium residual drops to ``tol``, so ``converged``
+    means ``residual <= tol``.  Returns the best iterate with its residual;
     a result with ``converged=False`` carries the full residual trace for
     cycle diagnosis.
     """
@@ -127,13 +127,6 @@ def solve_static(
         step, _ = wasserstein1_capped(m, m_next, size_cap=w1_size_cap)
         m = m_next
         iterations = k + 1
-        if step <= tol:
-            res = residual(F, m, grid)
-            history.append((k + 1, res, step))
-            if res < best_res:
-                best_m, best_res = m, res
-            converged = True
-            break
     return StaticSolveResult(
         measure=best_m,
         residual=float(best_res),

@@ -48,7 +48,7 @@ def dummy_record(T, s_grid, slice_measures, argmin_points):
         rho=np.zeros(1), start_points=np.zeros((1, 1)), start_dists=np.zeros(1),
         occ_bound=0.0, chi_hat=0.0, chi_prime_hat=0.0, r1_hat=0.0,
         a_priori={}, converged=True, tainted=False, iterations=1,
-        br_residual=0.0, fixed_point_residual=0.0, c_star_used=0.0,
+        br_residual=0.0, c_star_used=0.0,
         argmin_points=np.asarray(argmin_points, dtype=float), estimated=False,
     )
 
@@ -126,6 +126,8 @@ class TestRunSweepQuick:
             np.testing.assert_allclose(r.argmin_points, [[0.0]])
             assert np.isfinite(r.occ_bound)
             assert r.a_priori["grad_max"] <= r.a_priori["grad_bound"]
+            if r.converged:
+                assert r.br_residual <= params.tol
         # longer horizon ends (relatively) closer to the minimizing point
         assert records[1].support_dist[-1] <= records[0].support_dist[0] + 1e-9
 

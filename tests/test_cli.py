@@ -183,7 +183,7 @@ class TestErgodicCommand:
         summary = json.loads((tmp_path / "ergodic_summary.json").read_text())
         assert summary["c"] == pytest.approx(0.0, abs=1e-12)
         assert summary["converse"]["passed"] is True
-        assert summary["residuals"]["mather_residual"] <= 1e-12
+        assert summary["residuals"]["static_residual"] <= 1e-12
         assert (tmp_path / "ergodic_value.csv").exists()
 
     def test_non_equilibrium_measure_exits_3(self, tmp_path):
@@ -318,6 +318,49 @@ class TestSweepCommand:
         assert summary["tainted_any"] is True
         assert summary["passed"] is False
         assert "did not reach the fixed-point tolerance" in caplog.text
+
+    def test_failed_checks_of_a_converged_sweep_are_named(self, tmp_path, caplog):
+        # short LQR horizons: every solve converges, but the limit checks fail
+        cfg = write_config(tmp_path, LQR_SHORT_SWEEP_CONFIG)
+        with caplog.at_level("WARNING", logger="mfglab.cli"):
+            assert entrypoint(["sweep", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert summary["tainted_any"] is False
+        assert summary["passed"] is False
+        warnings = [r for r in caplog.records if r.name == "mfglab.cli" and r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        for name in ("support_final_ok", "value_rate_ok", "chi_prime_hat_stable"):
+            assert summary[name] is False
+            assert name in message
+        assert summary["singleton"]["passed"] is False
+        assert "singleton.passed" in message
+        for name in ("support_decay_ok", "chi_hat_stable", "r1_hat_stable", "semilimit_ok"):
+            assert summary[name] is True
+            assert name not in message
+
+
+LQR_SHORT_SWEEP_CONFIG = """
+seed: 0
+model:
+  name: lqr_oracle
+  dim: 1
+grid:
+  lower: [-2.0]
+  upper: [2.0]
+  n_cells: [200]
+m0:
+  kind: uniform_box
+  lower: [-0.5]
+  upper: [0.5]
+  n_particles: 256
+sweep:
+  T_list: [0.5, 1.0, 1.5]
+  mode: fixed_dt
+  dt: 0.05
+  control_mesh: 0.02
+  eps_min: 1.0e-9
+"""
 
 
 VALIDATE_CONFIG = """

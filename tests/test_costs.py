@@ -139,6 +139,18 @@ class TestLqrOracle:
         assert F.analytic_c_star == 0.25
 
 
+class TestMonotonicityPairing:
+    def test_dirac_pair_witness_and_measure_free_zeros(self):
+        # int (F(., m1) - F(., m2)) d(m1 - m2) for m1 = delta_0, m2 = delta_1
+        m1, m2 = DiscreteMeasure.dirac([0.0]), DiscreteMeasure.dirac([1.0])
+        pts = np.array([[0.0], [1.0]])
+        expected = {"separated_kernel": -0.5, "two_wells": 0.0, "lqr_oracle": 0.0}
+        for name, value in expected.items():
+            F = build_model(name, 1, -2.0, 2.0, None)
+            diff = F.evaluate_many(pts, m1) - F.evaluate_many(pts, m2)
+            assert diff[0] - diff[1] == pytest.approx(value, abs=1e-15), name
+
+
 class TestBuilders:
     def test_build_model_by_name(self):
         for name in BUILTIN_MODELS:
