@@ -10,6 +10,7 @@ computed against).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,6 +28,8 @@ from .measures import (
     wasserstein1_capped,
 )
 from .static_game import harmonic_damping
+
+logger = logging.getLogger(__name__)
 
 # Particles must never come this close (in cells) to the box boundary; the
 # computational box is supposed to contain the invariant neighborhood of the
@@ -370,7 +373,8 @@ def solve_mfg(
     Kantorovich-Rubinstein duality it is lam_k times that distance, so it
     departs from it only when the mixture is resampled to ``path_cap``.
     Non-convergence returns the best iterate seen with ``converged=False``
-    and the full residual trace.
+    and the full residual trace.  Logs each iteration at DEBUG and the stop
+    reason at INFO on ``mfglab.finite_horizon``.
     """
     if damping_schedule is None:
         damping_schedule = harmonic_damping
@@ -399,13 +403,17 @@ def solve_mfg(
         step_res, c2 = _checkpoint_distance(mixed, path, ckpt, w1_size_cap, int(seeds[2 * k]))
         capped_any = capped_any or c1 or c2
         trace.append((k, br_res, step_res))
+        logger.debug("mfg iteration %d: br_residual %.3e, lambda %.4g", k, br_res, lam)
         iterations = k + 1
         if br_res < best_br:
             best, best_br = (value, path, flow_path, stats), br_res
         if br_res <= tol:
             converged = True
+            logger.info("mfg solve converged at iteration %d: br_residual %.3e <= tol %.3e", k, br_res, tol)
             break
         path = mixed
+    if not converged:
+        logger.info("mfg solve reached max_iter %d: best br_residual %.3e > tol %.3e", max_iter, best_br, tol)
     value, path, flow_path, stats = best
     return MfgEquilibrium(
         value=value,
@@ -441,24 +449,41 @@ def occupational_fractions(
     ``positions`` has shape (n_times, n_slots, dim); the family of measures
     quantified over is the path at the given indices (default: 9 equispaced
     checkpoints).
+
+    A (time, slot) point is occupied when ``F(x, m_j) - min F(., m_j) >=
+    delta`` on every slice j, so it leaves the candidate set at its first
+    slice below delta (or NaN) and later slices evaluate only the points
+    still live; once none is live the remaining slices are skipped.  This
+    is exact, since "every slice at least delta" is the same test as
+    "minimum over slices at least delta".  Points meet the evaluator in
+    other batches than in a full evaluation, and a BLAS product may round
+    a row one unit in the last place differently by its batch; so only a
+    point within that rounding of delta could flip, as it already could
+    at any chunk boundary.
     """
     pos = np.asarray(positions, dtype=float)
     n_times, n_slots, dim = pos.shape
     if measure_indices is None:
         measure_indices = checkpoint_indices(path.n_times - 1)
     flat = pos.reshape(-1, dim)
-    min_fbar = np.full(flat.shape[0], np.inf)
+    live = np.arange(flat.shape[0])
     for j in measure_indices:
+        if live.size == 0:
+            break
         m_j = path.measure_at(int(j))
         c_j = float(F.evaluate_many(grid.nodes, m_j).min())
-        # chunk so the (points x support) pairwise work stays in cache-sized
-        # blocks even for long trajectories against large supports
-        step = max(1024, int(8_000_000 // max(1, m_j.size)))
-        for lo in range(0, flat.shape[0], step):
+        # chunk the (points x support) pairwise temporaries to ~8 MB each:
+        # the live set shrinks slice by slice, and temporaries of shrinking
+        # sizes in the tens of MB stay resident on the malloc heap
+        step = max(1024, int(1_000_000 // max(1, m_j.size)))
+        keep = np.empty(live.size, dtype=bool)
+        for lo in range(0, live.size, step):
             sl = slice(lo, lo + step)
-            vals = F.evaluate_many(flat[sl], m_j)
-            np.minimum(min_fbar[sl], vals - c_j, out=min_fbar[sl])
-    occupied = (min_fbar >= delta).reshape(n_times, n_slots)
+            keep[sl] = F.evaluate_many(flat[live[sl]], m_j) - c_j >= delta
+        live = live[keep]
+    occupied = np.zeros(flat.shape[0], dtype=bool)
+    occupied[live] = True
+    occupied = occupied.reshape(n_times, n_slots)
     # time steps, not node times: left endpoints of the n_times - 1 steps
     return occupied[:-1].mean(axis=0)
 

@@ -10,6 +10,7 @@ cycle, and the game may still have equilibria elsewhere.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,6 +19,8 @@ import numpy as np
 from .cost_models import CostFunctional, slice_stats
 from .grid_geometry import SpatialGrid
 from .measures import DiscreteMeasure, merge_duplicates, mix, wasserstein1_capped
+
+logger = logging.getLogger(__name__)
 
 
 def harmonic_damping(k: int) -> float:
@@ -101,9 +104,11 @@ def solve_static(
     """Damped best-response iteration m_{k+1} = (1 - lam_k) m_k + lam_k BR(m_k).
 
     Stops when the equilibrium residual drops to ``tol``, so ``converged``
-    means ``residual <= tol``.  Returns the best iterate with its residual;
-    a result with ``converged=False`` carries the full residual trace for
-    cycle diagnosis.
+    means ``residual <= tol``; the last of the ``max_iter`` residual checks
+    takes no further step.  Returns the best iterate with its residual; a
+    result with ``converged=False`` carries the full residual trace for
+    cycle diagnosis.  Logs each residual at DEBUG and the stop reason at
+    INFO on ``mfglab.static_game``.
     """
     if damping_schedule is None:
         damping_schedule = harmonic_damping
@@ -116,10 +121,14 @@ def solve_static(
     for k in range(max_iter):
         res = residual(F, m, grid)
         history.append((k, res, step))
+        logger.debug("static iteration %d: residual %.3e", k, res)
         if res < best_res:
             best_m, best_res = m, res
         if res <= tol:
             converged = True
+            logger.info("static solve converged at iteration %d: residual %.3e <= tol %.3e", k, res, tol)
+            break
+        if k == max_iter - 1:
             break
         lam = float(damping_schedule(k))
         br = best_response(F, m, grid, eps_min=eps_min, mode=br_mode)
@@ -127,6 +136,8 @@ def solve_static(
         step, _ = wasserstein1_capped(m, m_next, size_cap=w1_size_cap)
         m = m_next
         iterations = k + 1
+    if not converged:
+        logger.info("static solve reached max_iter %d: best residual %.3e > tol %.3e", max_iter, best_res, tol)
     return StaticSolveResult(
         measure=best_m,
         residual=float(best_res),

@@ -1,10 +1,15 @@
 """Config parsing, CLI subcommands, artifact formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfglab
 from mfglab import ConfigError, DiscreteMeasure
 from mfglab.cli_io import (
     ConfigSchemaError,
@@ -149,6 +154,19 @@ class TestStaticCommand:
         assert entrypoint(["static", str(cfg), "--output-dir", str(out2)]) == 0
         for name in ("static_iterates.csv", "static_measure.csv", "static_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_verbose_prints_the_stop_reason_on_stderr(self, tmp_path):
+        # a child process: in-process, pytest's own root handlers would make
+        # the CLI's logging.basicConfig a no-op
+        cfg = write_config(tmp_path, STATIC_CONFIG)
+        src = str(Path(mfglab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "mfglab.cli_io.main", "static", str(cfg), "--output-dir", str(tmp_path), "-v"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "INFO mfglab.static_game: static solve converged at iteration" in proc.stderr
+        assert "DEBUG" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_header_comment_lines(self, tmp_path):
         cfg = write_config(tmp_path, STATIC_CONFIG)

@@ -280,6 +280,24 @@ class TestSolveMfg:
         assert eq.metadata["dt"] == 0.1
         assert eq.checkpoints[-1] == eq.value.n_steps
 
+    def test_logs_each_iteration_and_the_stop_reason(self, caplog):
+        F = quadratic_congestion(dim=1)
+        g = SpatialGrid((-2.0,), (2.0,), (100,))
+        m0 = DiscreteMeasure.dirac([0.5])
+        with caplog.at_level("DEBUG", logger="mfglab.finite_horizon"):
+            eq = solve_mfg(F, m0, 1.0, g, 0.1, tol=1e-2)
+            stopped = solve_mfg(F, m0, 1.0, g, 0.1, tol=1e-2, max_iter=1)
+        assert eq.converged and not stopped.converged
+        records = [r for r in caplog.records if r.name == "mfglab.finite_horizon"]
+        debug = [r.getMessage() for r in records if r.levelname == "DEBUG"]
+        info = [r.getMessage() for r in records if r.levelname == "INFO"]
+        assert len(debug) == eq.iterations + stopped.iterations
+        assert debug[0] == f"mfg iteration 0: br_residual {eq.trace[0][1]:.3e}, lambda 1"
+        assert info == [
+            f"mfg solve converged at iteration {eq.iterations - 1}: br_residual {eq.br_residual:.3e} <= tol 1.000e-02",
+            f"mfg solve reached max_iter 1: best br_residual {stopped.br_residual:.3e} > tol 1.000e-02",
+        ]
+
 
 class TestOccupational:
     def setup_method(self):
@@ -326,3 +344,57 @@ class TestOccupational:
         rho = occupational_fractions(positions, self.F, self.path, 0.05, self.g)
         assert rho.shape == (7,)
         assert np.all((0.0 <= rho) & (rho <= 1.0))
+
+    def test_matches_per_point_oracle(self):
+        # a crowd sweeping across the well against points in the band where
+        # the congestion factor decides: points leave at different slices
+        rng = np.random.default_rng(3)
+        centers = np.linspace(-1.0, 1.0, 11)[:, None, None]
+        path = MeasurePath(
+            np.linspace(0.0, 1.0, 11),
+            centers + 0.2 * rng.standard_normal((11, 6, 1)),
+            np.full(6, 1.0 / 6.0),
+        )
+        positions = rng.choice([-1.0, 1.0], size=(13, 9, 1)) * rng.uniform(0.3, 0.7, size=(13, 9, 1))
+        indices, delta = [1, 4, 7, 10], 0.25
+        fbar = np.empty((len(indices), 13, 9))
+        for a, j in enumerate(indices):
+            m_j = path.measure_at(j)
+            c_j = self.F.evaluate_many(self.g.nodes, m_j).min()
+            for t in range(13):
+                for s in range(9):
+                    fbar[a, t, s] = self.F.evaluate(positions[t, s], m_j) - c_j
+        occupied = fbar.min(axis=0) >= delta
+        first_exit = np.argmax(fbar < delta, axis=0)[~occupied]
+        assert 0.0 < occupied.mean() < 1.0 and first_exit.max() > 0
+        rho = occupational_fractions(positions, self.F, path, delta, self.g, measure_indices=indices)
+        np.testing.assert_array_equal(rho, occupied[:-1].mean(axis=0))
+
+    def test_fbar_equal_to_delta_is_occupied(self):
+        def ev(pts, m):
+            return np.abs(pts[:, 0])
+
+        F = CostFunctional(
+            name="abs", dim=1, evaluator=ev, m_bound=2.0,
+            core_lower=(-2.0,), core_upper=(2.0,), gap=0.0, test_only=True,
+        )
+        traj = np.full((11, 1), 0.25)  # the grid holds 0, so fbar is exactly 0.25
+        assert occupational_measure(traj, F, self.path, 0.25, self.g) == 1.0
+
+    def test_no_evaluation_after_every_point_has_left(self):
+        rows = []
+
+        def ev(pts, m):
+            rows.append(pts.shape[0])
+            return np.abs(pts[:, 0] - float(m.mean()[0]))
+
+        F = CostFunctional(
+            name="mean_chase", dim=1, evaluator=ev, m_bound=4.0,
+            core_lower=(-2.0,), core_upper=(2.0,), gap=0.0, test_only=True,
+        )
+        ramp = np.linspace(0.0, 1.0, 11)
+        path = MeasurePath(ramp, ramp.reshape(11, 1, 1), np.array([1.0]))  # mean drifts 0 -> 1
+        positions = np.zeros((11, 3, 1))  # at the first slice's mean: fbar 0 there
+        rho = occupational_fractions(positions, F, path, 0.1, self.g)
+        np.testing.assert_array_equal(rho, np.zeros(3))
+        assert rows == [self.g.n_nodes, 33]  # one slice: its nodes, then the points

@@ -14,6 +14,7 @@ from mfglab import (
     harmonic_damping,
     residual,
     solve_static,
+    static_game,
     wasserstein1,
 )
 from mfglab.cost_models import quadratic_congestion, two_wells
@@ -170,9 +171,46 @@ class TestNonConvergence:
             tol=1e-9, max_iter=25, eps_min=1e-9,
         )
         assert not res.converged
-        assert res.iterations == 25
+        assert res.iterations == 24  # the last residual check takes no step
         assert len(res.history) == 25
         assert res.residual > 1e-3  # genuinely stuck, best iterate still bad
+
+    def test_last_pass_takes_no_step(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return best_response(*args, **kwargs)
+
+        monkeypatch.setattr(static_game, "best_response", spy)
+        res = solve_static(
+            anti_coordination_cost(), grid_1d(40), DiscreteMeasure.dirac([0.5]),
+            damping_schedule=constant_damping(1.0), tol=1e-9, max_iter=25, eps_min=1e-9,
+        )
+        assert not res.converged
+        assert len(calls) == 24
+
+
+class TestLogging:
+    def test_converged_solve_logs_residuals_and_stop_reason(self, caplog):
+        with caplog.at_level("DEBUG", logger="mfglab.static_game"):
+            res = solve_static(quadratic_congestion(dim=1), grid_1d(), DiscreteMeasure.dirac([0.3]), eps_min=1e-9)
+        assert res.converged
+        records = [r for r in caplog.records if r.name == "mfglab.static_game"]
+        debug = [r.getMessage() for r in records if r.levelname == "DEBUG"]
+        info = [r.getMessage() for r in records if r.levelname == "INFO"]
+        assert len(debug) == len(res.history)
+        assert debug[0].startswith("static iteration 0: residual ")
+        assert info == [f"static solve converged at iteration {res.iterations}: residual {res.residual:.3e} <= tol 1.000e-09"]
+
+    def test_max_iter_stop_is_logged(self, caplog):
+        with caplog.at_level("INFO", logger="mfglab.static_game"):
+            res = solve_static(
+                anti_coordination_cost(), grid_1d(40), DiscreteMeasure.dirac([0.5]),
+                damping_schedule=constant_damping(1.0), tol=1e-9, max_iter=5, eps_min=1e-9,
+            )
+        info = [r.getMessage() for r in caplog.records if r.name == "mfglab.static_game"]
+        assert info == [f"static solve reached max_iter 5: best residual {res.residual:.3e} > tol 1.000e-09"]
 
 
 class TestDamping:
