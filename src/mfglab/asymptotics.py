@@ -202,7 +202,9 @@ def run_sweep(
     declares them; otherwise both are estimated from the largest-horizon
     solution (union of slice argmins; mean slice minimum over s >= 1/2) and
     the records are flagged ``estimated``.  A non-converged fixed point
-    taints its record instead of aborting the sweep.
+    taints its record instead of aborting the sweep.  Logs one INFO record
+    per horizon on ``mfglab.asymptotics`` as its solve ends (T, dt,
+    iterations, ``br_residual``, ``converged``).
     """
     if params is None:
         params = SweepParams()
@@ -228,6 +230,10 @@ def run_sweep(
             path_cap=params.path_cap,
             w1_size_cap=params.w1_size_cap,
             seed=int(seed),
+        )
+        logger.info(
+            "sweep horizon T=%g: dt %g, %d iterations, br_residual %.3e, converged %s",
+            T, dt, eq.iterations, eq.br_residual, eq.converged,
         )
         solves.append((T, dt, eq))
 

@@ -13,6 +13,7 @@ int (F(., m1) - F(., m2)) d(m1 - m2) = -2 k(1) < 0.  ``two_wells`` and
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable
@@ -492,6 +493,13 @@ def _sample_measures(F: CostFunctional, grid: SpatialGrid, seed: int, extra: int
     return samples
 
 
+def monotonicity_pairing(F: CostFunctional, m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
+    """``int (F(., m1) - F(., m2)) d(m1 - m2)``: negative breaks Lasry-Lions monotonicity."""
+    on_1 = F.evaluate_many(m1.points, m1) - F.evaluate_many(m1.points, m2)
+    on_2 = F.evaluate_many(m2.points, m1) - F.evaluate_many(m2.points, m2)
+    return float(m1.weights @ on_1 - m2.weights @ on_2)
+
+
 def validate_assumptions(
     F: CostFunctional,
     grid: SpatialGrid,
@@ -507,6 +515,10 @@ def validate_assumptions(
     (regularity), the Lipschitz-in-measure ratio against the declared
     constant, and monotonicity of the coercivity profile.  Returns a report
     dict with a ``violations`` list; empty means all assumptions held.
+    ``metrics["monotonicity_pairing_min"]`` is the least
+    :func:`monotonicity_pairing` over the pairs of sampled measures and
+    Diracs at the two box corners: a negative value witnesses that F is
+    not Lasry-Lions monotone.
     """
     samples = _sample_measures(F, grid, seed, n_random)
     violations: list[str] = []
@@ -566,6 +578,14 @@ def validate_assumptions(
         violations.append(
             f"Lipschitz ratio {ratio} exceeds declared constant {F.lipschitz_d1}"
         )
+
+    # Lasry-Lions monotonicity needs every pairing >= 0.  The paper does not
+    # assume it, so a negative minimum is a witness, not a violation.  The
+    # Diracs at the box corners add pairs farther apart than the core box.
+    corners = [DiscreteMeasure.dirac(grid.lower_array), DiscreteMeasure.dirac(grid.upper_array)]
+    metrics["monotonicity_pairing_min"] = min(
+        monotonicity_pairing(F, a, b) for a, b in itertools.combinations(samples + corners, 2)
+    )
 
     # coercivity profile
     lo, hi = np.asarray(grid.lower), np.asarray(grid.upper)

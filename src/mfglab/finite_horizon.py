@@ -1,11 +1,19 @@
 """Finite-horizon MFG on [0, T]: backward HJB, forward transport, coupling.
 
-The value function solves a backward semi-Lagrangian recursion over an
-explicit control lattice, which yields the optimal feedback directly; the
-population is a particle cloud pushed forward along that feedback; the
-coupled system is solved by damped fixed-point iteration on the measure
-path (the value field is always the exact solution for the path it was
-computed against).
+The value function solves a backward semi-Lagrangian recursion: each step
+minimises ``dt |a|^2 / 2 + u(x + dt a)`` over a lattice of controls, with u
+the multilinear interpolant of the next value slice, and the argmin is the
+optimal feedback.  The minimum is bracketed rather than scanned: along a
+line of the lattice u is linear on each grid cell, so the objective is a
+convex parabola per cell, and only the few steps around the vertices of
+the cells that can hold the minimum are evaluated.  They are evaluated
+with the same float expression, and ties broken the same way, as a scan
+of the whole lattice, so the result is the same bits while ``dt mesh^2``
+stays well above the rounding of u.  The population is a particle cloud
+pushed forward along that feedback (the same argmin at the particle
+positions); the coupled system is solved by damped fixed-point iteration
+on the measure path (the value field is always the exact solution for the
+path it was computed against).
 """
 
 from __future__ import annotations
@@ -68,8 +76,162 @@ def control_lattice(dim: int, radius: float, mesh: float) -> np.ndarray:
     sq = (pts * pts).sum(axis=1)
     keep = sq <= radius * radius + 1e-12
     pts, sq = pts[keep], sq[keep]
-    order = sorted(range(pts.shape[0]), key=lambda i: (sq[i], *pts[i]))
-    return pts[order]
+    # np.lexsort sorts by its last key first
+    return pts[np.lexsort((*pts.T[::-1], sq))]
+
+
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """The sorted control lattice of one step, split into lines along axis 0.
+
+    Line ``l`` holds the controls with one axis-1 component (in 1D, the
+    whole lattice) and axis-0 components ``k * mesh`` for
+    ``|k| <= half[l]``.  ``table[l, n + 1 + k]`` is the sorted-lattice index
+    of that control for ``-n - 1 <= k <= n + 2``; a k beyond the line maps
+    to its nearest end, so ``table[:, 0]`` and ``table[:, -1]`` are the
+    line ends.  ``moves`` is ``dt * controls`` and ``run_cost`` is
+    ``dt |a|^2 / 2`` per control.
+    """
+
+    controls: np.ndarray
+    moves: np.ndarray
+    run_cost: np.ndarray
+    dt: float
+    mesh: float
+    half: np.ndarray
+    table: np.ndarray
+
+    @classmethod
+    def of(cls, controls: np.ndarray, mesh: float, dt: float) -> "_Lattice":
+        k = np.rint(controls / mesh).astype(np.int64)
+        n = int(np.abs(k).max())
+        _, line = np.unique(k[:, -1] if k.shape[1] == 2 else 0 * k[:, 0], return_inverse=True)
+        half = np.zeros(line.max() + 1, dtype=np.int64)
+        np.maximum.at(half, line, np.abs(k[:, 0]))
+        dense = np.empty((half.size, 2 * n + 1), dtype=np.int64)
+        dense[line, n + k[:, 0]] = np.arange(controls.shape[0])
+        steps = np.clip(np.arange(-n - 1, n + 3), -half[:, None], half[:, None])
+        table = dense[np.arange(half.size)[:, None], n + steps]
+        run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
+        return cls(controls, dt * controls, run_cost, float(dt), float(mesh), half, table)
+
+
+# Line steps evaluated around the floor of a cell's clamped vertex: the
+# integer minimiser of a convex parabola on a cell is the floor or the
+# ceiling of its clamped vertex, and one more step on each side absorbs
+# the rounding of the vertex and of the cell bounds.
+_VERTEX_STEPS = np.arange(-1, 3)
+
+# Slack of the cell bounds, relative to the size of u and of the run cost:
+# far above their rounding; a larger slack only keeps more cells.
+_BOUND_SLACK = 1e-9
+
+
+def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate):
+    """First lattice minimiser of dt|a|^2/2 + u(x + dt a) at fixed points.
+
+    ``u`` is the multilinear interpolant of a node field.  Along one line
+    of the lattice the axis-1 foot, and so its interpolation weight, is
+    fixed; on each axis-0 cell u is then linear in the line step k, and
+    the objective is the convex parabola ``const + d s k + dt mesh^2 k^2/2``
+    with ``d`` the node difference of u across the cell at that weight and
+    ``s = dt mesh / h``.  The cells a line reaches, with the one-cell clamp
+    zones -1 and n where u is flat, cover all its feet.
+
+    Per point, each cell gets a lower bound (the parabola at its vertex
+    ``k* = -d s / (dt mesh^2)`` clamped to the cell and to the line) and,
+    if it holds a lattice step inside the box, an upper bound (the
+    parabola at that step).  A cell whose lower bound exceeds the least
+    upper bound cannot hold the minimiser.  Each remaining cell
+    contributes the steps ``floor(k*) - 1 .. floor(k*) + 2``, and only
+    these candidates are evaluated, by ``evaluate(grid, field, feet)``:
+    the caller's exact float expression for u at the feet, inf where a
+    foot escapes.
+
+    Exactness: the bounds are compared with a slack far above their
+    rounding, so no cell that holds the float minimiser is dropped; in its
+    cell, a lattice step outside the candidates exceeds a candidate by at
+    least dt mesh^2 / 2.  So while dt mesh^2 is well above the rounding of
+    u, the float minimiser over the whole lattice is a candidate.  Ties go
+    to the smallest sorted-lattice index, as the first occurrence over the
+    lattice would.
+
+    The cell geometry depends only on the points and is computed here;
+    the returned ``argmin(field)`` gives, per point, the sorted-lattice
+    index of the minimiser and the minimum (inf where every control
+    escapes).
+    """
+    n_p = points.shape[0]
+    lo0, h0, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
+    mesh, half = lattice.mesh, lattice.half[:, None]
+    s = lattice.dt * mesh / h0
+    curvature = 0.5 * lattice.dt * mesh * mesh
+    width = lattice.table.shape[1]
+    origin = width // 2 - 1  # the table column of step 0
+    # the foot moves monotonically with the step, also in floats, so the
+    # cells of a line's end feet bound every cell the line reaches
+    ends = lattice.table[:, [0, -1]]
+    t_ends = (points[:, None, None, 0] + lattice.moves[ends, 0] - lo0) / h0
+    c_ends = np.clip(np.floor(t_ends), -1, n0).astype(np.int64)
+    reach = int((c_ends[..., 1] - c_ends[..., 0]).max()) + 1
+    cells = np.minimum(c_ends[..., :1] + np.arange(reach), c_ends[..., 1:])
+    offset = ((points[:, 0] - lo0) / h0)[:, None, None] - cells
+    k_lo = np.maximum(np.where(cells >= 0, -offset / s, -np.inf), -half)
+    k_hi = np.minimum(np.where(cells < n0, (1.0 - offset) / s, np.inf), half)
+    # the line's axis-1 column and weight (1D: one column of weight 0); a
+    # line whose axis-1 foot leaves the box gives no upper bound
+    if grid.dim == 2:
+        n1 = grid.n_cells[1]
+        t1 = (points[:, 1:] + lattice.moves[ends[:, 0], 1] - grid.lower_array[1]) / grid.spacing[1]
+        inside = ((t1 >= 0.0) & (t1 <= n1))[..., None]
+        t1 = np.clip(t1, 0.0, n1)
+        j1 = np.minimum(np.floor(t1).astype(np.int64), n1 - 1)[..., None]
+        w1 = t1[..., None] - j1
+    else:
+        inside = True
+        j1 = np.zeros((n_p, 1, 1), dtype=np.int64)
+        w1 = np.zeros((n_p, 1, 1))
+    # u on the line at the cell's end nodes, which coincide in the clamp zones
+    n_cols = grid.n_nodes // (n0 + 1)
+    at_lo = np.clip(cells, 0, n0) * n_cols + j1
+    at_hi = np.clip(cells + 1, 0, n0) * n_cols + j1
+    next_col = grid.dim - 1
+    # the step of the upper bound: a lattice step in the cell, in the box
+    step_lo, step_hi = np.ceil(k_lo), np.floor(k_hi)
+    bounded = (step_lo <= step_hi) & (cells >= 0) & (cells < n0) & inside
+    line_cost = lattice.run_cost[lattice.table[:, origin]][:, None]
+    flat_shape = (n_p, -1)
+    table = lattice.table.ravel()
+
+    def argmin(field: np.ndarray):
+        f = field.ravel()
+        u_lo = (1.0 - w1) * f[at_lo] + w1 * f[at_lo + next_col]
+        d = (1.0 - w1) * f[at_hi] + w1 * f[at_hi + next_col] - u_lo
+
+        def parabola(k):
+            return u_lo + d * (offset + s * k) + curvature * k * k + line_cost
+
+        # fmax/fmin: where u is NaN the vertex still names a lattice step
+        vertex = np.fmin(np.fmax(d / (-mesh * h0), k_lo), k_hi)
+        lower = parabola(vertex).reshape(flat_shape)
+        upper = np.where(bounded, parabola(np.clip(np.rint(vertex), step_lo, step_hi)), np.inf)
+        slack = _BOUND_SLACK * (1.0 + np.abs(f).max() + lattice.run_cost.max())
+        keep = lower <= upper.reshape(flat_shape).min(axis=1)[:, None] + slack
+        # the cell of the least lower bound stays, also where u is NaN
+        keep[np.arange(n_p), lower.argmin(axis=1)] = True
+        who, cell = np.nonzero(keep)
+        vertex_step = np.floor(vertex.reshape(flat_shape)[who, cell]).astype(np.int64)
+        cand = table[((cell // reach) * width + origin + vertex_step)[:, None] + _VERTEX_STEPS]
+        feet = (points[who][:, None, :] + lattice.moves[cand]).reshape(-1, grid.dim)
+        q = evaluate(grid, field, feet) + lattice.run_cost[cand].ravel()
+        counts = _VERTEX_STEPS.size * keep.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        best = np.minimum.reduceat(q, starts)
+        least = np.repeat(best, counts)
+        tied = np.where((q == least) | np.isnan(least), cand.ravel(), lattice.controls.shape[0])
+        return np.minimum.reduceat(tied, starts), best
+
+    return argmin
 
 
 @dataclass(eq=False)
@@ -106,9 +268,10 @@ class ValueField:
         return self.grid.interpolate(self.values[k], x)
 
 
-def _foot_tables(grid: SpatialGrid, points: np.ndarray):
-    """Corner indices and weights for multilinear gathers at fixed points."""
-    j, w, escaped = grid.locate(points)
+def _corner_sum(grid: SpatialGrid, field: np.ndarray, feet: np.ndarray) -> np.ndarray:
+    """Multilinear values at the feet as corner values times corner weights,
+    summed per foot; inf where a foot escapes."""
+    j, w, escaped = grid.locate(feet)
     if grid.dim == 1:
         i0 = j[:, 0]
         idx = np.stack([i0, i0 + 1], axis=-1)
@@ -123,7 +286,14 @@ def _foot_tables(grid: SpatialGrid, points: np.ndarray):
             [(1.0 - w0) * (1.0 - w1), w0 * (1.0 - w1), (1.0 - w0) * w1, w0 * w1],
             axis=-1,
         )
-    return idx.astype(np.int64), wts, escaped
+    q = (field.ravel()[idx] * wts).sum(axis=-1)
+    q[escaped] = np.inf
+    return q
+
+
+def _interpolate(grid: SpatialGrid, field: np.ndarray, feet: np.ndarray) -> np.ndarray:
+    """``interpolate_many`` at the feet; inf where a foot escapes."""
+    return grid.interpolate_many(field, feet, out_of_range="inf")
 
 
 def _check_alignment(path: MeasurePath, dt: float):
@@ -152,7 +322,15 @@ def solve_hjb_backward(
     [dt (|a|^2/2 + F(x, m(t))) + u(x + dt a, t + dt)], terminal value zero.
     Control feet beyond the one-cell clamp margin are discarded; the zero
     control keeps every node feasible.  The argmin control index per
-    (step, node) is stored as the feedback policy.
+    (step, node) is stored as the feedback policy; ties go to the first
+    control of the sorted lattice.
+
+    The minimum is found by the bracketed argmin of ``_bracketed_argmin``,
+    whose cell geometry at the nodes is built once per solve.  Each
+    candidate foot is evaluated as corner values times corner weights,
+    summed per foot, so values and policy are those of a scan of the whole
+    lattice as long as ``dt * control_mesh**2`` is well above the rounding
+    of u; no nodes x controls table is built.
     """
     n_t, lattice = _check_alignment(path, dt)
     if control_radius is None:
@@ -160,36 +338,25 @@ def solve_hjb_backward(
     if control_mesh is None:
         control_mesh = default_control_mesh(grid, dt)
     controls = control_lattice(grid.dim, control_radius, control_mesh)
-    n_nodes = grid.n_nodes
-    n_c = controls.shape[0]
-    feet = (grid.nodes[:, None, :] + dt * controls[None, :, :]).reshape(-1, grid.dim)
-    idx, wts, escaped = _foot_tables(grid, feet)
-    escaped = escaped.reshape(n_nodes, n_c)
-    if bool(np.all(escaped, axis=1).any()):
-        bad = int(np.argmax(np.all(escaped, axis=1)))
-        raise DomainEscapeError(
-            f"every control escapes the box from node {grid.nodes[bad].tolist()}",
-            point=tuple(grid.nodes[bad].tolist()),
-        )
-    run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
+    argmin = _bracketed_argmin(grid, grid.nodes, _Lattice.of(controls, control_mesh, dt), _corner_sum)
 
     values = np.empty((n_t + 1,) + grid.shape)
     values[n_t] = 0.0
-    policy = np.empty((n_t, n_nodes), dtype=np.int32)
+    policy = np.empty((n_t, grid.n_nodes), dtype=np.int32)
     f_slices = np.empty((n_t,) + grid.shape)
-    rows = np.arange(n_nodes)
     for k in range(n_t - 1, -1, -1):
         m_k = path.measure_at(k)
         fk = F.evaluate_many(grid.nodes, m_k)
         f_slices[k] = fk.reshape(grid.shape)
-        flat = values[k + 1].ravel()
-        q = (flat[idx] * wts).sum(axis=-1).reshape(n_nodes, n_c)
-        q += run_cost[None, :]
-        if escaped.any():
-            q[escaped] = np.inf
-        pol = np.argmin(q, axis=1)
+        pol, best = argmin(values[k + 1])
+        if np.isinf(best).any():
+            bad = int(np.argmax(np.isinf(best)))
+            raise DomainEscapeError(
+                f"every control escapes the box from node {grid.nodes[bad].tolist()}",
+                point=tuple(grid.nodes[bad].tolist()),
+            )
         policy[k] = pol.astype(np.int32)
-        values[k] = (q[rows, pol] + dt * fk).reshape(grid.shape)
+        values[k] = (best + dt * fk).reshape(grid.shape)
     return ValueField(
         grid=grid,
         times=lattice,
@@ -248,11 +415,17 @@ def transport_forward(
     control, so it drops out of the argmin); particles move by an explicit
     Euler step and weights never change.  Errors out if any particle comes
     within two cells of the box boundary.
+
+    The argmin is the bracketed argmin of ``_bracketed_argmin`` at the
+    particle positions, with its candidates evaluated by
+    ``interpolate_many``: the control is the first minimiser over the whole
+    lattice as long as ``dt * control_mesh**2`` is well above the rounding
+    of the value slice.
     """
     grid = value.grid
     dt = value.dt
     controls = value.controls
-    run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
+    lattice = _Lattice.of(controls, value.metadata["control_mesh"], dt)
     n_p = m0.size
     pts = m0.points.copy()
     _assert_away_from_boundary(pts, grid, 0)
@@ -260,10 +433,8 @@ def transport_forward(
     positions[0] = pts
     sup_speed = np.zeros(n_p)
     for k in range(value.n_steps):
-        feet = (pts[:, None, :] + dt * controls[None, :, :]).reshape(-1, grid.dim)
-        interp = grid.interpolate_many(value.values[k + 1], feet, out_of_range="inf")
-        q = interp.reshape(n_p, controls.shape[0]) + run_cost[None, :]
-        feasible = np.isfinite(q).any(axis=1)
+        pick, best = _bracketed_argmin(grid, pts, lattice, _interpolate)(value.values[k + 1])
+        feasible = np.isfinite(best)
         if not feasible.all():
             i = int(np.argmin(feasible))
             raise DomainEscapeError(
@@ -272,7 +443,7 @@ def transport_forward(
                 point=tuple(pts[i].tolist()),
                 time_index=k,
             )
-        alpha = controls[np.argmin(q, axis=1)]
+        alpha = controls[pick]
         pts = pts + dt * alpha
         _assert_away_from_boundary(pts, grid, k + 1)
         positions[k + 1] = pts

@@ -131,6 +131,19 @@ class TestRunSweepQuick:
         # longer horizon ends (relatively) closer to the minimizing point
         assert records[1].support_dist[-1] <= records[0].support_dist[0] + 1e-9
 
+    def test_logs_one_record_per_horizon(self, caplog):
+        F = quadratic_congestion(dim=1)
+        m0 = DiscreteMeasure.uniform([[-0.4], [0.4]])
+        params = SweepParams(mode="fixed_steps", n_steps=10, max_iter=2, seed=0)
+        with caplog.at_level("INFO", logger="mfglab.asymptotics"):
+            records = run_sweep(F, m0, (2.0, 1.0), small_grid(40), params)
+        logged = [r.getMessage() for r in caplog.records if r.name == "mfglab.asymptotics"]
+        assert logged == [
+            f"sweep horizon T={r.T:g}: dt {r.dt:g}, {r.iterations} iterations, "
+            f"br_residual {r.br_residual:.3e}, converged {r.converged}"
+            for r in records
+        ]
+
     def test_empty_horizon_list(self):
         with pytest.raises(ValueError, match="T_list"):
             run_sweep(flat_cost(), DiscreteMeasure.dirac([0.0]), (), small_grid())

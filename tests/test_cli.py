@@ -161,9 +161,10 @@ class TestStaticCommand:
         cfg = write_config(tmp_path, STATIC_CONFIG)
         src = str(Path(mfglab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-m", "mfglab.cli_io.main", "static", str(cfg), "--output-dir", str(tmp_path), "-v"]
+        argv = [sys.executable, "-m", "mfglab", "static", str(cfg), "--output-dir", str(tmp_path), "-v"]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
         assert "INFO mfglab.static_game: static solve converged at iteration" in proc.stderr
         assert "DEBUG" not in proc.stderr
         assert proc.stdout == ""

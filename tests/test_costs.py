@@ -17,7 +17,14 @@ from mfglab import (
     validate_assumptions,
     wasserstein1,
 )
-from mfglab.cost_models import fg_plus_g, lqr_oracle, quadratic_congestion, separated_kernel, two_wells
+from mfglab.cost_models import (
+    fg_plus_g,
+    lqr_oracle,
+    monotonicity_pairing,
+    quadratic_congestion,
+    separated_kernel,
+    two_wells,
+)
 
 
 def grid_1d(n=200, lo=-2.0, hi=2.0):
@@ -149,6 +156,17 @@ class TestMonotonicityPairing:
             F = build_model(name, 1, -2.0, 2.0, None)
             diff = F.evaluate_many(pts, m1) - F.evaluate_many(pts, m2)
             assert diff[0] - diff[1] == pytest.approx(value, abs=1e-15), name
+            assert monotonicity_pairing(F, m1, m2) == pytest.approx(value, abs=1e-15), name
+
+    def test_validate_reports_the_least_sampled_pairing(self):
+        g = grid_1d(160)
+        witness = validate_assumptions(separated_kernel(dim=1), g, seed=0)
+        measure_free = validate_assumptions(lqr_oracle(dim=1), g, seed=0)
+        # the Diracs at the box corners -2 and 2: -2 k(4) = -2 (4 - 0.5)^2
+        assert witness["metrics"]["monotonicity_pairing_min"] == pytest.approx(-24.5, abs=1e-12)
+        assert witness["violations"] == []  # a witness, not a violation
+        assert measure_free["metrics"]["monotonicity_pairing_min"] == 0.0
+        assert measure_free["violations"] == []
 
 
 class TestBuilders:

@@ -49,6 +49,136 @@ def constant_path(m, T, dt):
     return MeasurePath.constant(m, np.arange(n_t + 1) * dt)
 
 
+def brute_force_hjb(F, path, grid, dt, control_radius, control_mesh):
+    """Reference recursion: the first argmin over every lattice control."""
+    controls = control_lattice(grid.dim, control_radius, control_mesh)
+    n_nodes, n_c = grid.n_nodes, controls.shape[0]
+    feet = (grid.nodes[:, None, :] + dt * controls[None, :, :]).reshape(-1, grid.dim)
+    j, w, escaped = grid.locate(feet)
+    if grid.dim == 1:
+        idx = np.stack([j[:, 0], j[:, 0] + 1], axis=-1)
+        wts = np.stack([1.0 - w[:, 0], w[:, 0]], axis=-1)
+    else:
+        ny = grid.shape[1]
+        base = j[:, 0] * ny + j[:, 1]
+        idx = np.stack([base, base + ny, base + 1, base + ny + 1], axis=-1)
+        w0, w1 = w[:, 0], w[:, 1]
+        wts = np.stack([(1.0 - w0) * (1.0 - w1), w0 * (1.0 - w1), (1.0 - w0) * w1, w0 * w1], axis=-1)
+    escaped = escaped.reshape(n_nodes, n_c)
+    run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
+    n_t = path.n_times - 1
+    values = np.empty((n_t + 1,) + grid.shape)
+    values[n_t] = 0.0
+    policy = np.empty((n_t, n_nodes), dtype=np.int32)
+    for k in range(n_t - 1, -1, -1):
+        fk = F.evaluate_many(grid.nodes, path.measure_at(k))
+        q = (values[k + 1].ravel()[idx] * wts).sum(axis=-1).reshape(n_nodes, n_c)
+        q += run_cost[None, :]
+        q[escaped] = np.inf
+        policy[k] = np.argmin(q, axis=1)
+        values[k] = (q[np.arange(n_nodes), policy[k]] + dt * fk).reshape(grid.shape)
+    return values, policy
+
+
+def brute_force_transport(value, points):
+    """Reference transport: positions under the first argmin over the lattice."""
+    grid, dt, controls = value.grid, value.dt, value.controls
+    run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
+    positions = [points]
+    for k in range(value.n_steps):
+        pts = positions[-1]
+        feet = (pts[:, None, :] + dt * controls[None, :, :]).reshape(-1, grid.dim)
+        q = grid.interpolate_many(value.values[k + 1], feet, out_of_range="inf").reshape(len(pts), -1)
+        positions.append(pts + dt * controls[np.argmin(q + run_cost[None, :], axis=1)])
+    return np.array(positions)
+
+
+def node_field(kind, grid, scale, rng):
+    """A node field of the given kind and size."""
+    x = grid.nodes
+    if kind == "flat":
+        # a flat floor of exactly -4 beyond a flat 0 disc around the
+        # origin: mirrored feet on the floor tie exactly
+        return np.where(np.sqrt((x * x).sum(axis=1)) > 0.3, -4.0, 0.0)
+    center = rng.uniform(-0.5, 0.5, size=grid.dim)
+    r = np.sqrt(((x - center) ** 2).sum(axis=1))
+    if kind == "noise":
+        return scale * rng.standard_normal(grid.n_nodes)
+    if kind == "convex":
+        return scale * r * r
+    if kind == "concave":
+        return -scale * r * r
+    return scale * r  # a kink
+
+
+def slice_cost(fields, dt, dim):
+    """F whose slice at the measure path's time index k is fields[k] / dt;
+    the path of :func:`indexed_path` carries k as its Dirac's position."""
+
+    def ev(pts, m):
+        return fields[int(round(m.points[0, 0]))] / dt
+
+    return CostFunctional(
+        name="slices", dim=dim, evaluator=ev, m_bound=1.0,
+        core_lower=(-1.0,) * dim, core_upper=(1.0,) * dim, gap=0.0, test_only=True,
+    )
+
+
+def indexed_path(n_t, dt, dim):
+    positions = np.zeros((n_t + 1, 1, dim))
+    positions[:, 0, 0] = np.arange(n_t + 1)
+    return MeasurePath(np.arange(n_t + 1) * dt, positions, np.array([1.0]))
+
+
+class TestBracketedArgminOracle:
+    """The bracketed argmin reproduces the full-lattice argmin bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 0.2])
+    @pytest.mark.parametrize(
+        "kind, scale",
+        [("noise", 1e-3), ("noise", 1.0), ("noise", 1e2), ("convex", 1.0), ("concave", 1.0),
+         ("kink", 10.0), ("flat", 1.0)],
+    )
+    def test_values_policy_and_positions_match_the_full_lattice(self, dim, dt, kind, scale):
+        rng = np.random.default_rng([dim, int(dt * 1000), len(kind), int(np.log10(scale)) + 3])
+        n_cells, reach_cells, per_radius = (64, 3.0, 60) if dim == 1 else (16, 1.5, 8)
+        grid = SpatialGrid((-1.0,) * dim, (1.0,) * dim, (n_cells,) * dim)
+        # edge nodes reach the clamp zone and, beyond one cell, the escape zone
+        radius = reach_cells * grid.max_spacing / dt
+        mesh = radius / per_radius
+        n_t = 3
+        fields = [node_field(kind, grid, scale, rng) for _ in range(n_t)]
+        F, path = slice_cost(fields, dt, dim), indexed_path(n_t, dt, dim)
+        value = solve_hjb_backward(F, path, grid, dt, control_radius=radius, control_mesh=mesh)
+        values, policy = brute_force_hjb(F, path, grid, dt, radius, mesh)
+        np.testing.assert_array_equal(value.values, values)
+        np.testing.assert_array_equal(value.policy, policy)
+        # particles stay clear of the two-cell boundary margin
+        points = rng.uniform(-0.25, 0.25, size=(40, dim))
+        flow, _ = transport_forward(value, DiscreteMeasure(points, np.full(40, 1.0 / 40)))
+        np.testing.assert_array_equal(flow.positions, brute_force_transport(value, points))
+
+    def test_flat_floor_ties_go_to_the_sorted_first_control(self):
+        grid = SpatialGrid((-1.0, -1.0), (1.0, 1.0), (16, 16))
+        dt, n_t = 0.05, 2
+        fields = [node_field("flat", grid, 1.0, None)] * n_t
+        F, path = slice_cost(fields, dt, 2), indexed_path(n_t, dt, 2)
+        value = solve_hjb_backward(F, path, grid, dt, control_radius=10.0, control_mesh=1.0)
+        values, policy = brute_force_hjb(F, path, grid, dt, 10.0, 1.0)
+        np.testing.assert_array_equal(value.values, values)
+        np.testing.assert_array_equal(value.policy, policy)
+        # from the origin the four controls (+-5, +-5) land on floor nodes
+        # and tie exactly; the sorted lattice lists (-5, -5) first
+        origin = grid.nearest_node_index([[0.0, 0.0]])[0]
+        controls = value.controls
+        q = grid.interpolate_many(value.values[1], dt * controls) + dt * 0.5 * (controls**2).sum(axis=1)
+        ties = np.flatnonzero(q == q.min())
+        assert len(ties) == 4
+        assert value.policy[0, origin] == ties[0]
+        np.testing.assert_array_equal(controls[ties[0]], [-5.0, -5.0])
+
+
 class TestControlLattice:
     def test_1d_order_oracle(self):
         lat = control_lattice(1, 0.05, 0.02)
@@ -58,6 +188,19 @@ class TestControlLattice:
         lat = control_lattice(2, 0.1, 0.1)
         expect = [[0.0, 0.0], [-0.1, 0.0], [0.0, -0.1], [0.0, 0.1], [0.1, 0.0]]
         np.testing.assert_allclose(lat, expect)
+
+    @pytest.mark.parametrize(
+        "dim, radius, mesh",
+        [(1, 3.82, 0.02), (1, 0.05, 0.02), (2, 1.0, 0.9), (2, 2.5, 0.25), (2, 3.83, 0.11)],
+    )
+    def test_order_is_the_squared_norm_then_lexicographic_key(self, dim, radius, mesh):
+        n = int(np.floor(radius / mesh + 1e-12))
+        axis = np.arange(-n, n + 1, dtype=float) * mesh
+        pts = np.stack([m.ravel() for m in np.meshgrid(*[axis] * dim, indexing="ij")], axis=-1)
+        sq = (pts * pts).sum(axis=1)
+        pts, sq = pts[sq <= radius * radius + 1e-12], sq[sq <= radius * radius + 1e-12]
+        order = sorted(range(len(pts)), key=lambda i: (sq[i], *pts[i]))
+        np.testing.assert_array_equal(control_lattice(dim, radius, mesh), pts[order])
 
     def test_radius_filter(self):
         lat = control_lattice(2, 1.0, 0.9)
@@ -132,6 +275,19 @@ class TestBackwardValues:
                 assert value.values[k].ravel()[node0] == pytest.approx(
                     c_star * (2.0 - t), abs=1e-12
                 )
+
+    def test_nan_cost_keeps_the_policy_on_the_lattice(self):
+        def ev(pts, m):
+            return np.where(np.abs(pts[:, 0] - 0.5) < 1e-9, np.nan, 1.0)
+
+        F = CostFunctional(
+            name="nan_node", dim=1, evaluator=ev, m_bound=1.0,
+            core_lower=(-1.0,), core_upper=(1.0,), gap=0.0, test_only=True,
+        )
+        g = SpatialGrid((-2.0,), (2.0,), (40,))
+        value = solve_hjb_backward(F, constant_path(DiscreteMeasure.dirac([0.0]), 0.5, 0.1), g, 0.1)
+        assert np.isnan(value.values[0]).any()
+        assert 0 <= value.policy.min() and value.policy.max() < len(value.controls)
 
     def test_alignment_errors(self):
         F = lqr_oracle(dim=1)
