@@ -14,6 +14,7 @@ static residual of m.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,8 @@ from .errors import SolverError, StaticResidualError
 from .grid_geometry import NodeSet, SpatialGrid
 from .measures import DiscreteMeasure, support_distance
 from .static_game import residual as static_residual
+
+logger = logging.getLogger(__name__)
 
 _INF = float("inf")
 
@@ -107,15 +110,18 @@ def solve_eikonal(
     grid: SpatialGrid,
     sweep_tol: float = 1e-12,
     max_sweeps: int = 200,
-) -> np.ndarray:
+    *,
+    return_sweeps: bool = False,
+) -> np.ndarray | tuple[np.ndarray, int]:
     """Godunov fast-sweeping solution of |grad v| = ell, v = 0 on the set.
 
     Gauss-Seidel passes alternate over all 2^dim index orderings until the
     largest node update in a full round falls below ``sweep_tol``; values
     only decrease, so the limit is the exact discrete solution.  Boundary
-    nodes use one-sided (outflow) differences.  Raises
-    :class:`SolverError` carrying the last update map when the sweep
-    budget is exhausted.
+    nodes use one-sided (outflow) differences.  Returns v, or ``(v,
+    sweeps)`` with the number of rounds used when ``return_sweeps`` is
+    set.  Raises :class:`SolverError` carrying the last update map when
+    the sweep budget is exhausted.
     """
     arr = np.asarray(ell, dtype=float).reshape(grid.shape)
     if arr.min() < 0:
@@ -136,11 +142,12 @@ def solve_eikonal(
         fixed = fixed_flat.tolist()
         forward = range(n)
         backward = range(n - 1, -1, -1)
-        for _ in range(max_sweeps):
+        for sweeps in range(1, max_sweeps + 1):
             change = _sweep_1d(v, rhs, fixed, forward)
             change = max(change, _sweep_1d(v, rhs, fixed, backward))
             if change <= sweep_tol:
-                return np.asarray(v, dtype=float).reshape(grid.shape)
+                v = np.asarray(v, dtype=float).reshape(grid.shape)
+                return (v, sweeps) if return_sweeps else v
         raise SolverError(
             "eikonal fast sweeping did not converge within the sweep budget",
             residual=np.asarray(v, dtype=float).reshape(grid.shape),
@@ -156,12 +163,13 @@ def solve_eikonal(
     h0, h1 = float(grid.spacing[0]), float(grid.spacing[1])
     orders0 = (range(n0), range(n0 - 1, -1, -1))
     orders1 = (range(n1), range(n1 - 1, -1, -1))
-    for _ in range(max_sweeps):
+    for sweeps in range(1, max_sweeps + 1):
         change = 0.0
         for o0, o1 in itertools.product(orders0, orders1):
             change = max(change, _sweep_2d(v, ell_rows, fixed, o0, o1, h0, h1))
         if change <= sweep_tol:
-            return np.asarray(v, dtype=float)
+            v = np.asarray(v, dtype=float)
+            return (v, sweeps) if return_sweeps else v
     raise SolverError(
         "eikonal fast sweeping did not converge within the sweep budget",
         residual=np.asarray(v, dtype=float),
@@ -375,13 +383,19 @@ def build_ergodic_triple(
     stats = slice_stats(F, m, grid, eps_min)
     c = stats.c_m
     ell = np.sqrt(2.0 * stats.fbar)
-    v = solve_eikonal(ell, stats.argmin_set, grid, sweep_tol=sweep_tol, max_sweeps=max_sweeps)
+    v, sweeps = solve_eikonal(
+        ell, stats.argmin_set, grid, sweep_tol=sweep_tol, max_sweeps=max_sweeps, return_sweeps=True
+    )
 
     # every graph path is a path, and the graph stretches none by more
     # than kappa, so v <= dist <= kappa v up to O(h) at every node
     dist = _graph_distance(ell, stats.argmin_set, grid)
     flat = v.ravel()
     gap = float(np.maximum(flat - dist, dist - _graph_stretch(grid) * flat).max())
+    logger.info(
+        "ergodic triple: critical value %.6g, %d eikonal sweeps, crosscheck_gap %.3e",
+        c, sweeps, gap,
+    )
 
     cont, family = continuity_residual(v, m, grid, test_functions)
     support_violation = support_distance(m, stats.argmin_set)

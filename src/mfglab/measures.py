@@ -2,11 +2,12 @@
 
 Measures are Lagrangian particle lists: positions plus weights on the
 simplex.  The 1-Wasserstein distance is computed exactly: in dimension one
-by the CDF-difference integral, in dimension two by the Hungarian
-assignment for equal uniform clouds and by the transportation LP, solved
-with HiGHS, for general supports (both capped at
-``DEFAULT_SIZE_CAP`` support points; the harness downsamples beyond that
-and records it in metadata).
+by the CDF-difference integral; in dimension two by an assignment when both
+weight vectors sit on a common 1/N lattice with N at most the size cap
+(uniform clouds, Cesaro means of flows, capped resamples), and by the
+transportation LP, solved with HiGHS, for weights off the lattice.  Both
+are capped at ``DEFAULT_SIZE_CAP`` support points; the harness downsamples
+beyond that and records it in metadata.
 """
 
 from __future__ import annotations
@@ -172,13 +173,37 @@ def _w1_transport_lp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -
     return float(res.fun)
 
 
+def _lattice_counts(w: np.ndarray, size_cap: int) -> tuple[int, np.ndarray] | None:
+    """``(n, counts)`` with ``w == counts / n`` within 1e-12, or None.
+
+    ``n`` is the reciprocal of the smallest positive weight, rounded.  A
+    lattice finer than ``1 / size_cap`` is refused at once: the common
+    lattice of two measures is finer still.
+    """
+    n = np.rint(1.0 / w[w > 0].min())
+    if n > size_cap:
+        return None
+    n = int(n)
+    counts = np.rint(w * n)
+    if np.abs(w - counts / n).max() > 1e-12 or counts.sum() != n:
+        return None
+    return n, counts.astype(np.int64)
+
+
 def wasserstein1(a: DiscreteMeasure, b: DiscreteMeasure, size_cap: int = DEFAULT_SIZE_CAP) -> float:
     """Exact 1-Wasserstein distance between two particle measures.
 
-    Dimension one uses the CDF formula; dimension two uses the Hungarian
-    assignment when both clouds are uniform with equal size, otherwise the
-    transportation LP solved by HiGHS.  Supports larger than ``size_cap`` raise
-    :class:`SizeCapError` (see :func:`wasserstein1_capped`).
+    Dimension one uses the CDF formula.  In dimension two, let ``N_a`` be
+    the rounded reciprocal of the smallest weight of ``a``.  When every
+    weight of ``a`` is an integer count over ``N_a`` within 1e-12, the
+    same holds for ``b``, and ``N = lcm(N_a, N_b) <= size_cap``, the
+    distance is the assignment between the two clouds with each point
+    repeated by its count on the common 1/N lattice: a transportation
+    polytope with integral marginals has integral vertices, so an optimal
+    coupling moves whole units.  Equal-size uniform clouds are the case of
+    unit counts.  Other weights go to the transportation LP solved by
+    HiGHS.  Supports larger than ``size_cap`` raise :class:`SizeCapError`
+    (see :func:`wasserstein1_capped`).
     """
     if a.dim != b.dim:
         raise InvalidMeasureError("measures have different dimensions")
@@ -188,15 +213,17 @@ def wasserstein1(a: DiscreteMeasure, b: DiscreteMeasure, size_cap: int = DEFAULT
         raise SizeCapError(
             f"supports of size {a.size} and {b.size} exceed the exact-transport cap {size_cap}"
         )
-    uniform = (
-        a.size == b.size
-        and np.allclose(a.weights, 1.0 / a.size, atol=1e-12, rtol=0.0)
-        and np.allclose(b.weights, 1.0 / b.size, atol=1e-12, rtol=0.0)
-    )
     diff = a.points[:, None, :] - b.points[None, :, :]
     cost = np.sqrt((diff * diff).sum(axis=-1))
-    if uniform:
-        return _w1_assignment(cost)
+    lattice_a = _lattice_counts(a.weights, size_cap)
+    lattice_b = _lattice_counts(b.weights, size_cap)
+    if lattice_a is not None and lattice_b is not None:
+        (n_a, counts_a), (n_b, counts_b) = lattice_a, lattice_b
+        n = int(np.lcm(n_a, n_b))
+        if n <= size_cap:
+            rows = np.repeat(np.arange(a.size), counts_a * (n // n_a))
+            cols = np.repeat(np.arange(b.size), counts_b * (n // n_b))
+            return _w1_assignment(cost[np.ix_(rows, cols)])
     return _w1_transport_lp(cost, a.weights, b.weights)
 
 

@@ -313,11 +313,18 @@ class TestCriterion9ExactTransport:
             == abs(x - y)
             for x, y in rng.uniform(-3, 3, size=(25, 2))
         )
+        worst_2d = 0.0
+        for _ in range(40):
+            a = _random_lattice_measure(rng)
+            b = _random_lattice_measure(rng)
+            worst_2d = max(worst_2d, abs(wasserstein1(a, b) - _w1_lp(a, b)))
+        lattice_ok = worst_2d <= 1e-12
         certify(
             9,
-            lp_ok and dirac_ok,
+            lp_ok and dirac_ok and lattice_ok,
             f"worst |cdf - LP| {worst:.1e} over 60 pairs (tol 1e-10); "
-            f"point-mass distances exact: {dirac_ok}",
+            f"point-mass distances exact: {dirac_ok}; "
+            f"worst 2D |lattice assignment - LP| {worst_2d:.1e} over 40 pairs (tol 1e-12)",
         )
 
 
@@ -327,9 +334,18 @@ def _random_measure(rng, max_size=6):
     return DiscreteMeasure.from_weighted(pts, rng.random(size) + 0.05, normalize=True)
 
 
+def _random_lattice_measure(rng, max_size=8):
+    """2D cloud with weights k_i / N, smallest count 1, so it sits on the 1/N lattice."""
+    size = int(rng.integers(1, max_size + 1))
+    counts = np.concatenate([[1], rng.integers(1, 4, size=size - 1)])
+    pts = rng.uniform(-2, 2, size=(size, 2))
+    return DiscreteMeasure.from_weighted(pts, counts / counts.sum())
+
+
 def _w1_lp(a, b):
     n, m = a.size, b.size
-    cost = np.abs(a.points[:, None, 0] - b.points[None, :, 0]).ravel()
+    diff = a.points[:, None, :] - b.points[None, :, :]
+    cost = np.sqrt((diff * diff).sum(axis=-1)).ravel()
     A_eq = np.zeros((n + m, n * m))
     for i in range(n):
         A_eq[i, i * m : (i + 1) * m] = 1.0

@@ -220,6 +220,24 @@ class TestErgodicTriple:
             gaps.append(t.residuals["crosscheck_gap"])
         assert gaps[1] <= 0.6 * gaps[0]
 
+    def test_logs_one_progress_record(self, caplog):
+        F = quadratic_congestion(dim=2)
+        g = SpatialGrid((-2.0, -2.0), (2.0, 2.0), (20, 20))
+        m = DiscreteMeasure.dirac([0.0, 0.0])
+        with caplog.at_level("INFO", logger="mfglab.eikonal_ergodic"):
+            t = build_ergodic_triple(F, m, g, eps_min=1e-9)
+        records = [r for r in caplog.records if r.name == "mfglab.eikonal_ergodic"]
+        assert len(records) == 1 and records[0].levelname == "INFO"
+        # the sweep count is the exact round budget the solve needed
+        ell = np.sqrt(2.0 * (F.evaluate_many(g.nodes, m) - t.c))
+        _, sweeps = solve_eikonal(ell, t.dirichlet, g, return_sweeps=True)
+        with pytest.raises(SolverError):
+            solve_eikonal(ell, t.dirichlet, g, max_sweeps=sweeps - 1)
+        assert records[0].getMessage() == (
+            f"ergodic triple: critical value {t.c:.6g}, {sweeps} eikonal sweeps, "
+            f"crosscheck_gap {t.residuals['crosscheck_gap']:.3e}"
+        )
+
     def test_non_equilibrium_rejected(self):
         F = quadratic_congestion(dim=1)
         g = SpatialGrid((-2.0,), (2.0,), (200,))

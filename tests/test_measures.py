@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, linear_sum_assignment, linprog
+from scipy.optimize import OptimizeResult, linprog
 
 from mfglab import (
     DiscreteMeasure,
@@ -111,12 +111,10 @@ class TestW1Oracles:
             a, b = random_measure(rng), random_measure(rng)
             assert wasserstein1(a, b) == pytest.approx(w1_linprog(a, b), abs=1e-10)
 
-    def test_2d_integer_weights_match_expanded_assignment(self):
-        # Weights k_i / N with integer k_i: the transportation polytope with
-        # integral marginals has integral vertices, so an optimal coupling
-        # moves whole units and W1 equals the assignment between the two
-        # clouds with each point repeated k_i times.  N = 13 is prime and
-        # a has at least two points, so no pair takes the uniform shortcut.
+    def test_2d_integer_weights_match_coupling_lp(self):
+        # Weights k_i / 13 with integer k_i.  Measures whose smallest count
+        # is 1 sit on the 1/13 lattice and take the assignment; the others
+        # take the LP.  Both must match the dense LP.
         rng = np.random.default_rng(12)
         n_units = 13
 
@@ -127,14 +125,9 @@ class TestW1Oracles:
         for _ in range(25):
             ka = integer_weights(int(rng.integers(2, 7)))
             kb = integer_weights(int(rng.integers(1, 7)))
-            pts_a = rng.uniform(-2, 2, size=(ka.size, 2))
-            pts_b = rng.uniform(-2, 2, size=(kb.size, 2))
-            a = DiscreteMeasure.from_weighted(pts_a, ka / n_units)
-            b = DiscreteMeasure.from_weighted(pts_b, kb / n_units)
-            diff = np.repeat(pts_a, ka, axis=0)[:, None, :] - np.repeat(pts_b, kb, axis=0)[None, :, :]
-            cost = np.sqrt((diff * diff).sum(axis=-1))
-            rows, cols = linear_sum_assignment(cost)
-            assert wasserstein1(a, b) == pytest.approx(cost[rows, cols].sum() / n_units, abs=1e-12)
+            a = DiscreteMeasure.from_weighted(rng.uniform(-2, 2, size=(ka.size, 2)), ka / n_units)
+            b = DiscreteMeasure.from_weighted(rng.uniform(-2, 2, size=(kb.size, 2)), kb / n_units)
+            assert wasserstein1(a, b) == pytest.approx(w1_linprog(a, b), abs=1e-12)
 
     def test_2d_dirac_against_closed_form(self):
         # W1(delta_x, mu) = sum_j w_j |x - y_j|: the only coupling sends all mass from x
@@ -155,7 +148,8 @@ class TestW1Oracles:
             return OptimizeResult(status=2, success=False, fun=None, message="The problem is infeasible.")
 
         monkeypatch.setattr("mfglab.measures.linprog", infeasible)
-        a = DiscreteMeasure.from_weighted([[0.0, 0.0], [1.0, 0.0]], [0.25, 0.75])
+        # off the 1/N weight lattice, so the pair reaches the LP
+        a = DiscreteMeasure.from_weighted([[0.0, 0.0], [1.0, 0.0]], [0.3, 0.7])
         b = DiscreteMeasure.dirac([0.0, 1.0])
         with pytest.raises(SolverError, match="infeasible"):
             wasserstein1(a, b)
@@ -167,6 +161,107 @@ class TestW1Oracles:
             pts_b = rng.uniform(-1, 1, size=(6, 2))
             a, b = DiscreteMeasure.uniform(pts_a), DiscreteMeasure.uniform(pts_b)
             assert wasserstein1(a, b) == pytest.approx(w1_linprog(a, b), abs=1e-9)
+
+
+def _evolve_shaped_pair(rng):
+    # a two-flow Cesaro mean after merging: 62 slots of 2/128 and 4 of 1/128
+    counts = np.array([2] * 62 + [1] * 4)
+    a = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(66, 2)), counts / 128)
+    return a, DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(64, 2)))
+
+
+def _harmonic_mixture_pair(rng):
+    # three flows of n = 6 slots mixed with lambda = 1/2, then 1/3; the
+    # flows share trajectories, so the weights are k / 18 with k in {1, 2, 3}
+    times = np.array([0.0, 1.0])
+    base = rng.uniform(-1, 1, size=(2, 6, 2))
+    flows = []
+    for shared in (6, 4, 3):
+        pos = base.copy()
+        pos[:, shared:, :] = rng.uniform(-1, 1, size=(2, 6 - shared, 2))
+        flows.append(MeasurePath(times, pos, np.full(6, 1.0 / 6)))
+    path = mix_paths(mix_paths(flows[0], flows[1], 0.5), flows[2], 1.0 / 3.0)
+    assert np.allclose(path.weights * 18, np.rint(path.weights * 18), atol=1e-12, rtol=0.0)
+    assert {1, 2, 3} <= set(np.rint(path.weights * 18).astype(int))
+    return path.measure_at(1), DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(9, 2)))
+
+
+def _unequal_uniform_pair(rng):
+    return (
+        DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(64, 2))),
+        DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(128, 2))),
+    )
+
+
+def _dirac_cloud_pair(rng):
+    cloud = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(4, 2)), np.array([1, 2, 2, 3]) / 8)
+    return DiscreteMeasure.dirac(rng.uniform(-1, 1, size=2)), cloud
+
+
+LATTICE_PAIRS = {
+    "evolve_shaped": _evolve_shaped_pair,
+    "harmonic_mixture": _harmonic_mixture_pair,
+    "unequal_uniform": _unequal_uniform_pair,
+    "dirac_cloud": _dirac_cloud_pair,
+}
+
+
+class TestW1LatticeDispatch:
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr("mfglab.measures.linprog", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_PAIRS))
+    def test_lattice_pair_takes_assignment_and_matches_lp(self, name, lp_calls):
+        a, b = LATTICE_PAIRS[name](np.random.default_rng(31))
+        value = wasserstein1(a, b)
+        assert lp_calls == []
+        assert value == pytest.approx(w1_linprog(a, b), abs=1e-12)
+
+    def test_capped_downsample_takes_assignment_and_matches_lp(self, lp_calls, monkeypatch):
+        # heavy points make the systematic resample repeat them, so merging
+        # leaves weights k / 16 with some k > 1
+        rng = np.random.default_rng(32)
+        weights = rng.random(40) + 0.05
+        weights[:3] += 4.0
+        a = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(40, 2)), weights, normalize=True)
+        b = DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(40, 2)))
+        seen = []
+
+        def recording_w1(x, y, size_cap):
+            seen.append((x, y))
+            return wasserstein1(x, y, size_cap)
+
+        monkeypatch.setattr("mfglab.measures.wasserstein1", recording_w1)
+        value, capped = wasserstein1_capped(a, b, size_cap=16)
+        (a_down, b_down), = seen
+        assert capped and a_down.size < 16 and a_down.weights.max() > 1.0 / 16
+        assert lp_calls == []
+        assert value == pytest.approx(w1_linprog(a_down, b_down), abs=1e-12)
+
+    def test_common_lattice_over_cap_reaches_lp(self, lp_calls):
+        rng = np.random.default_rng(33)
+        a = DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(7, 2)))
+        b = DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(8, 2)))
+        value = wasserstein1(a, b, size_cap=50)  # lcm(7, 8) = 56
+        assert lp_calls == [1]
+        assert value == pytest.approx(w1_linprog(a, b), abs=1e-12)
+
+    def test_weights_off_lattice_reach_lp(self, lp_calls):
+        rng = np.random.default_rng(34)
+        w = np.full(4, 0.25) + np.array([1e-9, -1e-9, 0.0, 0.0])
+        a = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(4, 2)), w)
+        b = DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(4, 2)))
+        value = wasserstein1(a, b)
+        assert lp_calls == [1]
+        assert value == pytest.approx(w1_linprog(a, b), abs=1e-12)
 
 
 class TestW1MetricAxioms:
