@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidMeasureError, ModelValidationError
-from .grid_geometry import NodeSet, SpatialGrid, distance_to_box
+from .grid_geometry import NodeSet, SpatialGrid, distance_to_box, pairwise_sq_dist
 from .measures import DiscreteMeasure, sample_from_density, wasserstein1
 
 logger = logging.getLogger(__name__)
@@ -129,8 +129,7 @@ def gamma_estimate(
             unions.append(slice_stats(F, m, grid, eps_min).argmin_set.points)
         argmin_points = np.concatenate(unions, axis=0)
     pts = np.atleast_2d(np.asarray(argmin_points, dtype=float))
-    diff = grid.nodes[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1)).min(axis=1)
+    dist = np.sqrt(pairwise_sq_dist(grid.nodes, pts).min(axis=1))
     fbars = [slice_stats(F, m, grid, eps_min).fbar.ravel() for m in measures]
     table = []
     for r in sorted(float(r) for r in r_values):
@@ -221,8 +220,8 @@ def model_separated_kernel(
         g_measure = lambda m: 0.0
 
     def evaluator(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
-        diff = pts[:, None, :] - m.points[None, :, :]
-        r = np.sqrt((diff * diff).sum(axis=-1))
+        r = pairwise_sq_dist(pts, m.points)
+        np.sqrt(r, out=r)
         return f(pts) + kernel_radial(r) @ m.weights + g_measure(m)
 
     if delta <= 0:
@@ -235,8 +234,7 @@ def model_separated_kernel(
     zeros = metadata.get("analytic_argmin")
     if zeros is not None:
         z = np.atleast_2d(np.asarray(zeros, dtype=float))
-        diffz = z[:, None, :] - z[None, :, :]
-        diam = float(np.sqrt((diffz * diffz).sum(axis=-1)).max())
+        diam = float(np.sqrt(pairwise_sq_dist(z, z)).max())
         if diam > delta:
             raise ModelValidationError(
                 f"model {name}: zero set has diameter {diam}, larger than delta {delta}"
@@ -302,8 +300,11 @@ def _congestion_g(r: np.ndarray) -> np.ndarray:
 
 
 def _gauss_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - y[None, :, :]
-    return np.exp(-(diff * diff).sum(axis=-1))
+    # in place on the one (x, y) buffer: each fresh temporary of this size
+    # is a new mapping from malloc, and so a new set of page faults
+    k = pairwise_sq_dist(x, y)
+    np.negative(k, out=k)
+    return np.exp(k, out=k)
 
 
 def _box_radius_sq(box_lower, box_upper, dim: int) -> float:

@@ -643,9 +643,10 @@ def occupational_fractions(
             break
         m_j = path.measure_at(int(j))
         c_j = float(F.evaluate_many(grid.nodes, m_j).min())
-        # chunk the (points x support) pairwise temporaries to ~8 MB each:
-        # the live set shrinks slice by slice, and temporaries of shrinking
-        # sizes in the tens of MB stay resident on the malloc heap
+        # chunks of ~1M (point, support) pairs.  The batch fixes the
+        # rounding: the BLAS product ``K @ w`` may round a row one ulp
+        # differently in another batch, so this size is part of the
+        # artifacts' bytes
         step = max(1024, int(1_000_000 // max(1, m_j.size)))
         keep = np.empty(live.size, dtype=bool)
         for lo in range(0, live.size, step):

@@ -5,8 +5,9 @@ Every solver in this package shares one spatial discretisation: a box
 corners (nodes) in row-major order (last axis fastest).  This module owns
 that lattice and the three geometric primitives everything else is built
 from: multilinear interpolation with a strict escape policy, Euclidean
-distance to node sets, and the Godunov upwind gradient norm used both by
-the eikonal sweeper and by the a-priori gradient diagnostics.
+distance to node sets (and the pairwise squared distances behind every
+kernel and cost matrix), and the Godunov upwind gradient norm used both
+by the eikonal sweeper and by the a-priori gradient diagnostics.
 """
 
 from __future__ import annotations
@@ -287,9 +288,26 @@ def distance_to_set(points, node_set: NodeSet):
     pts = np.atleast_2d(pts)
     if pts.shape[1] != node_set.grid.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, grid has {node_set.grid.dim}")
-    diff = pts[:, None, :] - node_set.points[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1).min(axis=1))
+    d = np.sqrt(pairwise_sq_dist(pts, node_set.points).min(axis=1))
     return float(d[0]) if single else d
+
+
+def pairwise_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, shape ``(len(a), len(b))``, of point
+    arrays of shape ``(k, dim)``.
+
+    One output array, built per axis with ``np.subtract.outer`` and squared
+    and summed in place: no ``(len(a), len(b), dim)`` difference tensor.
+    With dim 1 or 2 the sum is ``d0**2`` or ``d0**2 + d1**2``, the same
+    bits as ``((a[:, None] - b[None]) ** 2).sum(-1)``.
+    """
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    np.multiply(out, out, out=out)
+    for ax in range(1, a.shape[1]):
+        d = np.subtract.outer(a[:, ax], b[:, ax])
+        np.multiply(d, d, out=d)
+        out += d
+    return out
 
 
 def distance_to_box(points, lower, upper):

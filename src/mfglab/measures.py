@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import DomainEscapeError, InvalidMeasureError, SizeCapError, SolverError
-from .grid_geometry import NodeSet, SpatialGrid, distance_to_set
+from .grid_geometry import NodeSet, SpatialGrid, distance_to_set, pairwise_sq_dist
 
 WEIGHT_SUM_TOL = 1e-12
 DUPLICATE_TOL = 1e-12
@@ -176,31 +176,36 @@ def _w1_transport_lp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -
 def _lattice_counts(w: np.ndarray, size_cap: int) -> tuple[int, np.ndarray] | None:
     """``(n, counts)`` with ``w == counts / n`` within 1e-12, or None.
 
-    ``n`` is the reciprocal of the smallest positive weight, rounded.  A
-    lattice finer than ``1 / size_cap`` is refused at once: the common
-    lattice of two measures is finer still.
+    ``n`` is ``c`` over the smallest positive weight, rounded, for the
+    first count ``c = 1, 2, ...`` of that weight that passes: weights
+    [0.4, 0.6] sit on 1/5 with counts 2 and 3.  A lattice finer than
+    ``1 / size_cap`` is refused: the common lattice of two measures is
+    finer still.
     """
-    n = np.rint(1.0 / w[w > 0].min())
-    if n > size_cap:
-        return None
-    n = int(n)
-    counts = np.rint(w * n)
-    if np.abs(w - counts / n).max() > 1e-12 or counts.sum() != n:
-        return None
-    return n, counts.astype(np.int64)
+    w_min = w[w > 0].min()
+    for c in range(1, size_cap + 1):
+        n = np.rint(c / w_min)
+        if n > size_cap:
+            return None
+        n = int(n)
+        counts = np.rint(w * n)
+        if np.abs(w - counts / n).max() <= 1e-12 and counts.sum() == n:
+            return n, counts.astype(np.int64)
+    return None
 
 
 def wasserstein1(a: DiscreteMeasure, b: DiscreteMeasure, size_cap: int = DEFAULT_SIZE_CAP) -> float:
     """Exact 1-Wasserstein distance between two particle measures.
 
     Dimension one uses the CDF formula.  In dimension two, let ``N_a`` be
-    the rounded reciprocal of the smallest weight of ``a``.  When every
-    weight of ``a`` is an integer count over ``N_a`` within 1e-12, the
-    same holds for ``b``, and ``N = lcm(N_a, N_b) <= size_cap``, the
-    distance is the assignment between the two clouds with each point
-    repeated by its count on the common 1/N lattice: a transportation
-    polytope with integral marginals has integral vertices, so an optimal
-    coupling moves whole units.  Equal-size uniform clouds are the case of
+    ``c`` over the smallest weight of ``a``, rounded, for the first count
+    ``c = 1, 2, ...`` of that weight at which every weight of ``a`` is an
+    integer count over ``N_a`` within 1e-12.  When the same holds for
+    ``b`` and ``N = lcm(N_a, N_b) <= size_cap``, the distance is the
+    assignment between the two clouds with each point repeated by its
+    count on the common 1/N lattice: a transportation polytope with
+    integral marginals has integral vertices, so an optimal coupling moves
+    whole units.  Equal-size uniform clouds are the case of
     unit counts.  Other weights go to the transportation LP solved by
     HiGHS.  Supports larger than ``size_cap`` raise :class:`SizeCapError`
     (see :func:`wasserstein1_capped`).
@@ -213,8 +218,8 @@ def wasserstein1(a: DiscreteMeasure, b: DiscreteMeasure, size_cap: int = DEFAULT
         raise SizeCapError(
             f"supports of size {a.size} and {b.size} exceed the exact-transport cap {size_cap}"
         )
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    cost = np.sqrt((diff * diff).sum(axis=-1))
+    cost = pairwise_sq_dist(a.points, b.points)
+    np.sqrt(cost, out=cost)
     lattice_a = _lattice_counts(a.weights, size_cap)
     lattice_b = _lattice_counts(b.weights, size_cap)
     if lattice_a is not None and lattice_b is not None:

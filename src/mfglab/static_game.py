@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .cost_models import CostFunctional, slice_stats
-from .grid_geometry import SpatialGrid
+from .grid_geometry import SpatialGrid, pairwise_sq_dist
 from .measures import DiscreteMeasure, merge_duplicates, mix, wasserstein1_capped
 
 logger = logging.getLogger(__name__)
@@ -66,8 +66,7 @@ def best_response(
     if mode == "uniform":
         return DiscreteMeasure.uniform(nodes, source="best_response")
     if mode == "project":
-        diff = m.points[:, None, :] - nodes[None, :, :]
-        nearest = np.argmin((diff * diff).sum(axis=-1), axis=1)
+        nearest = np.argmin(pairwise_sq_dist(m.points, nodes), axis=1)
         return merge_duplicates(
             DiscreteMeasure(nodes[nearest], m.weights, {"source": "best_response"})
         )

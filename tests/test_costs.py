@@ -1,5 +1,7 @@
 """Cost functionals: closed-form oracles, structural validation, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,73 @@ class TestLqrOracle:
         assert F.evaluate([2.0], m) == pytest.approx(0.25 + 2.0, abs=1e-15)
         assert F.test_only is True
         assert F.analytic_c_star == 0.25
+
+
+def _broadcast_sq(x, y):
+    diff = x[:, None, :] - y[None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
+def _well(pts):
+    return 1.0 - np.exp(-(pts * pts).sum(axis=-1))
+
+
+def _congestion(r):
+    return 1.0 + r / (1.0 + r)
+
+
+# the built-in evaluators as they were before the in-place kernels, with one
+# (points x support x dim) difference tensor and fresh temporaries
+BROADCAST_EVALUATORS = {
+    "quadratic_congestion": lambda pts, m: _well(pts) * _congestion(
+        np.exp(-_broadcast_sq(pts, m.points)) @ m.weights
+    ),
+    "separated_kernel": lambda pts, m: _well(pts)
+    + (np.maximum(0.0, np.sqrt(_broadcast_sq(pts, m.points)) - 0.5) ** 2) @ m.weights
+    + 0.0,
+    "fG_plus_g": lambda pts, m: _well(pts) * _congestion(
+        np.exp(-_broadcast_sq(pts, m.points)) @ m.weights
+    )
+    + float(m.weights @ np.sqrt((m.points * m.points).sum(axis=-1))),
+}
+
+
+class TestBroadcastParity:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", sorted(BROADCAST_EVALUATORS))
+    def test_evaluate_many_bitwise_equal_to_broadcast(self, name, dim):
+        F = BUILTIN_MODELS[name](dim=dim)
+        old = BROADCAST_EVALUATORS[name]
+        rng = np.random.default_rng(43)
+        n = 160 if dim == 1 else 20
+        nodes = SpatialGrid((-2.0,) * dim, (2.0,) * dim, (n,) * dim).nodes
+        measures = [
+            DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(512, dim))),
+            DiscreteMeasure.dirac(np.zeros(dim)),
+            DiscreteMeasure(rng.uniform(-2, 2, size=(7, dim)), rng.dirichlet(np.ones(7))),
+            DiscreteMeasure.uniform(nodes[::3]),
+        ]
+        for pts in (nodes, rng.uniform(-2, 2, size=(300, dim))):
+            for m in measures:
+                assert np.array_equal(F.evaluate_many(pts, m), old(pts, m))
+
+
+class TestKernelAllocation:
+    @pytest.mark.parametrize("dim, cells, bound", [(1, 160, 1.3), (2, 20, 2.3)])
+    def test_congestion_peak_is_one_pairwise_buffer(self, dim, cells, bound):
+        # the kernel works in place on one (nodes x support) array; the
+        # broadcast form peaked at 3 (1D) and 5 (2D) such arrays
+        F = quadratic_congestion(dim=dim)
+        nodes = SpatialGrid((-2.0,) * dim, (2.0,) * dim, (cells,) * dim).nodes
+        m = DiscreteMeasure.uniform(np.random.default_rng(44).uniform(-1, 1, size=(512, dim)))
+        F.evaluate_many(nodes, m)
+        tracemalloc.start()
+        try:
+            F.evaluate_many(nodes, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * nodes.shape[0] * m.size * 8
 
 
 class TestMonotonicityPairing:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfglab import DomainEscapeError, NodeSet, SpatialGrid, distance_to_box, distance_to_set
+from mfglab.grid_geometry import pairwise_sq_dist
 
 
 def unit_1d(n=2):
@@ -158,6 +159,33 @@ class TestNodeSets:
         g = unit_1d(4)
         with pytest.raises(ValueError):
             distance_to_set([0.5], NodeSet(g, np.array([], dtype=np.int64)))
+
+
+class TestPairwiseSqDist:
+    @staticmethod
+    def broadcast(a, b):
+        return ((a[:, None] - b[None]) ** 2).sum(-1)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bitwise_equal_to_broadcast(self, dim):
+        rng = np.random.default_rng(41)
+        zeros = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324])
+        cases = [
+            (rng.uniform(-2, 2, size=(37, dim)), rng.uniform(-2, 2, size=(53, dim))),
+            (rng.choice(zeros, size=(11, dim)), rng.choice(zeros, size=(13, dim))),
+            (rng.uniform(-1, 1, size=(9, dim)) * 1e150, rng.uniform(-1, 1, size=(7, dim)) * 1e150),
+            (rng.uniform(-1, 1, size=(9, dim)) * 1e8, rng.uniform(-1, 1, size=(7, dim)) + 1e8),
+            (rng.uniform(-2, 2, size=(1, dim)), rng.uniform(-2, 2, size=(1, dim))),
+        ]
+        for a, b in cases:
+            got = pairwise_sq_dist(a, b)
+            assert got.shape == (a.shape[0], b.shape[0])
+            assert np.array_equal(got, self.broadcast(a, b))
+
+    def test_overflow_matches_broadcast(self):
+        a = np.array([[1e200, 0.0], [0.0, -1e200]])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(pairwise_sq_dist(a, a[::-1]), self.broadcast(a, a[::-1]))
 
 
 class TestBoxDistance:

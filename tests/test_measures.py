@@ -149,7 +149,7 @@ class TestW1Oracles:
 
         monkeypatch.setattr("mfglab.measures.linprog", infeasible)
         # off the 1/N weight lattice, so the pair reaches the LP
-        a = DiscreteMeasure.from_weighted([[0.0, 0.0], [1.0, 0.0]], [0.3, 0.7])
+        a = DiscreteMeasure.from_weighted([[0.0, 0.0], [1.0, 0.0]], [2 ** -0.5, 1 - 2 ** -0.5])
         b = DiscreteMeasure.dirac([0.0, 1.0])
         with pytest.raises(SolverError, match="infeasible"):
             wasserstein1(a, b)
@@ -198,8 +198,15 @@ def _dirac_cloud_pair(rng):
     return DiscreteMeasure.dirac(rng.uniform(-1, 1, size=2)), cloud
 
 
+def _least_count_above_one_pair(rng):
+    # counts 2 and 3 on 1/5: the smallest weight is not one lattice unit
+    cloud = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(2, 2)), [0.4, 0.6])
+    return cloud, DiscreteMeasure.dirac(rng.uniform(-1, 1, size=2))
+
+
 LATTICE_PAIRS = {
     "evolve_shaped": _evolve_shaped_pair,
+    "least_count_above_one": _least_count_above_one_pair,
     "harmonic_mixture": _harmonic_mixture_pair,
     "unequal_uniform": _unequal_uniform_pair,
     "dirac_cloud": _dirac_cloud_pair,
