@@ -27,6 +27,10 @@ def _package_version() -> str:
 
 
 def fmt_value(value) -> str:
+    """One CSV cell: booleans as 1/0, integers in decimal, floats in
+    shortest round-trip notation (``repr`` of the Python float)."""
+    if type(value) is float:  # the common cell, and all that a float block yields
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -56,12 +60,18 @@ def meta_object(command: str, config_sha256: str, seed: int) -> dict:
 
 
 def write_csv(path, command: str, config_sha256: str, seed: int, columns, rows):
-    """One header-comment block, one column-name line, then data rows."""
+    """One header-comment block, one column-name line, then data rows.
+
+    ``rows`` is an iterable of rows or a 2D array; an array is turned into
+    Python scalars by ``tolist`` (exact), so each cell formats as
+    ``fmt_value`` of the array element would.
+    """
     path = Path(path)
     lines = header_lines(command, config_sha256, seed)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt_value(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    lines.extend(",".join(map(fmt_value, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -70,9 +80,7 @@ def measure_columns(dim: int) -> list[str]:
 
 
 def write_measure_csv(path, m: DiscreteMeasure, command: str, config_sha256: str, seed: int):
-    rows = (
-        (m.weights[i], *m.points[i]) for i in range(m.size)
-    )
+    rows = np.column_stack([m.weights, m.points])
     write_csv(path, command, config_sha256, seed, measure_columns(m.dim), rows)
 
 
@@ -114,8 +122,7 @@ def write_field_csv(
     if flat.size != grid.n_nodes:
         raise ValueError("field size does not match the grid")
     columns = [f"x{i + 1}" for i in range(grid.dim)] + [value_column]
-    rows = ((*grid.nodes[i], flat[i]) for i in range(grid.n_nodes))
-    write_csv(path, command, config_sha256, seed, columns, rows)
+    write_csv(path, command, config_sha256, seed, columns, np.column_stack([grid.nodes, flat]))
 
 
 def _jsonify(obj):

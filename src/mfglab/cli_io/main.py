@@ -13,6 +13,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ..asymptotics import SweepParams, failed_checks, run_sweep, sweep_verdict
 from ..cost_models import validate_assumptions
 from ..eikonal_ergodic import build_ergodic_triple, converse_check
@@ -198,12 +200,12 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
         ["iteration", "br_residual", "step_residual"],
         eq.trace,
     )
-    snap_rows = []
-    for k in eq.checkpoints:
-        t = eq.value.times[int(k)]
-        u = eq.value.values[int(k)].ravel()
-        for i in range(grid.n_nodes):
-            snap_rows.append((t, *grid.nodes[i], u[i]))
+    # one row per (checkpoint, node): t, the node's coordinates, u
+    ckpt = eq.checkpoints.astype(int)
+    snap_rows = np.empty((ckpt.size, grid.n_nodes, grid.dim + 2))
+    snap_rows[..., 0] = eq.value.times[ckpt][:, None]
+    snap_rows[..., 1:-1] = grid.nodes
+    snap_rows[..., -1] = eq.value.values[ckpt].reshape(ckpt.size, -1)
     coord_cols = [f"x{i + 1}" for i in range(grid.dim)]
     write_csv(
         out / "evolve_u_checkpoints.csv",
@@ -211,7 +213,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
         sha,
         seed,
         ["t", *coord_cols, "u"],
-        snap_rows,
+        snap_rows.reshape(-1, grid.dim + 2),
     )
     write_path_jsonl(out / "evolve_path.jsonl", eq.flow_path, "evolve", sha, seed)
     stats = eq.trajectory_stats
@@ -221,7 +223,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
         sha,
         seed,
         ["particle", "sup_position", "sup_speed"],
-        ((i, stats.sup_position[i], stats.sup_speed[i]) for i in range(stats.sup_position.size)),
+        zip(range(stats.sup_position.size), stats.sup_position.tolist(), stats.sup_speed.tolist()),
     )
     from ..finite_horizon import a_priori_report
 

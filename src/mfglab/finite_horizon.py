@@ -6,14 +6,19 @@ the multilinear interpolant of the next value slice, and the argmin is the
 optimal feedback.  The minimum is bracketed rather than scanned: along a
 line of the lattice u is linear on each grid cell, so the objective is a
 convex parabola per cell, and only the few steps around the vertices of
-the cells that can hold the minimum are evaluated.  They are evaluated
-with the same float expression, and ties broken the same way, as a scan
-of the whole lattice, so the result is the same bits while ``dt mesh^2``
-stays well above the rounding of u.  The population is a particle cloud
-pushed forward along that feedback (the same argmin at the particle
-positions); the coupled system is solved by damped fixed-point iteration
-on the measure path (the value field is always the exact solution for the
-path it was computed against).
+the cells that can hold the minimum are evaluated.  In 2D an exact
+per-line lower bound first drops the lattice lines that cannot hold the
+minimum: from x, a line of axis-1 control a1 costs at least
+``dt a1^2/2 + u(x0, x1 + dt a1) - dt S^2/2`` with S the steepest axis-0
+descent of u within the line's reach, and the control (0, a1) reaches
+its first two terms.  The candidates are evaluated with the same float
+expression, and ties broken the same way, as a scan of the whole lattice,
+so the result is the same bits while ``dt mesh^2`` stays well above the
+rounding of u.  The population is a particle cloud pushed forward along
+that feedback (the same argmin at the particle positions); the coupled
+system is solved by damped fixed-point iteration on the measure path (the
+value field is always the exact solution for the path it was computed
+against).
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost_models import CostFunctional
 from .errors import DomainEscapeError
@@ -90,7 +96,8 @@ class _Lattice:
     of that control for ``-n - 1 <= k <= n + 2``; a k beyond the line maps
     to its nearest end, so ``table[:, 0]`` and ``table[:, -1]`` are the
     line ends.  ``moves`` is ``dt * controls`` and ``run_cost`` is
-    ``dt |a|^2 / 2`` per control.
+    ``dt |a|^2 / 2`` per control; ``line_cost`` is the run cost of each
+    line's step 0, the control with axis-0 component 0.
     """
 
     controls: np.ndarray
@@ -100,6 +107,7 @@ class _Lattice:
     mesh: float
     half: np.ndarray
     table: np.ndarray
+    line_cost: np.ndarray
 
     @classmethod
     def of(cls, controls: np.ndarray, mesh: float, dt: float) -> "_Lattice":
@@ -113,7 +121,8 @@ class _Lattice:
         steps = np.clip(np.arange(-n - 1, n + 3), -half[:, None], half[:, None])
         table = dense[np.arange(half.size)[:, None], n + steps]
         run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
-        return cls(controls, dt * controls, run_cost, float(dt), float(mesh), half, table)
+        line_cost = run_cost[table[:, n + 1]]
+        return cls(controls, dt * controls, run_cost, float(dt), float(mesh), half, table, line_cost)
 
 
 # Line steps evaluated around the floor of a cell's clamped vertex: the
@@ -122,9 +131,28 @@ class _Lattice:
 # the rounding of the vertex and of the cell bounds.
 _VERTEX_STEPS = np.arange(-1, 3)
 
-# Slack of the cell bounds, relative to the size of u and of the run cost:
-# far above their rounding; a larger slack only keeps more cells.
+# Slack of the bounds, relative to the size of u and of the run cost: far
+# above their rounding; a larger slack only keeps more lines and cells.
 _BOUND_SLACK = 1e-9
+
+
+class _Pairs(NamedTuple):
+    """(point, line) pairs of the cell stage, in point-major order with
+    every point at least once: ``starts[p]`` is the first pair of point p.
+    ``j1``, ``w1`` and ``inside`` are the pair's axis-1 column, its weight
+    and whether the axis-1 foot is in the box (1D: 0, 0 and true)."""
+
+    who: np.ndarray
+    starts: np.ndarray
+    line: np.ndarray
+    j1: np.ndarray
+    w1: np.ndarray
+    inside: np.ndarray
+
+
+def _slack(f: np.ndarray, lattice: _Lattice) -> float:
+    """The bounds' slack: NaN or infinite when u is not finite."""
+    return _BOUND_SLACK * (1.0 + np.abs(f).max() + lattice.run_cost.max())
 
 
 def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate):
@@ -138,69 +166,150 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     ``s = dt mesh / h``.  The cells a line reaches, with the one-cell clamp
     zones -1 and n where u is flat, cover all its feet.
 
-    Per point, each cell gets a lower bound (the parabola at its vertex
-    ``k* = -d s / (dt mesh^2)`` clamped to the cell and to the line) and,
-    if it holds a lattice step inside the box, an upper bound (the
-    parabola at that step).  A cell whose lower bound exceeds the least
-    upper bound cannot hold the minimiser.  Each remaining cell
-    contributes the steps ``floor(k*) - 1 .. floor(k*) + 2``, and only
-    these candidates are evaluated, by ``evaluate(grid, field, feet)``:
-    the caller's exact float expression for u at the feet, inf where a
-    foot escapes.
+    In 2D a line filter (``_line_filter``) first drops, per point, every
+    line whose lower bound exceeds a value the point reaches on another
+    line.  In 1D the one line stays.  The cell stage (``_cell_stage``) then
+    runs on the surviving (point, line) pairs.  Per pair, each cell gets a
+    lower bound (the parabola at its vertex ``k* = -d s / (dt mesh^2)``
+    clamped to the cell and to the line) and, if it holds a lattice step
+    inside the box, an upper bound (the parabola at that step).  A cell
+    whose lower bound exceeds the point's least upper bound cannot hold the
+    minimiser.  Each remaining cell contributes the steps
+    ``floor(k*) - 1 .. floor(k*) + 2``, and only these candidates are
+    evaluated, by ``evaluate(grid, field, feet)``: the caller's exact float
+    expression for u at the feet, inf where a foot escapes.
 
-    Exactness: the bounds are compared with a slack far above their
-    rounding, so no cell that holds the float minimiser is dropped; in its
-    cell, a lattice step outside the candidates exceeds a candidate by at
-    least dt mesh^2 / 2.  So while dt mesh^2 is well above the rounding of
-    u, the float minimiser over the whole lattice is a candidate.  Ties go
-    to the smallest sorted-lattice index, as the first occurrence over the
-    lattice would.
+    Exactness: every bound is compared with a slack far above its
+    rounding, so no line or cell that holds the float minimiser, or a tie
+    with it, is dropped; in its cell, a lattice step outside the
+    candidates exceeds a candidate by at least dt mesh^2 / 2.  So while
+    dt mesh^2 is well above the rounding of u, the float minimiser over the
+    whole lattice is a candidate.  Ties go to the smallest sorted-lattice
+    index, as the first occurrence over the lattice would.  A field that
+    is not finite makes the slack NaN or infinite: then the filter drops no
+    line, and the cell stage keeps at least each point's cell of least
+    lower bound (np.argmin's choice: the first NaN).
 
-    The cell geometry depends only on the points and is computed here;
-    the returned ``argmin(field)`` gives, per point, the sorted-lattice
+    The returned ``argmin(field)`` gives, per point, the sorted-lattice
     index of the minimiser and the minimum (inf where every control
-    escapes).
+    escapes).  In 1D the cell geometry depends only on the points and is
+    built here; in 2D it is built per call for the surviving pairs, so no
+    points x lines x reach array outlives a call.
     """
-    n_p = points.shape[0]
+    if grid.dim == 1:
+        n_p = points.shape[0]
+        every, zero = np.arange(n_p), np.zeros(n_p, dtype=np.int64)
+        pairs = _Pairs(every, every, zero, zero, np.zeros(n_p), np.ones(n_p, dtype=bool))
+        return _cell_stage(grid, points, lattice, evaluate, pairs)
+    line_filter = _line_filter(grid, points, lattice)
+
+    def argmin(field: np.ndarray):
+        return _cell_stage(grid, points, lattice, evaluate, line_filter(field))(field)
+
+    return argmin
+
+
+def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
+    """The 2D lines that can hold a point's minimiser, as (point, line) pairs.
+
+    Along line l, with axis-1 control a1 and run cost ``c_l = dt a1^2/2``,
+    u is ``g_l(z) = u(z, x1 + dt a1)`` at the clamped axis-1 foot (the
+    column pair and weight of the cell stage).  If g_l falls at most at
+    slope A to the right of x0 and B to the left, over the
+    ``ceil(max|dt a0| / h0) + 1`` cells the line can reach (slope 0 in the
+    clamp zones), then a control of axis-0 move ``z = dt a0`` costs at
+    least ``c_l + g_l(x0) - S |z| + z^2 / (2 dt)`` with S = max(A, B), and
+    so every control on the line costs at least
+    ``LB_l = c_l + g_l(x0) - dt S^2 / 2``.  The controls (0, a1) are
+    lattice points, so ``UB``, the least ``c_l + g_l(x0)`` over the lines
+    whose foot stays in the box, is a value some control reaches.  A line with
+    ``LB_l > UB + slack`` holds neither the minimiser nor a tie, and is
+    dropped; the line of UB always stays, so every point keeps a line.
+
+    The slopes come from one pass over the field per call: the signed
+    axis-0 node differences, zero-padded for the clamp zones, and their
+    least and greatest values over every window of that many cells.  The
+    least of a weighted sum of two columns is at least the weighted sum of
+    their leasts (and likewise for the greatest), so the slope bounds hold
+    on every line.
+
+    The returned ``keep(field)`` gives the surviving ``_Pairs``.
+    """
+    (lo0, lo1), (h0, h1), (n0, n1) = grid.lower_array, grid.spacing, grid.n_cells
+    n_p, cols = points.shape[0], n1 + 1
+    move1 = lattice.moves[lattice.table[:, 0], 1]  # dt a1 per line
+    t1 = (points[:, 1:] + move1 - lo1) / h1
+    inside = (t1 >= 0.0) & (t1 <= n1)
+    t0 = (points[:, 0] - lo0) / h0
+    in_box = inside & ((t0 >= 0.0) & (t0 <= n0))[:, None]
+    t1 = np.clip(t1, 0.0, n1)
+    j1 = np.minimum(np.floor(t1).astype(np.int64), n1 - 1)
+    w1 = t1 - j1
+    v1 = 1.0 - w1
+    # the point's axis-0 cell and weight, clamped onto the box as u is
+    t0 = np.clip(t0, 0.0, n0)
+    i0 = np.minimum(np.floor(t0).astype(np.int64), n0 - 1)
+    w0 = (t0 - i0)[:, None]
+    at_x0 = np.arange(n_p)[:, None] * cols + j1
+    # windows of `width` cells: the right one starts at the cell of x0,
+    # the left one ends at the cell left of ceil(t0); window s of the
+    # padded differences covers cells s - width .. s - 1
+    width = int(np.ceil(np.abs(lattice.moves[:, 0]).max() / h0)) + 1
+    right = (np.floor(t0).astype(np.int64) + width)[:, None] * cols + j1
+    left = np.ceil(t0).astype(np.int64)[:, None] * cols + j1
+    diff = np.zeros((n0 + 2 * width, cols))
+
+    def keep(field: np.ndarray):
+        f = field.reshape(n0 + 1, cols)
+        u_x0 = ((1.0 - w0) * f[i0] + w0 * f[i0 + 1]).ravel()
+        value = v1 * u_x0[at_x0] + w1 * u_x0[at_x0 + 1] + lattice.line_cost
+        np.subtract(f[1:], f[:-1], out=diff[width:width + n0])
+        windows = sliding_window_view(diff, width, axis=0)
+        least, most = windows.min(axis=-1).ravel(), windows.max(axis=-1).ravel()
+        fall_right = -(v1 * least[right] + w1 * least[right + 1])
+        fall_left = v1 * most[left] + w1 * most[left + 1]
+        slope = np.maximum(np.maximum(fall_right, fall_left), 0.0) / h0
+        lower = value - 0.5 * lattice.dt * slope * slope
+        upper = np.where(in_box, value, np.inf).min(axis=1)
+        kept = ~(lower > (upper + _slack(f, lattice))[:, None])
+        who, line = np.nonzero(kept)
+        counts = kept.sum(axis=1)
+        return _Pairs(who, np.cumsum(counts) - counts, line, j1[who, line], w1[who, line], inside[who, line])
+
+    return keep
+
+
+def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate, pairs: _Pairs):
+    """The cell stage of ``_bracketed_argmin`` on the given pairs; returns
+    ``argmin(field)``."""
+    who, starts, line, j1, w1, inside = pairs
     lo0, h0, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
-    mesh, half = lattice.mesh, lattice.half[:, None]
+    mesh, half = lattice.mesh, lattice.half[line][:, None]
     s = lattice.dt * mesh / h0
     curvature = 0.5 * lattice.dt * mesh * mesh
     width = lattice.table.shape[1]
     origin = width // 2 - 1  # the table column of step 0
+    j1, w1, inside = j1[:, None], w1[:, None], inside[:, None]
     # the foot moves monotonically with the step, also in floats, so the
     # cells of a line's end feet bound every cell the line reaches
-    ends = lattice.table[:, [0, -1]]
-    t_ends = (points[:, None, None, 0] + lattice.moves[ends, 0] - lo0) / h0
+    ends = lattice.table[:, :: width - 1][line]
+    t_ends = (points[who, 0][:, None] + lattice.moves[ends, 0] - lo0) / h0
     c_ends = np.clip(np.floor(t_ends), -1, n0).astype(np.int64)
-    reach = int((c_ends[..., 1] - c_ends[..., 0]).max()) + 1
-    cells = np.minimum(c_ends[..., :1] + np.arange(reach), c_ends[..., 1:])
-    offset = ((points[:, 0] - lo0) / h0)[:, None, None] - cells
+    reach = int((c_ends[:, 1] - c_ends[:, 0]).max()) + 1
+    cells = np.minimum(c_ends[:, :1] + np.arange(reach), c_ends[:, 1:])
+    offset = ((points[:, 0] - lo0) / h0)[who, None] - cells
     k_lo = np.maximum(np.where(cells >= 0, -offset / s, -np.inf), -half)
     k_hi = np.minimum(np.where(cells < n0, (1.0 - offset) / s, np.inf), half)
-    # the line's axis-1 column and weight (1D: one column of weight 0); a
-    # line whose axis-1 foot leaves the box gives no upper bound
-    if grid.dim == 2:
-        n1 = grid.n_cells[1]
-        t1 = (points[:, 1:] + lattice.moves[ends[:, 0], 1] - grid.lower_array[1]) / grid.spacing[1]
-        inside = ((t1 >= 0.0) & (t1 <= n1))[..., None]
-        t1 = np.clip(t1, 0.0, n1)
-        j1 = np.minimum(np.floor(t1).astype(np.int64), n1 - 1)[..., None]
-        w1 = t1[..., None] - j1
-    else:
-        inside = True
-        j1 = np.zeros((n_p, 1, 1), dtype=np.int64)
-        w1 = np.zeros((n_p, 1, 1))
-    # u on the line at the cell's end nodes, which coincide in the clamp zones
-    n_cols = grid.n_nodes // (n0 + 1)
+    # u on the line at the cell's end nodes, which coincide in the clamp
+    # zones; a line whose axis-1 foot leaves the box gives no upper bound
+    n_cols = math.prod(grid.shape[1:])
     at_lo = np.clip(cells, 0, n0) * n_cols + j1
     at_hi = np.clip(cells + 1, 0, n0) * n_cols + j1
     next_col = grid.dim - 1
     # the step of the upper bound: a lattice step in the cell, in the box
     step_lo, step_hi = np.ceil(k_lo), np.floor(k_hi)
     bounded = (step_lo <= step_hi) & (cells >= 0) & (cells < n0) & inside
-    line_cost = lattice.run_cost[lattice.table[:, origin]][:, None]
-    flat_shape = (n_p, -1)
+    line_cost = lattice.line_cost[line][:, None]
     table = lattice.table.ravel()
 
     def argmin(field: np.ndarray):
@@ -213,23 +322,30 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
 
         # fmax/fmin: where u is NaN the vertex still names a lattice step
         vertex = np.fmin(np.fmax(d / (-mesh * h0), k_lo), k_hi)
-        lower = parabola(vertex).reshape(flat_shape)
+        lower = parabola(vertex)
         upper = np.where(bounded, parabola(np.clip(np.rint(vertex), step_lo, step_hi)), np.inf)
-        slack = _BOUND_SLACK * (1.0 + np.abs(f).max() + lattice.run_cost.max())
-        keep = lower <= upper.reshape(flat_shape).min(axis=1)[:, None] + slack
-        # the cell of the least lower bound stays, also where u is NaN
-        keep[np.arange(n_p), lower.argmin(axis=1)] = True
-        who, cell = np.nonzero(keep)
-        vertex_step = np.floor(vertex.reshape(flat_shape)[who, cell]).astype(np.int64)
-        cand = table[((cell // reach) * width + origin + vertex_step)[:, None] + _VERTEX_STEPS]
-        feet = (points[who][:, None, :] + lattice.moves[cand]).reshape(-1, grid.dim)
+        slack = _slack(f, lattice)
+        keep = lower <= (np.minimum.reduceat(upper.min(axis=1), starts)[who] + slack)[:, None]
+        if not np.isfinite(slack):
+            # u is not finite: the cell of the point's least lower bound
+            # stays, the one np.argmin picks (the first NaN); with a finite
+            # u the bound keeps that cell anyway
+            pair_least = lower.min(axis=1)
+            point_least = np.minimum.reduceat(pair_least, starts)[who]
+            holds = (pair_least == point_least) | np.isnan(pair_least)
+            first = np.minimum.reduceat(np.where(holds, np.arange(who.size), who.size), starts)
+            keep[first, lower[first].argmin(axis=1)] = True
+        pair, cell = np.nonzero(keep)
+        vertex_step = np.floor(vertex[pair, cell]).astype(np.int64)
+        cand = table[(line[pair] * width + origin + vertex_step)[:, None] + _VERTEX_STEPS]
+        feet = (points[who[pair]][:, None, :] + lattice.moves[cand]).reshape(-1, grid.dim)
         q = evaluate(grid, field, feet) + lattice.run_cost[cand].ravel()
-        counts = _VERTEX_STEPS.size * keep.sum(axis=1)
-        starts = np.cumsum(counts) - counts
-        best = np.minimum.reduceat(q, starts)
+        counts = _VERTEX_STEPS.size * np.bincount(who[pair], minlength=starts.size)
+        q_starts = np.cumsum(counts) - counts
+        best = np.minimum.reduceat(q, q_starts)
         least = np.repeat(best, counts)
         tied = np.where((q == least) | np.isnan(least), cand.ravel(), lattice.controls.shape[0])
-        return np.minimum.reduceat(tied, starts), best
+        return np.minimum.reduceat(tied, q_starts), best
 
     return argmin
 
@@ -325,12 +441,15 @@ def solve_hjb_backward(
     (step, node) is stored as the feedback policy; ties go to the first
     control of the sorted lattice.
 
-    The minimum is found by the bracketed argmin of ``_bracketed_argmin``,
-    whose cell geometry at the nodes is built once per solve.  Each
+    The minimum is found by the bracketed argmin of ``_bracketed_argmin``.
+    Its geometry at the nodes is built once per solve: the cells of the
+    one line in 1D, the (node, line) feet of the line filter in 2D, whose
+    cell stage is built per step for the lines that survive.  Each
     candidate foot is evaluated as corner values times corner weights,
     summed per foot, so values and policy are those of a scan of the whole
     lattice as long as ``dt * control_mesh**2`` is well above the rounding
-    of u; no nodes x controls table is built.
+    of u; no nodes x controls table is built, and in 2D no nodes x lines x
+    reach one outlives a step.
     """
     n_t, lattice = _check_alignment(path, dt)
     if control_radius is None:

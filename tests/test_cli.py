@@ -17,6 +17,7 @@ from mfglab.cli_io import (
     parse_config,
     read_measure_csv,
     run,
+    write_csv,
     write_measure_csv,
 )
 
@@ -460,3 +461,58 @@ class TestMeasureCsvRoundtrip:
         empty.write_text("")
         with pytest.raises(ConfigError):
             read_measure_csv(empty)
+
+
+def per_cell_fmt(value) -> str:
+    """The per-cell CSV formatter the writer used before it formatted
+    blocks; its strings are the artifact format."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+class TestCsvFormat:
+    SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 0.1, 1.0 / 3.0, 1e22, -2.5e-17, 3.0]
+
+    def written_rows(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        write_csv(path, "test", "0" * 64, 3, ["a", "b"], rows)
+        lines = path.read_text().splitlines()
+        header = [f"# mfglab {mfglab.__version__}", "# command: test", f"# config_sha256: {'0' * 64}", "# seed: 3"]
+        assert lines[:5] == header + ["a,b"]
+        return lines[5:]
+
+    def test_typed_rows_match_the_per_cell_formatter(self, tmp_path):
+        rows = [
+            (True, False),
+            (np.bool_(True), np.bool_(False)),
+            (np.int64(-3), 7, np.int32(2**31 - 1)),
+            (-0.0, np.float64(-0.0)),
+            (float("nan"), np.nan, np.float64("nan")),
+            (np.inf, -np.inf, np.float64(-np.inf)),
+            (1e-300, np.float64(1e-300), 5e-324),
+            (np.int64(2), 0.1, True, np.float32(0.1), np.float64(1 / 3), "tag", np.bool_(False), -0.0),
+        ]
+        expect = [",".join(per_cell_fmt(v) for v in row) for row in rows]
+        assert self.written_rows(tmp_path, rows) == expect
+        assert expect[0] == "1,0" and expect[3] == "-0.0,-0.0" and expect[5] == "inf,-inf,-inf"
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            np.array(SPECIAL).reshape(-1, 2),
+            np.array(SPECIAL).reshape(-1, 4),
+            np.random.default_rng(0).standard_normal((50, 3)) * 10.0 ** np.arange(-150, 150, 100),
+            np.arange(-6, 6, dtype=np.int64).reshape(-1, 3),
+            np.array([[True, False], [False, True]]),
+        ],
+        ids=["special-2", "special-4", "random", "int64", "bool"],
+    )
+    def test_array_blocks_match_the_per_cell_formatter(self, tmp_path, block):
+        expect = [",".join(per_cell_fmt(v) for v in row) for row in block]
+        assert self.written_rows(tmp_path, block) == expect
+        assert self.written_rows(tmp_path, [tuple(row) for row in block]) == expect

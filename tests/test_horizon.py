@@ -18,8 +18,15 @@ from mfglab import (
     transport_forward,
     wasserstein1,
 )
+from mfglab import finite_horizon
 from mfglab.cost_models import lqr_oracle, quadratic_congestion, two_wells
-from mfglab.finite_horizon import checkpoint_indices, default_control_mesh, default_control_radius
+from mfglab.finite_horizon import (
+    _Lattice,
+    _line_filter,
+    checkpoint_indices,
+    default_control_mesh,
+    default_control_radius,
+)
 
 
 def flat_cost(c, dim=1, box=2.0):
@@ -133,6 +140,19 @@ def indexed_path(n_t, dt, dim):
 class TestBracketedArgminOracle:
     """The bracketed argmin reproduces the full-lattice argmin bit for bit."""
 
+    @staticmethod
+    def assert_matches_the_full_lattice(grid, dt, radius, mesh, kind, scale, rng, n_t=3):
+        fields = [node_field(kind, grid, scale, rng) for _ in range(n_t)]
+        F, path = slice_cost(fields, dt, grid.dim), indexed_path(n_t, dt, grid.dim)
+        value = solve_hjb_backward(F, path, grid, dt, control_radius=radius, control_mesh=mesh)
+        values, policy = brute_force_hjb(F, path, grid, dt, radius, mesh)
+        np.testing.assert_array_equal(value.values, values)
+        np.testing.assert_array_equal(value.policy, policy)
+        # particles stay clear of the two-cell boundary margin
+        points = rng.uniform(-0.25, 0.25, size=(40, grid.dim))
+        flow, _ = transport_forward(value, DiscreteMeasure(points, np.full(40, 1.0 / 40)))
+        np.testing.assert_array_equal(flow.positions, brute_force_transport(value, points))
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("dt", [1e-3, 0.05, 0.2])
     @pytest.mark.parametrize(
@@ -146,18 +166,20 @@ class TestBracketedArgminOracle:
         grid = SpatialGrid((-1.0,) * dim, (1.0,) * dim, (n_cells,) * dim)
         # edge nodes reach the clamp zone and, beyond one cell, the escape zone
         radius = reach_cells * grid.max_spacing / dt
-        mesh = radius / per_radius
-        n_t = 3
-        fields = [node_field(kind, grid, scale, rng) for _ in range(n_t)]
-        F, path = slice_cost(fields, dt, dim), indexed_path(n_t, dt, dim)
-        value = solve_hjb_backward(F, path, grid, dt, control_radius=radius, control_mesh=mesh)
-        values, policy = brute_force_hjb(F, path, grid, dt, radius, mesh)
-        np.testing.assert_array_equal(value.values, values)
-        np.testing.assert_array_equal(value.policy, policy)
-        # particles stay clear of the two-cell boundary margin
-        points = rng.uniform(-0.25, 0.25, size=(40, dim))
-        flow, _ = transport_forward(value, DiscreteMeasure(points, np.full(40, 1.0 / 40)))
-        np.testing.assert_array_equal(flow.positions, brute_force_transport(value, points))
+        self.assert_matches_the_full_lattice(grid, dt, radius, radius / per_radius, kind, scale, rng)
+
+    @pytest.mark.parametrize("dt", [0.05, 0.2])
+    @pytest.mark.parametrize("kind, scale", [("convex", 1.0), ("kink", 10.0), ("noise", 1.0)])
+    def test_dense_2d_lattice_matches_the_full_lattice(self, dt, kind, scale):
+        # 51 lattice lines reaching 4 cells: the line filter drops most
+        # lines of the convex field and few of the noise; two steps of 4
+        # cells keep the particles clear of the boundary margin
+        rng = np.random.default_rng([7, int(dt * 1000), len(kind)])
+        grid = SpatialGrid((-1.625, -1.625), (1.625, 1.625), (26, 26))
+        radius = 4.0 * grid.max_spacing / dt
+        mesh = radius / 25
+        assert _Lattice.of(control_lattice(2, radius, mesh), mesh, dt).half.size == 51
+        self.assert_matches_the_full_lattice(grid, dt, radius, mesh, kind, scale, rng, n_t=2)
 
     def test_flat_floor_ties_go_to_the_sorted_first_control(self):
         grid = SpatialGrid((-1.0, -1.0), (1.0, 1.0), (16, 16))
@@ -177,6 +199,70 @@ class TestBracketedArgminOracle:
         assert len(ties) == 4
         assert value.policy[0, origin] == ties[0]
         np.testing.assert_array_equal(controls[ties[0]], [-5.0, -5.0])
+
+
+class TestLineFilter:
+    """The 2D line filter in front of the cell stage of the bracketed argmin."""
+
+    GRID = SpatialGrid((-1.0, -1.0), (1.0, 1.0), (16, 16))
+
+    @staticmethod
+    def kept_lines(field, points, dt, radius, mesh):
+        """Kept (point, line) mask, full-lattice objective, line of each control."""
+        grid = TestLineFilter.GRID
+        controls = control_lattice(2, radius, mesh)
+        pairs = _line_filter(grid, points, _Lattice.of(controls, mesh, dt))(field.reshape(grid.shape))
+        line_of = np.unique(np.rint(controls[:, 1] / mesh), return_inverse=True)[1]
+        kept = np.zeros((points.shape[0], line_of.max() + 1), dtype=bool)
+        kept[pairs.who, pairs.line] = True
+        feet = (points[:, None, :] + dt * controls[None, :, :]).reshape(-1, 2)
+        q = grid.interpolate_many(field.reshape(grid.shape), feet, out_of_range="inf")
+        q = q.reshape(points.shape[0], -1) + dt * 0.5 * (controls * controls).sum(axis=1)
+        return kept, q, line_of
+
+    @classmethod
+    def random_case(cls, kind, dt, rng):
+        # 51 lines reaching 4 cells; the nodes, with the edge ones reaching
+        # the clamp and escape zones, and off-node points
+        radius = 4.0 * cls.GRID.max_spacing / dt
+        points = np.concatenate([cls.GRID.nodes, rng.uniform(-0.9, 0.9, size=(60, 2))])
+        return cls.kept_lines(node_field(kind, cls.GRID, 1.0, rng), points, dt, radius, radius / 25)
+
+    @staticmethod
+    def assert_minimiser_lines_kept(kept, q, line_of):
+        # every control that ties with the least value keeps its line
+        who, control = np.nonzero(q == q.min(axis=1, keepdims=True))
+        assert kept[who, line_of[control]].all()
+
+    @pytest.mark.parametrize("dt", [0.05, 0.2])
+    @pytest.mark.parametrize("kind", ["convex", "concave", "kink", "noise", "flat"])
+    def test_never_drops_the_line_of_a_minimiser(self, kind, dt):
+        rng = np.random.default_rng([11, len(kind), int(dt * 100)])
+        self.assert_minimiser_lines_kept(*self.random_case(kind, dt, rng))
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_keeps_a_drop_in_the_farthest_reachable_cell(self, side):
+        # the lines reach 2.5 cells: from 8.9 the point reaches 11.4, inside
+        # cell 11, the last of the four cells of its right window; there u
+        # falls steeply on the rows above the point, so only lines that climb
+        # to those rows gain (or the mirror image, to the left)
+        grid, dt = self.GRID, 0.05
+        radius = 2.5 * grid.max_spacing / dt
+        i, j = np.unravel_index(np.arange(grid.n_nodes), grid.shape)
+        t0 = 8.9
+        if side == "left":
+            t0, i = 16 - t0, 16 - i
+        point = grid.lower_array + np.array([t0, 8.0]) * grid.spacing
+        field = np.where((i >= 12) & (j >= 9), -10.0, 0.0)
+        kept, q, line_of = self.kept_lines(field, point[None, :], dt, radius, radius / 10)
+        assert line_of[q.argmin()] != line_of[0]  # not the line of the zero control
+        self.assert_minimiser_lines_kept(kept, q, line_of)
+
+    @pytest.mark.parametrize("dt", [0.05, 0.2])
+    def test_drops_most_lines_of_a_convex_field(self, dt):
+        kept, _, _ = self.random_case("convex", dt, np.random.default_rng(5))
+        assert kept.mean() < 0.5
+        assert kept.any(axis=1).all()
 
 
 class TestControlLattice:
@@ -288,6 +374,48 @@ class TestBackwardValues:
         value = solve_hjb_backward(F, constant_path(DiscreteMeasure.dirac([0.0]), 0.5, 0.1), g, 0.1)
         assert np.isnan(value.values[0]).any()
         assert 0 <= value.policy.min() and value.policy.max() < len(value.controls)
+
+    def test_nan_cost_keeps_the_policy_on_the_lattice_2d(self, monkeypatch):
+        # a value slice with a NaN node: the line filter keeps every line,
+        # so HJB and transport give what the cell stage gives on every line
+        dt = 0.1
+        g = SpatialGrid((-2.0, -2.0), (2.0, 2.0), (20, 20))
+        nan_node = np.abs(g.nodes - 0.4).max(axis=1) < 1e-9
+        fields = [np.zeros(g.n_nodes), np.where(nan_node, np.nan, 0.0)]
+        F, path = slice_cost(fields, dt, 2), indexed_path(2, dt, 2)
+        far = np.random.default_rng(3).uniform(-1.2, -0.8, size=(10, 2))
+        m_far = DiscreteMeasure(far, np.full(10, 0.1))
+        m_nan = DiscreteMeasure(g.nodes[nan_node], np.ones(1))
+
+        def solve():
+            value = solve_hjb_backward(F, path, g, dt)
+            flow, _ = transport_forward(value, m_far)
+            with pytest.raises(DomainEscapeError, match="no feasible control"):
+                transport_forward(value, m_nan)
+            return value, flow
+
+        value, flow = solve()
+        assert np.isnan(value.values[1]).sum() == 1 and np.isnan(value.values[0]).sum() > 1
+        assert 0 <= value.policy.min() and value.policy.max() < len(value.controls)
+        assert np.isfinite(flow.positions).all()
+
+        line_filter = finite_horizon._line_filter
+
+        def every_line(grid, points, lattice):
+            keep = line_filter(grid, points, lattice)
+
+            def pairs(field):
+                kept = keep(np.full(grid.shape, np.nan))
+                assert kept.who.size == points.shape[0] * lattice.half.size
+                return kept
+
+            return pairs
+
+        monkeypatch.setattr(finite_horizon, "_line_filter", every_line)
+        every_value, every_flow = solve()
+        np.testing.assert_array_equal(value.values, every_value.values)
+        np.testing.assert_array_equal(value.policy, every_value.policy)
+        np.testing.assert_array_equal(flow.positions, every_flow.positions)
 
     def test_alignment_errors(self):
         F = lqr_oracle(dim=1)
