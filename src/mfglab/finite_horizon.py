@@ -6,16 +6,21 @@ the multilinear interpolant of the next value slice, and the argmin is the
 optimal feedback.  The minimum is bracketed rather than scanned: along a
 line of the lattice u is linear on each grid cell, so the objective is a
 convex parabola per cell, and only the few steps around the vertices of
-the cells that can hold the minimum are evaluated.  In 2D an exact
-per-line lower bound first drops the lattice lines that cannot hold the
-minimum: from x, a line of axis-1 control a1 costs at least
+the cells that can hold the minimum are evaluated.  1D has a line kernel of
+its own, with (point, cell) rows.  In 2D an exact per-line lower bound
+first drops the lattice lines that cannot hold the minimum: from x, a
+line of axis-1 control a1 costs at least
 ``dt a1^2/2 + u(x0, x1 + dt a1) - dt S^2/2`` with S the steepest axis-0
 descent of u within the line's reach, and the control (0, a1) reaches
 its first two terms.  The candidates are evaluated with the same float
 expression, and ties broken the same way, as a scan of the whole lattice,
 so the result is the same bits while ``dt mesh^2`` stays well above the
 rounding of u.  The population is a particle cloud pushed forward along
-that feedback (the same argmin at the particle positions); the coupled
+that feedback (the same argmin at the particle positions).  In 1D each
+transport step also keeps only the cells within ``2 dt S`` of a particle
+(plus one on each side), S the steepest slope of the value slice within
+reach: a foot z away costs at least ``u(x) - S|z| + z^2/(2 dt)``, more
+than the zero control's u(x) once ``|z| > 2 dt S``.  The coupled
 system is solved by damped fixed-point iteration on the measure path (the
 value field is always the exact solution for the path it was computed
 against).
@@ -33,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost_models import CostFunctional
 from .errors import DomainEscapeError
-from .grid_geometry import SpatialGrid, distance_to_box
+from .grid_geometry import SpatialGrid, clamp_cells, distance_to_box, lerp
 from .measures import (
     DEFAULT_SIZE_CAP,
     DiscreteMeasure,
@@ -137,10 +142,10 @@ _BOUND_SLACK = 1e-9
 
 
 class _Pairs(NamedTuple):
-    """(point, line) pairs of the cell stage, in point-major order with
+    """(point, line) pairs of the 2D cell stage, in point-major order with
     every point at least once: ``starts[p]`` is the first pair of point p.
     ``j1``, ``w1`` and ``inside`` are the pair's axis-1 column, its weight
-    and whether the axis-1 foot is in the box (1D: 0, 0 and true)."""
+    and whether the axis-1 foot is in the box."""
 
     who: np.ndarray
     starts: np.ndarray
@@ -151,11 +156,26 @@ class _Pairs(NamedTuple):
 
 
 def _slack(f: np.ndarray, lattice: _Lattice) -> float:
-    """The bounds' slack: NaN or infinite when u is not finite."""
-    return _BOUND_SLACK * (1.0 + np.abs(f).max() + lattice.run_cost.max())
+    """The bounds' slack, from the finite values of u only: one NaN node
+    must not void the bounds of points that never reach it."""
+    size = np.abs(f).max()
+    if not np.isfinite(size):
+        size = np.abs(f[np.isfinite(f)]).max(initial=0.0)
+    return _BOUND_SLACK * (1.0 + size + lattice.run_cost.max())
 
 
-def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate):
+def _first_least(q: np.ndarray, cand: np.ndarray, counts: np.ndarray, n_controls: int):
+    """Per point, whose ``counts[p]`` candidates are consecutive in ``q``
+    and ``cand``: the least value and the least sorted-lattice index
+    attaining it (every candidate's, when the least is NaN)."""
+    starts = np.cumsum(counts) - counts
+    best = np.minimum.reduceat(q, starts)
+    least = np.repeat(best, counts)
+    tied = np.where((q == least) | np.isnan(least), cand, n_controls)
+    return np.minimum.reduceat(tied, starts), best
+
+
+def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate, reach_field=None):
     """First lattice minimiser of dt|a|^2/2 + u(x + dt a) at fixed points.
 
     ``u`` is the multilinear interpolant of a node field.  Along one line
@@ -166,18 +186,21 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     ``s = dt mesh / h``.  The cells a line reaches, with the one-cell clamp
     zones -1 and n where u is flat, cover all its feet.
 
-    In 2D a line filter (``_line_filter``) first drops, per point, every
-    line whose lower bound exceeds a value the point reaches on another
-    line.  In 1D the one line stays.  The cell stage (``_cell_stage``) then
-    runs on the surviving (point, line) pairs.  Per pair, each cell gets a
-    lower bound (the parabola at its vertex ``k* = -d s / (dt mesh^2)``
-    clamped to the cell and to the line) and, if it holds a lattice step
-    inside the box, an upper bound (the parabola at that step).  A cell
-    whose lower bound exceeds the point's least upper bound cannot hold the
-    minimiser.  Each remaining cell contributes the steps
-    ``floor(k*) - 1 .. floor(k*) + 2``, and only these candidates are
-    evaluated, by ``evaluate(grid, field, feet)``: the caller's exact float
-    expression for u at the feet, inf where a foot escapes.
+    Per (point, line), each reached cell gets a lower bound (the parabola
+    at its vertex ``k* = -d s / (dt mesh^2)`` clamped to the cell and to
+    the line) and, if it holds a lattice step inside the box, an upper
+    bound (the parabola at that step).  A cell whose lower bound exceeds
+    the point's least upper bound cannot hold the minimiser.  Each
+    remaining cell contributes the steps ``floor(k*) - 1 .. floor(k*) + 2``,
+    and only these candidates are evaluated.  1D has one line and runs the
+    line kernel (``_line_kernel``), which evaluates the candidates with the
+    1D expression of ``SpatialGrid.interpolate_many`` (``lerp``).  In 2D a
+    line filter (``_line_filter``) first drops, per point, every line whose
+    lower bound exceeds a value the point reaches on another line; the cell
+    stage (``_cell_stage``) then runs on the surviving (point, line) pairs
+    and evaluates its candidates by ``evaluate(grid, field, feet)``: the
+    caller's exact float expression for u at the feet, inf where a foot
+    escapes.
 
     Exactness: every bound is compared with a slack far above its
     rounding, so no line or cell that holds the float minimiser, or a tie
@@ -185,26 +208,106 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     candidates exceeds a candidate by at least dt mesh^2 / 2.  So while
     dt mesh^2 is well above the rounding of u, the float minimiser over the
     whole lattice is a candidate.  Ties go to the smallest sorted-lattice
-    index, as the first occurrence over the lattice would.  A field that
-    is not finite makes the slack NaN or infinite: then the filter drops no
-    line, and the cell stage keeps at least each point's cell of least
-    lower bound (np.argmin's choice: the first NaN).
+    index, as the first occurrence over the lattice would.  The slack is
+    taken from the finite values of u, so a NaN node loosens only the
+    bounds it reaches: the filter keeps a line whose bound is NaN and drops
+    none for a NaN least value, and a point whose least upper bound is not
+    finite keeps at least its cell of least lower bound (np.argmin's
+    choice: the first NaN).
 
     The returned ``argmin(field)`` gives, per point, the sorted-lattice
     index of the minimiser and the minimum (inf where every control
-    escapes).  In 1D the cell geometry depends only on the points and is
-    built here; in 2D it is built per call for the surviving pairs, so no
-    points x lines x reach array outlives a call.
+    escapes).  In 1D the (point, cell) geometry is built here; given
+    ``reach_field``, the field the argmin will be called with, it holds
+    only the cells within that field's descent bound (``_line_kernel``).
+    Transport, whose points move, builds its geometry per step and passes
+    the step's field.  In 2D the cell geometry is built per call for the
+    surviving pairs, so no points x lines x reach array outlives a call.
     """
     if grid.dim == 1:
-        n_p = points.shape[0]
-        every, zero = np.arange(n_p), np.zeros(n_p, dtype=np.int64)
-        pairs = _Pairs(every, every, zero, zero, np.zeros(n_p), np.ones(n_p, dtype=bool))
-        return _cell_stage(grid, points, lattice, evaluate, pairs)
+        return _line_kernel(grid, points, lattice, reach_field)
     line_filter = _line_filter(grid, points, lattice)
 
     def argmin(field: np.ndarray):
         return _cell_stage(grid, points, lattice, evaluate, line_filter(field))(field)
+
+    return argmin
+
+
+def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None):
+    """The bracketed argmin in 1D: one line, as (point, cell) rows.
+
+    The bounds, slack and candidates are those of the 2D cell stage,
+    gathered per (point, cell) from one node array padded by the clamp
+    cells -1 and n and reduced per row; the candidates are evaluated with
+    the float expression of ``SpatialGrid.interpolate_many``.
+
+    Given ``reach_field``, the rows keep only the cells within ``2 dt S``
+    of the point, plus one on each side, with S the steepest slope of that
+    field over the cells that any point's feet reach.  Exact: the zero
+    control is a lattice point and costs u(x); a foot z away costs at
+    least ``u(x) - S |z| + z^2 / (2 dt)``, above u(x) once
+    ``|z| > 2 dt S``, and a foot at exactly ``2 dt S`` only ties the zero
+    control, which wins with sorted index 0.  The extra cell absorbs the
+    rounding.  Where S is not finite every reached cell stays.
+    """
+    lo, h, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
+    mesh, half, dt = lattice.mesh, lattice.half[0], lattice.dt
+    s = dt * mesh / h
+    curvature = 0.5 * dt * mesh * mesh
+    table, moves = lattice.table[0], lattice.moves[:, 0]
+    origin = table.size // 2 - 1  # the table column of step 0
+    x = points[:, 0]
+    t = (x - lo) / h
+    # the foot moves monotonically with the step, also in floats, so the
+    # cells of the end feet bound every cell a point reaches
+    c_ends = np.floor((x[:, None] + moves[table[:: table.size - 1]] - lo) / h).clip(-1, n0)
+    if reach_field is not None:
+        first, last = max(int(c_ends[:, 0].min()), 0), min(int(c_ends[:, 1].max()), n0 - 1)
+        f = reach_field.ravel()[first:last + 2]
+        slope = np.abs(f[1:] - f[:-1]).max(initial=0.0) / h
+        if np.isfinite(slope):
+            r = 2.0 * dt * slope / h
+            np.maximum(c_ends[:, 0], np.floor(t - r) - 1.0, out=c_ends[:, 0])
+            np.minimum(c_ends[:, 1], np.floor(t + r) + 1.0, out=c_ends[:, 1])
+    c_ends = c_ends.astype(np.int64)
+    reach = int((c_ends[:, 1] - c_ends[:, 0]).max()) + 1
+    cells = np.minimum(c_ends[:, :1] + np.arange(reach), c_ends[:, 1:])
+    offset = t[:, None] - cells
+    k_lo = np.maximum(np.where(cells >= 0, -offset / s, -np.inf), -half)
+    k_hi = np.minimum(np.where(cells < n0, (1.0 - offset) / s, np.inf), half)
+    # the step of the upper bound: a lattice step in the cell, in the box
+    step_lo, step_hi = np.ceil(k_lo), np.floor(k_hi)
+    bounded = (step_lo <= step_hi) & (cells >= 0) & (cells < n0)
+    at = cells + 1  # into the padded nodes
+    padded = np.arange(-1, n0 + 2).clip(0, n0)
+    n_controls = lattice.controls.shape[0]
+
+    def argmin(field: np.ndarray):
+        f = field.ravel()
+        pad = f[padded]
+        u_lo, d = pad[at], (pad[1:] - pad[:-1])[at]
+
+        def parabola(k):
+            return u_lo + d * (offset + s * k) + curvature * k * k
+
+        # fmax/fmin: where u is NaN the vertex still names a lattice step
+        vertex = np.fmin(np.fmax(d / (-mesh * h), k_lo), k_hi)
+        lower = parabola(vertex)
+        upper = np.where(bounded, parabola(np.rint(vertex).clip(step_lo, step_hi)), np.inf)
+        threshold = upper.min(axis=1) + _slack(f, lattice)
+        keep = lower <= threshold[:, None]
+        loose = ~np.isfinite(threshold)
+        if loose.any():
+            keep[loose, lower[loose].argmin(axis=1)] = True
+        row, cell = np.nonzero(keep)
+        cand = table[(origin + np.floor(vertex[row, cell]).astype(np.int64))[:, None] + _VERTEX_STEPS]
+        j, w, escaped = clamp_cells((x[row, None] + moves[cand] - lo) / h, n0)
+        q = lerp(f, j, w)
+        q[escaped] = np.inf
+        q += lattice.run_cost[cand]
+        counts = _VERTEX_STEPS.size * np.bincount(row, minlength=x.size)
+        return _first_least(q.ravel(), cand.ravel(), counts, n_controls)
 
     return argmin
 
@@ -280,8 +383,8 @@ def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
 
 
 def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate, pairs: _Pairs):
-    """The cell stage of ``_bracketed_argmin`` on the given pairs; returns
-    ``argmin(field)``."""
+    """The 2D cell stage of ``_bracketed_argmin`` on the given pairs;
+    returns ``argmin(field)``."""
     who, starts, line, j1, w1, inside = pairs
     lo0, h0, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
     mesh, half = lattice.mesh, lattice.half[line][:, None]
@@ -302,10 +405,9 @@ def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evalua
     k_hi = np.minimum(np.where(cells < n0, (1.0 - offset) / s, np.inf), half)
     # u on the line at the cell's end nodes, which coincide in the clamp
     # zones; a line whose axis-1 foot leaves the box gives no upper bound
-    n_cols = math.prod(grid.shape[1:])
+    n_cols = grid.shape[1]
     at_lo = np.clip(cells, 0, n0) * n_cols + j1
     at_hi = np.clip(cells + 1, 0, n0) * n_cols + j1
-    next_col = grid.dim - 1
     # the step of the upper bound: a lattice step in the cell, in the box
     step_lo, step_hi = np.ceil(k_lo), np.floor(k_hi)
     bounded = (step_lo <= step_hi) & (cells >= 0) & (cells < n0) & inside
@@ -314,8 +416,8 @@ def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evalua
 
     def argmin(field: np.ndarray):
         f = field.ravel()
-        u_lo = (1.0 - w1) * f[at_lo] + w1 * f[at_lo + next_col]
-        d = (1.0 - w1) * f[at_hi] + w1 * f[at_hi + next_col] - u_lo
+        u_lo = (1.0 - w1) * f[at_lo] + w1 * f[at_lo + 1]
+        d = (1.0 - w1) * f[at_hi] + w1 * f[at_hi + 1] - u_lo
 
         def parabola(k):
             return u_lo + d * (offset + s * k) + curvature * k * k + line_cost
@@ -324,16 +426,17 @@ def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evalua
         vertex = np.fmin(np.fmax(d / (-mesh * h0), k_lo), k_hi)
         lower = parabola(vertex)
         upper = np.where(bounded, parabola(np.clip(np.rint(vertex), step_lo, step_hi)), np.inf)
-        slack = _slack(f, lattice)
-        keep = lower <= (np.minimum.reduceat(upper.min(axis=1), starts)[who] + slack)[:, None]
-        if not np.isfinite(slack):
-            # u is not finite: the cell of the point's least lower bound
-            # stays, the one np.argmin picks (the first NaN); with a finite
-            # u the bound keeps that cell anyway
+        threshold = np.minimum.reduceat(upper.min(axis=1), starts) + _slack(f, lattice)
+        keep = lower <= threshold[who][:, None]
+        loose = ~np.isfinite(threshold)
+        if loose.any():
+            # the point's least upper bound is not finite: the cell of its
+            # least lower bound stays, the one np.argmin picks (the first
+            # NaN); with a finite bound that cell stays anyway
             pair_least = lower.min(axis=1)
             point_least = np.minimum.reduceat(pair_least, starts)[who]
             holds = (pair_least == point_least) | np.isnan(pair_least)
-            first = np.minimum.reduceat(np.where(holds, np.arange(who.size), who.size), starts)
+            first = np.minimum.reduceat(np.where(holds, np.arange(who.size), who.size), starts)[loose]
             keep[first, lower[first].argmin(axis=1)] = True
         pair, cell = np.nonzero(keep)
         vertex_step = np.floor(vertex[pair, cell]).astype(np.int64)
@@ -341,11 +444,7 @@ def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evalua
         feet = (points[who[pair]][:, None, :] + lattice.moves[cand]).reshape(-1, grid.dim)
         q = evaluate(grid, field, feet) + lattice.run_cost[cand].ravel()
         counts = _VERTEX_STEPS.size * np.bincount(who[pair], minlength=starts.size)
-        q_starts = np.cumsum(counts) - counts
-        best = np.minimum.reduceat(q, q_starts)
-        least = np.repeat(best, counts)
-        tied = np.where((q == least) | np.isnan(least), cand.ravel(), lattice.controls.shape[0])
-        return np.minimum.reduceat(tied, q_starts), best
+        return _first_least(q, cand.ravel(), counts, lattice.controls.shape[0])
 
     return argmin
 
@@ -385,23 +484,17 @@ class ValueField:
 
 
 def _corner_sum(grid: SpatialGrid, field: np.ndarray, feet: np.ndarray) -> np.ndarray:
-    """Multilinear values at the feet as corner values times corner weights,
+    """Bilinear values at the 2D feet as corner values times corner weights,
     summed per foot; inf where a foot escapes."""
     j, w, escaped = grid.locate(feet)
-    if grid.dim == 1:
-        i0 = j[:, 0]
-        idx = np.stack([i0, i0 + 1], axis=-1)
-        w0 = w[:, 0]
-        wts = np.stack([1.0 - w0, w0], axis=-1)
-    else:
-        ny = grid.shape[1]
-        base = j[:, 0] * ny + j[:, 1]
-        idx = np.stack([base, base + ny, base + 1, base + ny + 1], axis=-1)
-        w0, w1 = w[:, 0], w[:, 1]
-        wts = np.stack(
-            [(1.0 - w0) * (1.0 - w1), w0 * (1.0 - w1), (1.0 - w0) * w1, w0 * w1],
-            axis=-1,
-        )
+    ny = grid.shape[1]
+    base = j[:, 0] * ny + j[:, 1]
+    idx = np.stack([base, base + ny, base + 1, base + ny + 1], axis=-1)
+    w0, w1 = w[:, 0], w[:, 1]
+    wts = np.stack(
+        [(1.0 - w0) * (1.0 - w1), w0 * (1.0 - w1), (1.0 - w0) * w1, w0 * w1],
+        axis=-1,
+    )
     q = (field.ravel()[idx] * wts).sum(axis=-1)
     q[escaped] = np.inf
     return q
@@ -442,14 +535,17 @@ def solve_hjb_backward(
     control of the sorted lattice.
 
     The minimum is found by the bracketed argmin of ``_bracketed_argmin``.
-    Its geometry at the nodes is built once per solve: the cells of the
-    one line in 1D, the (node, line) feet of the line filter in 2D, whose
-    cell stage is built per step for the lines that survive.  Each
-    candidate foot is evaluated as corner values times corner weights,
-    summed per foot, so values and policy are those of a scan of the whole
-    lattice as long as ``dt * control_mesh**2`` is well above the rounding
-    of u; no nodes x controls table is built, and in 2D no nodes x lines x
-    reach one outlives a step.
+    Its geometry at the nodes is built once per solve: the (node, cell)
+    rows of the 1D line kernel over the whole reach (the nodes span the
+    box, where the transport's descent bound would barely narrow it), the
+    (node, line) feet of the line filter in 2D, whose cell stage is built
+    per step for the lines that survive.  A candidate foot is evaluated as
+    corner values times corner weights, summed per foot (in 1D, with
+    ``interpolate_many``'s expression, the same bits), so values and policy
+    are those of a scan of the whole lattice as long as
+    ``dt * control_mesh**2`` is well above the rounding of u; no nodes x
+    controls table is built, and in 2D no nodes x lines x reach one
+    outlives a step.
     """
     n_t, lattice = _check_alignment(path, dt)
     if control_radius is None:
@@ -537,9 +633,17 @@ def transport_forward(
 
     The argmin is the bracketed argmin of ``_bracketed_argmin`` at the
     particle positions, with its candidates evaluated by
-    ``interpolate_many``: the control is the first minimiser over the whole
-    lattice as long as ``dt * control_mesh**2`` is well above the rounding
-    of the value slice.
+    ``interpolate_many``'s float expression: the control is the first
+    minimiser over the whole lattice as long as ``dt * control_mesh**2`` is
+    well above the rounding of the value slice.  Its geometry is built per
+    step, and in 1D for the step's slice: only the cells within ``2 dt S``
+    of a particle, plus one on each side, with S the steepest slope of the
+    slice over the nodes any particle's feet reach.  This drops no
+    minimiser: the zero control costs u(x), and a foot z away costs at
+    least ``u(x) - S|z| + z^2/(2 dt)``, which is above u(x) once
+    ``|z| > 2 dt S``; a foot at exactly ``2 dt S`` only ties the zero
+    control, which wins the tie with sorted index 0.  A slice whose S is
+    not finite keeps the full reach.
     """
     grid = value.grid
     dt = value.dt
@@ -552,7 +656,8 @@ def transport_forward(
     positions[0] = pts
     sup_speed = np.zeros(n_p)
     for k in range(value.n_steps):
-        pick, best = _bracketed_argmin(grid, pts, lattice, _interpolate)(value.values[k + 1])
+        u_next = value.values[k + 1]
+        pick, best = _bracketed_argmin(grid, pts, lattice, _interpolate, u_next)(u_next)
         feasible = np.isfinite(best)
         if not feasible.all():
             i = int(np.argmin(feasible))

@@ -127,13 +127,8 @@ class SpatialGrid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dimension {pts.shape[1]}, grid has {self.dim}")
-        t = (pts - self.lower_array) / self.spacing
-        margin = 1.0 + _MARGIN_SLOP * (1.0 + self.cells_array)
-        escaped = np.any((t < -margin) | (t > self.cells_array + margin), axis=1)
-        t = np.clip(t, 0.0, self.cells_array.astype(float))
-        j = np.minimum(np.floor(t).astype(int), self.cells_array - 1)
-        w = t - j
-        return j, w, escaped
+        j, w, escaped = clamp_cells((pts - self.lower_array) / self.spacing, self.cells_array)
+        return j, w, escaped.any(axis=1)
 
     def interpolate_many(self, field, points, out_of_range: str = "raise") -> np.ndarray:
         """Multilinear interpolation of a node field at many points.
@@ -160,9 +155,7 @@ class SpatialGrid:
                 raise ValueError(f"unknown out_of_range mode {out_of_range!r}")
         flat = arr.ravel()
         if self.dim == 1:
-            i0 = j[:, 0]
-            w0 = w[:, 0]
-            vals = flat[i0] * (1.0 - w0) + flat[i0 + 1] * w0
+            vals = lerp(flat, j[:, 0], w[:, 0])
         else:
             ny = self.shape[1]
             base = j[:, 0] * ny + j[:, 1]
@@ -232,6 +225,27 @@ class SpatialGrid:
             c = max(candidates)
             total += c * c
         return float(np.sqrt(total))
+
+
+def clamp_cells(t: np.ndarray, n_cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell index, weight and escape flag per cell coordinate.
+
+    ``t`` holds coordinates in cells from the lower corner, on an axis of
+    ``n_cells`` cells (an array broadcasting against ``t`` per axis).  They
+    are clamped onto ``[0, n_cells]``; a coordinate farther than one cell
+    (up to ``_MARGIN_SLOP``) outside is flagged as escaped.
+    """
+    margin = 1.0 + _MARGIN_SLOP * (1.0 + n_cells)
+    escaped = (t < -margin) | (t > n_cells + margin)
+    t = t.clip(0.0, n_cells)
+    j = np.minimum(np.floor(t).astype(int), n_cells - 1)
+    return j, t - j, escaped
+
+
+def lerp(flat: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The 1D linear interpolant of node values ``flat`` in cell ``j`` at
+    weight ``w``: the float expression of every 1D interpolation."""
+    return flat[j] * (1.0 - w) + flat[j + 1] * w
 
 
 @dataclass(frozen=True, eq=False)

@@ -119,6 +119,18 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, text))
 
 
+def assert_reruns_are_byte_identical(tmp_path, command, text):
+    """Two runs of one config write the same files, byte for byte."""
+    cfg = write_config(tmp_path, text)
+    out1, out2 = tmp_path / "one", tmp_path / "two"
+    assert entrypoint([command, str(cfg), "--output-dir", str(out1)]) == 0
+    assert entrypoint([command, str(cfg), "--output-dir", str(out2)]) == 0
+    names = sorted(path.name for path in out1.iterdir())
+    assert names and names == sorted(path.name for path in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 STATIC_CONFIG = """
 seed: 0
 model:
@@ -149,12 +161,7 @@ class TestStaticCommand:
         np.testing.assert_allclose(measure.points, [[0.0]], atol=1e-12)
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, STATIC_CONFIG)
-        out1, out2 = tmp_path / "one", tmp_path / "two"
-        assert entrypoint(["static", str(cfg), "--output-dir", str(out1)]) == 0
-        assert entrypoint(["static", str(cfg), "--output-dir", str(out2)]) == 0
-        for name in ("static_iterates.csv", "static_measure.csv", "static_summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert_reruns_are_byte_identical(tmp_path, "static", STATIC_CONFIG)
 
     def test_verbose_prints_the_stop_reason_on_stderr(self, tmp_path):
         # a child process: in-process, pytest's own root handlers would make
@@ -232,7 +239,28 @@ evolve:
 """
 
 
+EVOLVE_2D_CONFIG = """
+seed: 0
+model:
+  name: quadratic_congestion
+  dim: 2
+grid:
+  n_cells: [12, 12]
+m0:
+  kind: uniform_box
+  lower: [-0.5, -0.5]
+  upper: [0.5, 0.5]
+  n_particles: 8
+evolve:
+  T: 0.2
+  dt: 0.05
+"""
+
+
 class TestEvolveCommand:
+    def test_2d_reruns_are_byte_identical(self, tmp_path):
+        assert_reruns_are_byte_identical(tmp_path, "evolve", EVOLVE_2D_CONFIG)
+
     def test_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, EVOLVE_CONFIG)
         out = tmp_path / "out"
@@ -329,6 +357,9 @@ class TestSweepCommand:
         assert summary["T_list"] == [1.0, 2.0]
         assert "singleton" in summary  # quadratic congestion has a one-point argmin
         assert "semilimit_gaps" not in summary  # needs three horizons
+
+    def test_reruns_are_byte_identical(self, tmp_path):
+        assert_reruns_are_byte_identical(tmp_path, "sweep", SWEEP_CONFIG)
 
     def test_failed_verdict_exits_0_with_warning(self, tmp_path, caplog):
         cfg = write_config(tmp_path, SWEEP_CONFIG + "  max_iter: 1\n  tol: 1.0e-15\n")

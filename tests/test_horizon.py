@@ -21,6 +21,7 @@ from mfglab import (
 from mfglab import finite_horizon
 from mfglab.cost_models import lqr_oracle, quadratic_congestion, two_wells
 from mfglab.finite_horizon import (
+    ValueField,
     _Lattice,
     _line_filter,
     checkpoint_indices,
@@ -100,6 +101,21 @@ def brute_force_transport(value, points):
     return np.array(positions)
 
 
+def one_step_value(grid, field, dt, radius, mesh):
+    """A value field whose one transport step follows the node field."""
+    values = np.stack([field, field]).reshape((2,) + grid.shape)
+    return ValueField(
+        grid=grid, times=np.array([0.0, dt]), values=values, controls=control_lattice(grid.dim, radius, mesh),
+        policy=np.zeros((1, grid.n_nodes), dtype=np.int32), f_slices=np.zeros((1,) + grid.shape),
+        metadata={"control_radius": radius, "control_mesh": mesh},
+    )
+
+
+def assert_transport_matches_the_full_lattice(value, points):
+    flow, _ = transport_forward(value, DiscreteMeasure(points, np.full(len(points), 1.0 / len(points))))
+    np.testing.assert_array_equal(flow.positions, brute_force_transport(value, points))
+
+
 def node_field(kind, grid, scale, rng):
     """A node field of the given kind and size."""
     x = grid.nodes
@@ -140,6 +156,12 @@ def indexed_path(n_t, dt, dim):
 class TestBracketedArgminOracle:
     """The bracketed argmin reproduces the full-lattice argmin bit for bit."""
 
+    # the 1D benchmark lattice: 200 cells of [-2, 2], dt 0.05, mesh 0.02
+    # and the default radius of the LQR model, 21 cells of reach
+    GRID = SpatialGrid((-2.0,), (2.0,), (200,))
+    DT, MESH = 0.05, 0.02
+    RADIUS = default_control_radius(lqr_oracle(dim=1))
+
     @staticmethod
     def assert_matches_the_full_lattice(grid, dt, radius, mesh, kind, scale, rng, n_t=3):
         fields = [node_field(kind, grid, scale, rng) for _ in range(n_t)]
@@ -149,9 +171,7 @@ class TestBracketedArgminOracle:
         np.testing.assert_array_equal(value.values, values)
         np.testing.assert_array_equal(value.policy, policy)
         # particles stay clear of the two-cell boundary margin
-        points = rng.uniform(-0.25, 0.25, size=(40, grid.dim))
-        flow, _ = transport_forward(value, DiscreteMeasure(points, np.full(40, 1.0 / 40)))
-        np.testing.assert_array_equal(flow.positions, brute_force_transport(value, points))
+        assert_transport_matches_the_full_lattice(value, rng.uniform(-0.25, 0.25, size=(40, grid.dim)))
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("dt", [1e-3, 0.05, 0.2])
@@ -180,6 +200,81 @@ class TestBracketedArgminOracle:
         mesh = radius / 25
         assert _Lattice.of(control_lattice(2, radius, mesh), mesh, dt).half.size == 51
         self.assert_matches_the_full_lattice(grid, dt, radius, mesh, kind, scale, rng, n_t=2)
+
+    @pytest.mark.parametrize(
+        "kind, scale", [("convex", 0.5), ("kink", 10.0), ("noise", 1e-3), ("noise", 1.0), ("flat", 1.0)]
+    )
+    def test_the_1d_benchmark_lattice_matches_the_full_lattice(self, kind, scale):
+        rng = np.random.default_rng([13, len(kind), int(np.log10(scale)) + 3])
+        self.assert_matches_the_full_lattice(self.GRID, self.DT, self.RADIUS, self.MESH, kind, scale, rng)
+
+    @pytest.mark.parametrize("slope", [0.5, 4.0])
+    def test_descent_bound_with_plateau_and_slope_particles_in_one_step(self, slope):
+        # u is flat left of 0.2 and falls at the slope to the right; at
+        # slope 0.5 the descent bound keeps 2.5 cells on each side of 9.6,
+        # at slope 4 all of them
+        x = self.GRID.nodes[:, 0]
+        field = -slope * np.maximum(x - 0.2, 0.0)
+        rng = np.random.default_rng(17)
+        points = np.concatenate([rng.uniform(-1.5, 0.1, size=(60, 1)), rng.uniform(0.1, 1.5, size=(60, 1))])
+        value = one_step_value(self.GRID, field, self.DT, self.RADIUS, self.MESH)
+        moved = brute_force_transport(value, points)[1] != points
+        assert moved[points > 0.3].all() and not moved[points < 0.0].any()
+        assert_transport_matches_the_full_lattice(value, points)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_1d_keeps_a_drop_in_the_farthest_reachable_cell(self, side):
+        # the twin of the 2D line filter case: the line reaches 2.5 cells,
+        # so from 8.9 the farthest foot is at 11.4, inside cell 11, where u
+        # falls steeply to the nodes from 12 on (or the mirror image)
+        grid, dt = SpatialGrid((-1.0,), (1.0,), (16,)), 0.05
+        radius = 2.5 * grid.max_spacing / dt
+        i, t0 = np.arange(grid.n_nodes), 8.9
+        if side == "left":
+            t0, i = 16 - t0, 16 - i
+        value = one_step_value(grid, np.where(i >= 12, -10.0, 0.0), dt, radius, radius / 10)
+        point = grid.lower_array + t0 * grid.spacing
+        farthest = 2.5 * grid.spacing if side == "right" else -2.5 * grid.spacing
+        np.testing.assert_allclose(brute_force_transport(value, point[None, :])[1, 0], point + farthest)
+        assert_transport_matches_the_full_lattice(value, point[None, :])
+
+    @pytest.mark.parametrize("slope", [0.25, 0.5, 2.0])
+    def test_descent_bound_for_particles_whose_reach_crosses_the_clamp_zone(self, slope):
+        # u climbs toward both walls; particles 2 to 4 cells from a wall
+        # keep the clamp cell within their descent bound, and with the full
+        # reach of the steepest slope their feet also escape
+        x = self.GRID.nodes[:, 0]
+        field = slope * np.abs(x) + 1e-3 * np.random.default_rng(19).standard_normal(x.size)
+        h = self.GRID.max_spacing
+        gaps = np.linspace(2.0, 4.0, 21)[1:] * h
+        points = np.concatenate([-2.0 + gaps, 2.0 - gaps])[:, None]
+        value = one_step_value(self.GRID, field, self.DT, self.RADIUS, self.MESH)
+        assert_transport_matches_the_full_lattice(value, points)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_nan_node_leaves_the_points_that_never_reach_it_exact(self, dim):
+        # a standard-normal slice with one NaN node: every node and
+        # particle whose full-lattice objective holds no NaN gets the
+        # full-lattice minimiser
+        grid, dt = SpatialGrid((-2.0,) * dim, (2.0,) * dim, (160 if dim == 1 else 20,) * dim), 0.1
+        rng = np.random.default_rng(23)
+        noise = rng.standard_normal(grid.n_nodes)
+        noise[np.abs(grid.nodes - 0.4).max(axis=1) < 1e-9] = np.nan
+        F, path = slice_cost([np.zeros(grid.n_nodes), noise], dt, dim), indexed_path(2, dt, dim)
+        value = solve_hjb_backward(F, path, grid, dt)
+        radius, mesh = value.metadata["control_radius"], value.metadata["control_mesh"]
+        values, policy = brute_force_hjb(F, path, grid, dt, radius, mesh)
+        np.testing.assert_array_equal(value.values[1], values[1])
+        clean = ~np.isnan(values[0].ravel())
+        assert 0 < (~clean).sum() < clean.sum()
+        np.testing.assert_array_equal(value.values[0].ravel()[clean], values[0].ravel()[clean])
+        np.testing.assert_array_equal(value.policy[0][clean], policy[0][clean])
+        points = rng.uniform(-1.2, 1.2, size=(200, dim))
+        feet = (points[:, None, :] + dt * value.controls).reshape(-1, dim)
+        q = grid.interpolate_many(value.values[1], feet, out_of_range="inf").reshape(200, -1)
+        points = points[~np.isnan(q).any(axis=1)]
+        assert len(points) > 100
+        assert_transport_matches_the_full_lattice(value, points)
 
     def test_flat_floor_ties_go_to_the_sorted_first_control(self):
         grid = SpatialGrid((-1.0, -1.0), (1.0, 1.0), (16, 16))
