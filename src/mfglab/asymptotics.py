@@ -20,6 +20,7 @@ from .errors import SolverError, StaticResidualError
 from .finite_horizon import (
     a_priori_report,
     checkpoint_indices,
+    horizon_steps,
     occupational_fractions,
     solve_mfg,
 )
@@ -116,9 +117,7 @@ class SweepParams:
     def step_for(self, T: float) -> float:
         if self.mode == "fixed_steps":
             return float(T) / self.n_steps
-        n = int(round(T / self.dt))
-        if n < 1 or abs(n * self.dt - T) > 1e-9 * max(1.0, T):
-            raise ValueError(f"sweep dt {self.dt} does not divide horizon {T}")
+        horizon_steps(T, self.dt)
         return float(self.dt)
 
 

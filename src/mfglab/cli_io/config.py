@@ -18,6 +18,7 @@ import yaml
 
 from ..cost_models import BUILTIN_MODELS, CostFunctional, build_model
 from ..errors import ConfigError
+from ..finite_horizon import horizon_steps
 from ..grid_geometry import SpatialGrid
 from ..measures import DiscreteMeasure
 from ..static_game import constant_damping, harmonic_damping
@@ -217,8 +218,11 @@ def _walk(user, schema: dict, path: str) -> dict:
 
 
 def _divides(dt: float, T: float) -> bool:
-    n = int(round(T / dt))
-    return n >= 1 and abs(n * dt - T) <= 1e-9 * max(1.0, abs(T))
+    try:
+        horizon_steps(T, dt)
+    except ValueError:
+        return False
+    return True
 
 
 def _check_axis_list(values, dim: int, dotted: str):

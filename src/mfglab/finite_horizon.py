@@ -3,29 +3,23 @@
 The value function solves a backward semi-Lagrangian recursion: each step
 minimises ``dt |a|^2 / 2 + u(x + dt a)`` over a lattice of controls, with u
 the multilinear interpolant of the next value slice, and the argmin is the
-optimal feedback.  The minimum is bracketed rather than scanned: along a
-line of the lattice u is linear on each grid cell, so the objective is a
-convex parabola per cell, and only the few steps around the vertices of
-the cells that can hold the minimum are evaluated.  1D has a line kernel of
-its own, with (point, cell) rows.  In 2D an exact per-line lower bound
-first drops the lattice lines that cannot hold the minimum: from x, a
-line of axis-1 control a1 costs at least
-``dt a1^2/2 + u(x0, x1 + dt a1) - dt S^2/2`` with S the steepest axis-0
-descent of u within the line's reach, and the control (0, a1) reaches
-its first two terms.  The candidates are evaluated with the same float
-expression, and ties broken the same way, as a scan of the whole lattice,
-so the result is the same bits while ``dt mesh^2`` stays well above the
-rounding of u.  The population is a particle cloud pushed forward along
-that feedback (the same argmin at the particle positions).  In 1D each
-transport step also keeps only the cells within ``2 dt S`` of a particle
-(plus one on each side), S the steepest slope of the value slice within
-reach: a foot z away costs at least ``u(x) - S|z| + z^2/(2 dt)``, more
-than the zero control's u(x) once ``|z| > 2 dt S``.  The coupled
-system is solved by damped fixed-point iteration on the measure path (the
-value field is always the exact solution for the path it was computed
-against).
+optimal feedback.  The minimum is taken in closed form, not by a scan:
+along a line of the lattice u is linear on each grid cell, so the
+objective is a convex parabola per cell, whose least lattice step is its
+vertex clamped to the cell and rounded.  The cells are ranked by the
+parabola at that step, and only the two steps around the winning vertex
+are evaluated, with the float expression and tie-break of a scan of the
+whole lattice: the result is that scan's except where the minima of two
+cells agree to within rounding.  In 2D an exact per-line lower bound
+first drops the lattice lines that cannot hold the minimum; in 1D each
+transport step keeps only the cells within ``dt (S + mesh/2)`` of a
+particle, S the steepest slope of the value slice within reach (see
+``_bracketed_argmin``).  The population is a particle cloud pushed
+forward along that feedback (the same argmin at the particle positions).
+The coupled system is solved by damped fixed-point iteration on the
+measure path (the value field is always the exact solution for the path
+it was computed against).
 """
-
 from __future__ import annotations
 
 import logging
@@ -38,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost_models import CostFunctional
 from .errors import DomainEscapeError
-from .grid_geometry import SpatialGrid, clamp_cells, distance_to_box, lerp
+from .grid_geometry import SpatialGrid, clamp_cells, distance_to_box, escape_margin, lerp
 from .measures import (
     DEFAULT_SIZE_CAP,
     DiscreteMeasure,
@@ -97,10 +91,10 @@ class _Lattice:
 
     Line ``l`` holds the controls with one axis-1 component (in 1D, the
     whole lattice) and axis-0 components ``k * mesh`` for
-    ``|k| <= half[l]``.  ``table[l, n + 1 + k]`` is the sorted-lattice index
-    of that control for ``-n - 1 <= k <= n + 2``; a k beyond the line maps
-    to its nearest end, so ``table[:, 0]`` and ``table[:, -1]`` are the
-    line ends.  ``moves`` is ``dt * controls`` and ``run_cost`` is
+    ``|k| <= half[l]``.  ``table[l, n + k]`` is the sorted-lattice index
+    of that control for ``-n <= k <= n + 1``; a k beyond the line maps to
+    its nearest end, so ``table[:, 0]`` and ``table[:, -1]`` are the line
+    ends.  ``moves`` is ``dt * controls`` and ``run_cost`` is
     ``dt |a|^2 / 2`` per control; ``line_cost`` is the run cost of each
     line's step 0, the control with axis-0 component 0.
     """
@@ -123,56 +117,70 @@ class _Lattice:
         np.maximum.at(half, line, np.abs(k[:, 0]))
         dense = np.empty((half.size, 2 * n + 1), dtype=np.int64)
         dense[line, n + k[:, 0]] = np.arange(controls.shape[0])
-        steps = np.clip(np.arange(-n - 1, n + 3), -half[:, None], half[:, None])
+        steps = np.clip(np.arange(-n, n + 2), -half[:, None], half[:, None])
         table = dense[np.arange(half.size)[:, None], n + steps]
         run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
-        line_cost = run_cost[table[:, n + 1]]
+        line_cost = run_cost[table[:, n]]
         return cls(controls, dt * controls, run_cost, float(dt), float(mesh), half, table, line_cost)
 
 
-# Line steps evaluated around the floor of a cell's clamped vertex: the
-# integer minimiser of a convex parabola on a cell is the floor or the
-# ceiling of its clamped vertex, and one more step on each side absorbs
-# the rounding of the vertex and of the cell bounds.
-_VERTEX_STEPS = np.arange(-1, 3)
-
-# Slack of the bounds, relative to the size of u and of the run cost: far
-# above their rounding; a larger slack only keeps more lines and cells.
+# Slack of the line filter's bound, relative to the size of u and of the
+# run cost: far above its rounding; a larger slack only keeps more lines.
 _BOUND_SLACK = 1e-9
+
+# Cells by which a cell's steps reach past its end nodes: far above the
+# rounding of a foot's cell coordinate, far below the escape margin's slop.
+_NODE_SLOP = 1e-10
 
 
 class _Pairs(NamedTuple):
     """(point, line) pairs of the 2D cell stage, in point-major order with
     every point at least once: ``starts[p]`` is the first pair of point p.
-    ``j1``, ``w1`` and ``inside`` are the pair's axis-1 column, its weight
-    and whether the axis-1 foot is in the box."""
+    ``j1``, ``w1`` and ``escaped`` are the pair's axis-1 column, its weight
+    and whether the axis-1 foot escapes (``clamp_cells``)."""
 
     who: np.ndarray
     starts: np.ndarray
     line: np.ndarray
     j1: np.ndarray
     w1: np.ndarray
-    inside: np.ndarray
+    escaped: np.ndarray
 
 
 def _slack(f: np.ndarray, lattice: _Lattice) -> float:
-    """The bounds' slack, from the finite values of u only: one NaN node
-    must not void the bounds of points that never reach it."""
+    """The line filter's slack, from the finite values of u only: one NaN
+    node must not void the bounds of points that never reach it."""
     size = np.abs(f).max()
     if not np.isfinite(size):
         size = np.abs(f[np.isfinite(f)]).max(initial=0.0)
     return _BOUND_SLACK * (1.0 + size + lattice.run_cost.max())
 
 
-def _first_least(q: np.ndarray, cand: np.ndarray, counts: np.ndarray, n_controls: int):
-    """Per point, whose ``counts[p]`` candidates are consecutive in ``q``
-    and ``cand``: the least value and the least sorted-lattice index
-    attaining it (every candidate's, when the least is NaN)."""
-    starts = np.cumsum(counts) - counts
-    best = np.minimum.reduceat(q, starts)
-    least = np.repeat(best, counts)
-    tied = np.where((q == least) | np.isnan(least), cand, n_controls)
-    return np.minimum.reduceat(tied, starts), best
+def _cell_steps(cells: np.ndarray, offset: np.ndarray, s: float, half, n_cells: int):
+    """The line steps whose foot lies in each cell: real ``k_lo .. k_hi``
+    and lattice ``step_lo .. step_hi``.
+
+    ``offset`` is the point's coordinate minus the cell's, in cells, and a
+    step moves the foot ``s`` cells.  The clamp cells -1 and n reach out
+    to the escape margin; ``|k| <= half`` keeps the steps on the line.  A
+    node bound is widened by ``_NODE_SLOP``, so a foot on a node, which
+    rounding may put on either side, lies in both cells around it.
+    """
+    margin = escape_margin(n_cells)
+    lower = np.where(cells >= 0, -_NODE_SLOP, 1.0 - margin)
+    upper = np.where(cells < n_cells, 1.0 + _NODE_SLOP, margin)
+    k_lo = np.maximum((lower - offset) / s, -half)
+    k_hi = np.minimum((upper - offset) / s, half)
+    return k_lo, k_hi, np.ceil(k_lo), np.floor(k_hi)
+
+
+def _first_least(q: np.ndarray, index: np.ndarray, n_controls: int) -> np.ndarray:
+    """Per row of ``q``, with sorted-lattice indices ``index``: the column
+    that np.argmin over the sorted lattice picks, the least value of least
+    index (of a NaN, if the row has one)."""
+    least = q.min(axis=1, keepdims=True)
+    key = np.where((q == least) | np.isnan(q), index, n_controls)
+    return (key == key.min(axis=1, keepdims=True)).argmax(axis=1)
 
 
 def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate, reach_field=None):
@@ -183,46 +191,43 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     fixed; on each axis-0 cell u is then linear in the line step k, and
     the objective is the convex parabola ``const + d s k + dt mesh^2 k^2/2``
     with ``d`` the node difference of u across the cell at that weight and
-    ``s = dt mesh / h``.  The cells a line reaches, with the one-cell clamp
-    zones -1 and n where u is flat, cover all its feet.
+    ``s = dt mesh / h``.  The cells a line reaches cover all its feet; the
+    clamp cells -1 and n, where u is flat, reach out to the escape margin.
 
-    Per (point, line), each reached cell gets a lower bound (the parabola
-    at its vertex ``k* = -d s / (dt mesh^2)`` clamped to the cell and to
-    the line) and, if it holds a lattice step inside the box, an upper
-    bound (the parabola at that step).  A cell whose lower bound exceeds
-    the point's least upper bound cannot hold the minimiser.  Each
-    remaining cell contributes the steps ``floor(k*) - 1 .. floor(k*) + 2``,
-    and only these candidates are evaluated.  1D has one line and runs the
-    line kernel (``_line_kernel``), which evaluates the candidates with the
-    1D expression of ``SpatialGrid.interpolate_many`` (``lerp``).  In 2D a
-    line filter (``_line_filter``) first drops, per point, every line whose
-    lower bound exceeds a value the point reaches on another line; the cell
-    stage (``_cell_stage``) then runs on the surviving (point, line) pairs
-    and evaluates its candidates by ``evaluate(grid, field, feet)``: the
-    caller's exact float expression for u at the feet, inf where a foot
-    escapes.
+    Each (point, line, cell) row takes its least lattice step in closed
+    form: the vertex ``k* = -d s / (dt mesh^2)``, clamped to the cell's
+    steps (``_cell_steps``) and rounded.  Per point the rows are ranked by
+    the parabola at that step, ties going to the smaller sorted-lattice
+    index, and only the two steps ``floor(k*)`` and ``floor(k*) + 1``
+    around the winning row's clamped vertex are evaluated, by the caller's
+    float expression for u; the lesser wins, ties again by index.  1D has
+    one line and runs the line kernel (``_line_kernel``), which evaluates
+    with the 1D expression of ``SpatialGrid.interpolate_many`` (``lerp``).
+    In 2D a line filter (``_line_filter``) first drops, per point, every
+    line whose lower bound exceeds a value the point reaches on another
+    line; the cell stage (``_cell_stage``) then runs on the surviving
+    (point, line) pairs and evaluates by ``evaluate(grid, field, feet)``,
+    inf where a foot escapes.
 
-    Exactness: every bound is compared with a slack far above its
-    rounding, so no line or cell that holds the float minimiser, or a tie
-    with it, is dropped; in its cell, a lattice step outside the
-    candidates exceeds a candidate by at least dt mesh^2 / 2.  So while
-    dt mesh^2 is well above the rounding of u, the float minimiser over the
-    whole lattice is a candidate.  Ties go to the smallest sorted-lattice
-    index, as the first occurrence over the lattice would.  The slack is
-    taken from the finite values of u, so a NaN node loosens only the
-    bounds it reaches: the filter keeps a line whose bound is NaN and drops
-    none for a NaN least value, and a point whose least upper bound is not
-    finite keeps at least its cell of least lower bound (np.argmin's
-    choice: the first NaN).
+    Exactness: the rounded vertex is its cell's least lattice step and one
+    of the two evaluated steps, which are compared as a scan of the whole
+    lattice compares them; so a tie inside a cell (a vertex within
+    rounding of a half-integer) breaks as that scan breaks it.  Across
+    cells the ranking uses the parabola, which is u up to rounding, so the
+    result is the scan's except where the minima of two cells agree to
+    within that rounding; there either may win.  The line filter compares
+    with a slack far above its rounding, taken from the finite values of
+    u, so it drops no line that holds the minimiser or a tie, and a NaN
+    node keeps only the lines whose bound it reaches.  A row whose
+    parabola is NaN ranks first, as the first NaN does in np.argmin.
 
     The returned ``argmin(field)`` gives, per point, the sorted-lattice
     index of the minimiser and the minimum (inf where every control
     escapes).  In 1D the (point, cell) geometry is built here; given
     ``reach_field``, the field the argmin will be called with, it holds
     only the cells within that field's descent bound (``_line_kernel``).
-    Transport, whose points move, builds its geometry per step and passes
-    the step's field.  In 2D the cell geometry is built per call for the
-    surviving pairs, so no points x lines x reach array outlives a call.
+    In 2D the cell geometry is built per call for the surviving pairs, so
+    no points x lines x reach array outlives a call.
     """
     if grid.dim == 1:
         return _line_kernel(grid, points, lattice, reach_field)
@@ -237,24 +242,24 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
 def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None):
     """The bracketed argmin in 1D: one line, as (point, cell) rows.
 
-    The bounds, slack and candidates are those of the 2D cell stage,
-    gathered per (point, cell) from one node array padded by the clamp
-    cells -1 and n and reduced per row; the candidates are evaluated with
-    the float expression of ``SpatialGrid.interpolate_many``.
+    The rows, their ranking and the two evaluated steps are those of the
+    2D cell stage, with u and its cell difference gathered from one node
+    array padded by the clamp cells -1 and n; the two steps are evaluated
+    with the float expression of ``SpatialGrid.interpolate_many``.
 
-    Given ``reach_field``, the rows keep only the cells within ``2 dt S``
-    of the point, plus one on each side, with S the steepest slope of that
-    field over the cells that any point's feet reach.  Exact: the zero
-    control is a lattice point and costs u(x); a foot z away costs at
-    least ``u(x) - S |z| + z^2 / (2 dt)``, above u(x) once
-    ``|z| > 2 dt S``, and a foot at exactly ``2 dt S`` only ties the zero
-    control, which wins with sorted index 0.  The extra cell absorbs the
-    rounding.  Where S is not finite every reached cell stays.
+    Given ``reach_field``, the rows keep only the cells within
+    ``dt (S + mesh/2)`` of the point, plus one on each side, with S the
+    steepest slope of that field over the cells that any point's feet
+    reach.  Exact: a lattice move z with ``|z| > dt (S + mesh/2)`` loses to
+    the step one mesh back toward x, whose run cost is lower by
+    ``mesh (|z| - dt mesh/2)`` while u rises by at most ``S dt mesh``; at
+    equality the step back, of smaller norm and so of smaller sorted
+    index, wins the tie.  The extra cell absorbs the rounding.  Where S is
+    not finite every reached cell stays.
     """
     lo, h, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
     mesh, half, dt = lattice.mesh, lattice.half[0], lattice.dt
     s = dt * mesh / h
-    curvature = 0.5 * dt * mesh * mesh
     table, moves = lattice.table[0], lattice.moves[:, 0]
     origin = table.size // 2 - 1  # the table column of step 0
     x = points[:, 0]
@@ -267,47 +272,37 @@ def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach
         f = reach_field.ravel()[first:last + 2]
         slope = np.abs(f[1:] - f[:-1]).max(initial=0.0) / h
         if np.isfinite(slope):
-            r = 2.0 * dt * slope / h
+            r = dt * (slope + 0.5 * mesh) / h
             np.maximum(c_ends[:, 0], np.floor(t - r) - 1.0, out=c_ends[:, 0])
             np.minimum(c_ends[:, 1], np.floor(t + r) + 1.0, out=c_ends[:, 1])
     c_ends = c_ends.astype(np.int64)
     reach = int((c_ends[:, 1] - c_ends[:, 0]).max()) + 1
     cells = np.minimum(c_ends[:, :1] + np.arange(reach), c_ends[:, 1:])
     offset = t[:, None] - cells
-    k_lo = np.maximum(np.where(cells >= 0, -offset / s, -np.inf), -half)
-    k_hi = np.minimum(np.where(cells < n0, (1.0 - offset) / s, np.inf), half)
-    # the step of the upper bound: a lattice step in the cell, in the box
-    step_lo, step_hi = np.ceil(k_lo), np.floor(k_hi)
-    bounded = (step_lo <= step_hi) & (cells >= 0) & (cells < n0)
+    k_lo, k_hi, step_lo, step_hi = _cell_steps(cells, offset, s, half, n0)
+    holds = step_lo <= step_hi
     at = cells + 1  # into the padded nodes
     padded = np.arange(-1, n0 + 2).clip(0, n0)
+    rows = np.arange(x.size)
     n_controls = lattice.controls.shape[0]
 
     def argmin(field: np.ndarray):
         f = field.ravel()
         pad = f[padded]
         u_lo, d = pad[at], (pad[1:] - pad[:-1])[at]
-
-        def parabola(k):
-            return u_lo + d * (offset + s * k) + curvature * k * k
-
         # fmax/fmin: where u is NaN the vertex still names a lattice step
         vertex = np.fmin(np.fmax(d / (-mesh * h), k_lo), k_hi)
-        lower = parabola(vertex)
-        upper = np.where(bounded, parabola(np.rint(vertex).clip(step_lo, step_hi)), np.inf)
-        threshold = upper.min(axis=1) + _slack(f, lattice)
-        keep = lower <= threshold[:, None]
-        loose = ~np.isfinite(threshold)
-        if loose.any():
-            keep[loose, lower[loose].argmin(axis=1)] = True
-        row, cell = np.nonzero(keep)
-        cand = table[(origin + np.floor(vertex[row, cell]).astype(np.int64))[:, None] + _VERTEX_STEPS]
-        j, w, escaped = clamp_cells((x[row, None] + moves[cand] - lo) / h, n0)
+        step = np.rint(vertex).clip(step_lo, step_hi)
+        index = table[origin + step.astype(np.int64)]
+        value = np.where(holds, u_lo + d * (offset + s * step) + lattice.run_cost[index], np.inf)
+        cell = _first_least(value, index, n_controls)
+        cand = table[origin + np.floor(vertex[rows, cell]).astype(np.int64)[:, None] + np.arange(2)]
+        j, w, escaped = clamp_cells((x[:, None] + moves[cand] - lo) / h, n0)
         q = lerp(f, j, w)
         q[escaped] = np.inf
         q += lattice.run_cost[cand]
-        counts = _VERTEX_STEPS.size * np.bincount(row, minlength=x.size)
-        return _first_least(q.ravel(), cand.ravel(), counts, n_controls)
+        pick = _first_least(q, cand, n_controls)
+        return cand[rows, pick], q[rows, pick]
 
     return argmin
 
@@ -325,9 +320,9 @@ def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
     so every control on the line costs at least
     ``LB_l = c_l + g_l(x0) - dt S^2 / 2``.  The controls (0, a1) are
     lattice points, so ``UB``, the least ``c_l + g_l(x0)`` over the lines
-    whose foot stays in the box, is a value some control reaches.  A line with
-    ``LB_l > UB + slack`` holds neither the minimiser nor a tie, and is
-    dropped; the line of UB always stays, so every point keeps a line.
+    whose foot does not escape, is a value some control reaches.  A line
+    with ``LB_l > UB + slack`` holds neither the minimiser nor a tie, and
+    is dropped; the line of UB always stays, so every point keeps a line.
 
     The slopes come from one pass over the field per call: the signed
     axis-0 node differences, zero-padded for the clamp zones, and their
@@ -341,18 +336,13 @@ def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
     (lo0, lo1), (h0, h1), (n0, n1) = grid.lower_array, grid.spacing, grid.n_cells
     n_p, cols = points.shape[0], n1 + 1
     move1 = lattice.moves[lattice.table[:, 0], 1]  # dt a1 per line
-    t1 = (points[:, 1:] + move1 - lo1) / h1
-    inside = (t1 >= 0.0) & (t1 <= n1)
-    t0 = (points[:, 0] - lo0) / h0
-    in_box = inside & ((t0 >= 0.0) & (t0 <= n0))[:, None]
-    t1 = np.clip(t1, 0.0, n1)
-    j1 = np.minimum(np.floor(t1).astype(np.int64), n1 - 1)
-    w1 = t1 - j1
+    j1, w1, escaped = clamp_cells((points[:, 1:] + move1 - lo1) / h1, n1)
     v1 = 1.0 - w1
     # the point's axis-0 cell and weight, clamped onto the box as u is
-    t0 = np.clip(t0, 0.0, n0)
-    i0 = np.minimum(np.floor(t0).astype(np.int64), n0 - 1)
-    w0 = (t0 - i0)[:, None]
+    t0 = (points[:, 0] - lo0) / h0
+    i0, w0, escaped0 = clamp_cells(t0, n0)
+    w0 = w0[:, None]
+    feasible = ~(escaped | escaped0[:, None])  # the controls (0, a1)
     at_x0 = np.arange(n_p)[:, None] * cols + j1
     # windows of `width` cells: the right one starts at the cell of x0,
     # the left one ends at the cell left of ceil(t0); window s of the
@@ -373,26 +363,27 @@ def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
         fall_left = v1 * most[left] + w1 * most[left + 1]
         slope = np.maximum(np.maximum(fall_right, fall_left), 0.0) / h0
         lower = value - 0.5 * lattice.dt * slope * slope
-        upper = np.where(in_box, value, np.inf).min(axis=1)
+        upper = np.where(feasible, value, np.inf).min(axis=1)
         kept = ~(lower > (upper + _slack(f, lattice))[:, None])
         who, line = np.nonzero(kept)
         counts = kept.sum(axis=1)
-        return _Pairs(who, np.cumsum(counts) - counts, line, j1[who, line], w1[who, line], inside[who, line])
+        return _Pairs(who, np.cumsum(counts) - counts, line, j1[who, line], w1[who, line], escaped[who, line])
 
     return keep
 
 
 def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate, pairs: _Pairs):
     """The 2D cell stage of ``_bracketed_argmin`` on the given pairs;
-    returns ``argmin(field)``."""
-    who, starts, line, j1, w1, inside = pairs
+    returns ``argmin(field)``.  A pair whose axis-1 foot escapes holds no
+    step."""
+    who, starts, line, j1, w1, escaped = pairs
     lo0, h0, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
     mesh, half = lattice.mesh, lattice.half[line][:, None]
     s = lattice.dt * mesh / h0
-    curvature = 0.5 * lattice.dt * mesh * mesh
     width = lattice.table.shape[1]
-    origin = width // 2 - 1  # the table column of step 0
-    j1, w1, inside = j1[:, None], w1[:, None], inside[:, None]
+    # the flat table position of each pair's step 0
+    origin = (line * width + width // 2 - 1)[:, None]
+    j1, w1 = j1[:, None], w1[:, None]
     # the foot moves monotonically with the step, also in floats, so the
     # cells of a line's end feet bound every cell the line reaches
     ends = lattice.table[:, :: width - 1][line]
@@ -401,50 +392,39 @@ def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evalua
     reach = int((c_ends[:, 1] - c_ends[:, 0]).max()) + 1
     cells = np.minimum(c_ends[:, :1] + np.arange(reach), c_ends[:, 1:])
     offset = ((points[:, 0] - lo0) / h0)[who, None] - cells
-    k_lo = np.maximum(np.where(cells >= 0, -offset / s, -np.inf), -half)
-    k_hi = np.minimum(np.where(cells < n0, (1.0 - offset) / s, np.inf), half)
+    k_lo, k_hi, step_lo, step_hi = _cell_steps(cells, offset, s, half, n0)
+    holds = (step_lo <= step_hi) & ~escaped[:, None]
     # u on the line at the cell's end nodes, which coincide in the clamp
-    # zones; a line whose axis-1 foot leaves the box gives no upper bound
+    # zones
     n_cols = grid.shape[1]
     at_lo = np.clip(cells, 0, n0) * n_cols + j1
     at_hi = np.clip(cells + 1, 0, n0) * n_cols + j1
-    # the step of the upper bound: a lattice step in the cell, in the box
-    step_lo, step_hi = np.ceil(k_lo), np.floor(k_hi)
-    bounded = (step_lo <= step_hi) & (cells >= 0) & (cells < n0) & inside
-    line_cost = lattice.line_cost[line][:, None]
     table = lattice.table.ravel()
+    rows, pair_rows = np.arange(starts.size), np.arange(who.size)
+    n_controls = lattice.controls.shape[0]
 
     def argmin(field: np.ndarray):
         f = field.ravel()
         u_lo = (1.0 - w1) * f[at_lo] + w1 * f[at_lo + 1]
         d = (1.0 - w1) * f[at_hi] + w1 * f[at_hi + 1] - u_lo
-
-        def parabola(k):
-            return u_lo + d * (offset + s * k) + curvature * k * k + line_cost
-
         # fmax/fmin: where u is NaN the vertex still names a lattice step
         vertex = np.fmin(np.fmax(d / (-mesh * h0), k_lo), k_hi)
-        lower = parabola(vertex)
-        upper = np.where(bounded, parabola(np.clip(np.rint(vertex), step_lo, step_hi)), np.inf)
-        threshold = np.minimum.reduceat(upper.min(axis=1), starts) + _slack(f, lattice)
-        keep = lower <= threshold[who][:, None]
-        loose = ~np.isfinite(threshold)
-        if loose.any():
-            # the point's least upper bound is not finite: the cell of its
-            # least lower bound stays, the one np.argmin picks (the first
-            # NaN); with a finite bound that cell stays anyway
-            pair_least = lower.min(axis=1)
-            point_least = np.minimum.reduceat(pair_least, starts)[who]
-            holds = (pair_least == point_least) | np.isnan(pair_least)
-            first = np.minimum.reduceat(np.where(holds, np.arange(who.size), who.size), starts)[loose]
-            keep[first, lower[first].argmin(axis=1)] = True
-        pair, cell = np.nonzero(keep)
-        vertex_step = np.floor(vertex[pair, cell]).astype(np.int64)
-        cand = table[(line[pair] * width + origin + vertex_step)[:, None] + _VERTEX_STEPS]
-        feet = (points[who[pair]][:, None, :] + lattice.moves[cand]).reshape(-1, grid.dim)
-        q = evaluate(grid, field, feet) + lattice.run_cost[cand].ravel()
-        counts = _VERTEX_STEPS.size * np.bincount(who[pair], minlength=starts.size)
-        return _first_least(q, cand.ravel(), counts, lattice.controls.shape[0])
+        step = np.clip(np.rint(vertex), step_lo, step_hi)
+        index = table[origin + step.astype(np.int64)]
+        value = np.where(holds, u_lo + d * (offset + s * step) + lattice.run_cost[index], np.inf)
+        cell = _first_least(value, index, n_controls)
+        # per point, the pair whose row is first by the same rule
+        value, index = value[pair_rows, cell], index[pair_rows, cell]
+        least = np.minimum.reduceat(value, starts)[who]
+        key = np.where((value == least) | np.isnan(value), index, n_controls)
+        first = np.minimum.reduceat(key, starts)[who]
+        pair = np.minimum.reduceat(np.where(key == first, pair_rows, who.size), starts)
+        vertex_step = np.floor(vertex[pair, cell[pair]]).astype(np.int64)
+        cand = table[(origin[pair, 0] + vertex_step)[:, None] + np.arange(2)]
+        feet = (points[:, None, :] + lattice.moves[cand]).reshape(-1, grid.dim)
+        q = (evaluate(grid, field, feet) + lattice.run_cost[cand].ravel()).reshape(cand.shape)
+        pick = _first_least(q, cand, n_controls)
+        return cand[rows, pick], q[rows, pick]
 
     return argmin
 
@@ -505,12 +485,19 @@ def _interpolate(grid: SpatialGrid, field: np.ndarray, feet: np.ndarray) -> np.n
     return grid.interpolate_many(field, feet, out_of_range="inf")
 
 
+def horizon_steps(T: float, dt: float) -> int:
+    """The number of steps dt in the horizon T; ValueError unless dt
+    divides T up to 1e-9 relative."""
+    n_t = int(round(T / dt))
+    if n_t < 1 or abs(n_t * dt - T) > 1e-9 * max(1.0, abs(T)):
+        raise ValueError(f"step {dt} does not divide the horizon {T}")
+    return n_t
+
+
 def _check_alignment(path: MeasurePath, dt: float):
     T = float(path.times[-1])
-    n_t = int(round(T / dt))
+    n_t = horizon_steps(T, dt)
     scale = max(1.0, abs(T))
-    if n_t < 1 or abs(n_t * dt - T) > 1e-9 * scale:
-        raise ValueError(f"step {dt} does not divide the horizon {T}")
     lattice = np.arange(n_t + 1) * dt
     if path.n_times != n_t + 1 or not np.allclose(path.times, lattice, rtol=0.0, atol=1e-9 * scale):
         raise ValueError("measure-path times do not align with the dt lattice")
@@ -532,20 +519,16 @@ def solve_hjb_backward(
     Control feet beyond the one-cell clamp margin are discarded; the zero
     control keeps every node feasible.  The argmin control index per
     (step, node) is stored as the feedback policy; ties go to the first
-    control of the sorted lattice.
+    control of the sorted lattice, up to the rounding caveat below.
 
-    The minimum is found by the bracketed argmin of ``_bracketed_argmin``.
-    Its geometry at the nodes is built once per solve: the (node, cell)
-    rows of the 1D line kernel over the whole reach (the nodes span the
-    box, where the transport's descent bound would barely narrow it), the
-    (node, line) feet of the line filter in 2D, whose cell stage is built
-    per step for the lines that survive.  A candidate foot is evaluated as
-    corner values times corner weights, summed per foot (in 1D, with
-    ``interpolate_many``'s expression, the same bits), so values and policy
-    are those of a scan of the whole lattice as long as
-    ``dt * control_mesh**2`` is well above the rounding of u; no nodes x
-    controls table is built, and in 2D no nodes x lines x reach one
-    outlives a step.
+    The minimum is the closed-form argmin of ``_bracketed_argmin``, its
+    two steps evaluated as corner values times corner weights, summed per
+    foot (in 1D, ``interpolate_many``'s expression, the same bits): values
+    and policy are those of a scan of the whole lattice except where the
+    minima of two cells agree to within rounding.  Its geometry at the
+    nodes is built once per solve: the (node, cell) rows of the 1D line
+    kernel over the whole reach, the (node, line) feet of the 2D line
+    filter, whose cell stage is built per step for the surviving lines.
     """
     n_t, lattice = _check_alignment(path, dt)
     if control_radius is None:
@@ -631,19 +614,14 @@ def transport_forward(
     Euler step and weights never change.  Errors out if any particle comes
     within two cells of the box boundary.
 
-    The argmin is the bracketed argmin of ``_bracketed_argmin`` at the
-    particle positions, with its candidates evaluated by
-    ``interpolate_many``'s float expression: the control is the first
-    minimiser over the whole lattice as long as ``dt * control_mesh**2`` is
-    well above the rounding of the value slice.  Its geometry is built per
-    step, and in 1D for the step's slice: only the cells within ``2 dt S``
-    of a particle, plus one on each side, with S the steepest slope of the
-    slice over the nodes any particle's feet reach.  This drops no
-    minimiser: the zero control costs u(x), and a foot z away costs at
-    least ``u(x) - S|z| + z^2/(2 dt)``, which is above u(x) once
-    ``|z| > 2 dt S``; a foot at exactly ``2 dt S`` only ties the zero
-    control, which wins the tie with sorted index 0.  A slice whose S is
-    not finite keeps the full reach.
+    The argmin is the closed-form argmin of ``_bracketed_argmin`` at the
+    particle positions, its two steps evaluated by ``interpolate_many``'s
+    float expression: the control is the first minimiser over the whole
+    lattice except where the minima of two cells agree to within rounding.
+    Its geometry is built per step, and in 1D for the step's slice: only
+    the cells within ``dt (S + mesh/2)`` of a particle, plus one on each
+    side, S the steepest slope of the slice within reach, which drop no
+    minimiser (``_line_kernel``).
     """
     grid = value.grid
     dt = value.dt
@@ -773,10 +751,7 @@ def solve_mfg(
     """
     if damping_schedule is None:
         damping_schedule = harmonic_damping
-    n_t = int(round(T / dt))
-    scale = max(1.0, abs(T))
-    if n_t < 1 or abs(n_t * dt - T) > 1e-9 * scale:
-        raise ValueError(f"step {dt} does not divide the horizon {T}")
+    n_t = horizon_steps(T, dt)
     times = np.arange(n_t + 1) * dt
     ckpt = checkpoint_indices(n_t)
     seeds = np.random.SeedSequence(seed).generate_state(2 * max_iter + 2)

@@ -227,15 +227,21 @@ class SpatialGrid:
         return float(np.sqrt(total))
 
 
+def escape_margin(n_cells):
+    """How far, in cells, a coordinate may lie outside ``[0, n_cells]``
+    before it escapes: one cell, up to ``_MARGIN_SLOP``."""
+    return 1.0 + _MARGIN_SLOP * (1.0 + n_cells)
+
+
 def clamp_cells(t: np.ndarray, n_cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell index, weight and escape flag per cell coordinate.
 
     ``t`` holds coordinates in cells from the lower corner, on an axis of
     ``n_cells`` cells (an array broadcasting against ``t`` per axis).  They
-    are clamped onto ``[0, n_cells]``; a coordinate farther than one cell
-    (up to ``_MARGIN_SLOP``) outside is flagged as escaped.
+    are clamped onto ``[0, n_cells]``; a coordinate farther than
+    ``escape_margin`` outside is flagged as escaped.
     """
-    margin = 1.0 + _MARGIN_SLOP * (1.0 + n_cells)
+    margin = escape_margin(n_cells)
     escaped = (t < -margin) | (t > n_cells + margin)
     t = t.clip(0.0, n_cells)
     j = np.minimum(np.floor(t).astype(int), n_cells - 1)
