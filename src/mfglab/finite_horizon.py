@@ -10,8 +10,10 @@ vertex clamped to the cell and rounded.  The cells are ranked by the
 parabola at that step, and only the two steps around the winning vertex
 are evaluated, with the float expression and tie-break of a scan of the
 whole lattice: the result is that scan's except where the minima of two
-cells agree to within rounding.  In 2D an exact per-line lower bound
-first drops the lattice lines that cannot hold the minimum; in 1D each
+cells agree to within rounding.  In 2D each step searches only its
+descent box, the controls with ``|a_i| <= S_i + mesh/2`` (S_i the steepest
+axis-i slope of the value slice), and an exact per-line lower bound then
+drops the lines of the box that cannot hold the minimum; in 1D each
 transport step keeps only the cells within ``dt (S + mesh/2)`` of a
 particle, S the steepest slope of the value slice within reach (see
 ``_bracketed_argmin``).  The population is a particle cloud pushed
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -96,7 +98,9 @@ class _Lattice:
     its nearest end, so ``table[:, 0]`` and ``table[:, -1]`` are the line
     ends.  ``moves`` is ``dt * controls`` and ``run_cost`` is
     ``dt |a|^2 / 2`` per control; ``line_cost`` is the run cost of each
-    line's step 0, the control with axis-0 component 0.
+    line's step 0, the control with axis-0 component 0.  A descent box
+    (``_descent_box``) is a ``_Lattice`` of the same controls whose table
+    is a slice of this one's, n its step bound.
     """
 
     controls: np.ndarray
@@ -122,6 +126,37 @@ class _Lattice:
         run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
         line_cost = run_cost[table[:, n]]
         return cls(controls, dt * controls, run_cost, float(dt), float(mesh), half, table, line_cost)
+
+
+def _descent_box(grid: SpatialGrid, lattice: _Lattice, field: np.ndarray) -> _Lattice:
+    """The 2D sub-lattice that holds the first minimiser of ``field``'s
+    step: the lines with ``|a1| <= S1 + mesh/2`` and on them the steps
+    with ``|a0| <= S0 + mesh/2``, S_i the largest absolute axis-i node
+    difference of the field over h_i; the whole lattice where S is not
+    finite.  Its table is a slice of the lattice's, so its indices are
+    those of the whole sorted lattice.
+
+    Exact: a control with ``|a_i| > S_i + mesh/2`` (so ``|a_i| >= mesh``)
+    loses to the one a mesh back toward the axis, on the lattice as it has
+    a smaller norm.  Its run cost is lower by ``dt mesh (|a_i| - mesh/2)``
+    while the bilinear, clamped u rises by at most ``S_i dt mesh``, and its
+    foot lies between x and the first foot, so it escapes only if that one
+    does; at equality the smaller norm, and so the smaller sorted index,
+    wins the tie.
+    """
+    f = field.reshape(grid.shape)
+    s0 = np.abs(f[1:] - f[:-1]).max() / grid.spacing[0]
+    s1 = np.abs(f[:, 1:] - f[:, :-1]).max() / grid.spacing[1]
+    if not np.isfinite(s0 + s1):
+        return lattice
+    # |a1| per line, |k| mesh for k = -n .. n: also each |a0| of a step
+    a = np.abs(lattice.controls[lattice.table[:, 0], 1])
+    first, last = np.flatnonzero(a <= s1 + 0.5 * lattice.mesh)[[0, -1]]
+    k0 = np.count_nonzero(a <= s0 + 0.5 * lattice.mesh) // 2
+    n = lattice.table.shape[1] // 2 - 1
+    table = lattice.table[first:last + 1, n + np.arange(-k0, k0 + 2).clip(-k0, k0)]
+    half = np.minimum(lattice.half[first:last + 1], k0)
+    return replace(lattice, half=half, table=table, line_cost=lattice.line_cost[first:last + 1])
 
 
 # Slack of the line filter's bound, relative to the size of u and of the
@@ -203,11 +238,14 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     float expression for u; the lesser wins, ties again by index.  1D has
     one line and runs the line kernel (``_line_kernel``), which evaluates
     with the 1D expression of ``SpatialGrid.interpolate_many`` (``lerp``).
-    In 2D a line filter (``_line_filter``) first drops, per point, every
-    line whose lower bound exceeds a value the point reaches on another
-    line; the cell stage (``_cell_stage``) then runs on the surviving
-    (point, line) pairs and evaluates by ``evaluate(grid, field, feet)``,
-    inf where a foot escapes.
+    In 2D a call runs three stages on its field: the descent box
+    (``_descent_box``) keeps the sub-lattice of controls with
+    ``|a_i| <= S_i + mesh/2``, S_i the field's steepest axis-i slope; the
+    line filter (``_line_filter``) drops, per point, every line of the box
+    whose lower bound exceeds a value the point reaches on another line;
+    the cell stage (``_cell_stage``) runs on the surviving (point, line)
+    pairs and evaluates by ``evaluate(grid, field, feet)``, inf where a
+    foot escapes.
 
     Exactness: the rounded vertex is its cell's least lattice step and one
     of the two evaluated steps, which are compared as a scan of the whole
@@ -215,26 +253,31 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     rounding of a half-integer) breaks as that scan breaks it.  Across
     cells the ranking uses the parabola, which is u up to rounding, so the
     result is the scan's except where the minima of two cells agree to
-    within that rounding; there either may win.  The line filter compares
-    with a slack far above its rounding, taken from the finite values of
-    u, so it drops no line that holds the minimiser or a tie, and a NaN
-    node keeps only the lines whose bound it reaches.  A row whose
-    parabola is NaN ranks first, as the first NaN does in np.argmin.
+    within that rounding; there either may win.  The box drops only
+    controls that lose to the control a mesh nearer the axis, or tie with
+    it at a larger sorted index, so it keeps the first minimiser; a NaN or
+    inf node keeps the whole lattice.  The line filter compares with a
+    slack far above its rounding, taken from the finite values of u, so it
+    drops no line that holds the minimiser or a tie, and a NaN node keeps
+    only the lines whose bound it reaches.  A row whose parabola is NaN
+    ranks first, as the first NaN does in np.argmin.
 
     The returned ``argmin(field)`` gives, per point, the sorted-lattice
     index of the minimiser and the minimum (inf where every control
     escapes).  In 1D the (point, cell) geometry is built here; given
     ``reach_field``, the field the argmin will be called with, it holds
     only the cells within that field's descent bound (``_line_kernel``).
-    In 2D the cell geometry is built per call for the surviving pairs, so
-    no points x lines x reach array outlives a call.
+    In 2D the line filter's (point, line) feet and the cell geometry are
+    built per call, for the box's lines and the surviving pairs, so no
+    points x lines array of the whole lattice is built unless the box is
+    all of it, and no points x lines x reach array outlives a call.
     """
     if grid.dim == 1:
         return _line_kernel(grid, points, lattice, reach_field)
-    line_filter = _line_filter(grid, points, lattice)
 
     def argmin(field: np.ndarray):
-        return _cell_stage(grid, points, lattice, evaluate, line_filter(field))(field)
+        sub = _descent_box(grid, lattice, field)
+        return _cell_stage(grid, points, sub, evaluate, _line_filter(grid, points, sub)(field))(field)
 
     return argmin
 
@@ -314,10 +357,10 @@ def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
     u is ``g_l(z) = u(z, x1 + dt a1)`` at the clamped axis-1 foot (the
     column pair and weight of the cell stage).  If g_l falls at most at
     slope A to the right of x0 and B to the left, over the
-    ``ceil(max|dt a0| / h0) + 1`` cells the line can reach (slope 0 in the
-    clamp zones), then a control of axis-0 move ``z = dt a0`` costs at
-    least ``c_l + g_l(x0) - S |z| + z^2 / (2 dt)`` with S = max(A, B), and
-    so every control on the line costs at least
+    ``ceil(max|dt a0| / h0) + 1`` cells the lattice's lines reach (a0 over
+    the line ends; slope 0 in the clamp zones), then a control of axis-0
+    move ``z = dt a0`` costs at least ``c_l + g_l(x0) - S |z| + z^2 / (2 dt)``
+    with S = max(A, B), and so every control on the line costs at least
     ``LB_l = c_l + g_l(x0) - dt S^2 / 2``.  The controls (0, a1) are
     lattice points, so ``UB``, the least ``c_l + g_l(x0)`` over the lines
     whose foot does not escape, is a value some control reaches.  A line
@@ -347,7 +390,7 @@ def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
     # windows of `width` cells: the right one starts at the cell of x0,
     # the left one ends at the cell left of ceil(t0); window s of the
     # padded differences covers cells s - width .. s - 1
-    width = int(np.ceil(np.abs(lattice.moves[:, 0]).max() / h0)) + 1
+    width = int(np.ceil(np.abs(lattice.moves[lattice.table[:, [0, -1]], 0]).max() / h0)) + 1
     right = (np.floor(t0).astype(np.int64) + width)[:, None] * cols + j1
     left = np.ceil(t0).astype(np.int64)[:, None] * cols + j1
     diff = np.zeros((n0 + 2 * width, cols))
@@ -525,10 +568,12 @@ def solve_hjb_backward(
     two steps evaluated as corner values times corner weights, summed per
     foot (in 1D, ``interpolate_many``'s expression, the same bits): values
     and policy are those of a scan of the whole lattice except where the
-    minima of two cells agree to within rounding.  Its geometry at the
-    nodes is built once per solve: the (node, cell) rows of the 1D line
-    kernel over the whole reach, the (node, line) feet of the 2D line
-    filter, whose cell stage is built per step for the surviving lines.
+    minima of two cells agree to within rounding.  In 1D its geometry at
+    the nodes is built once per solve: the (node, cell) rows of the line
+    kernel over the whole reach.  In 2D each step searches the descent box
+    of its value slice, the controls with ``|a_i| <= S_i + mesh/2``, and
+    builds the line filter's (node, line) feet for the box's lines and the
+    cell stage for the lines that survive the filter.
     """
     n_t, lattice = _check_alignment(path, dt)
     if control_radius is None:
@@ -618,10 +663,11 @@ def transport_forward(
     particle positions, its two steps evaluated by ``interpolate_many``'s
     float expression: the control is the first minimiser over the whole
     lattice except where the minima of two cells agree to within rounding.
-    Its geometry is built per step, and in 1D for the step's slice: only
-    the cells within ``dt (S + mesh/2)`` of a particle, plus one on each
-    side, S the steepest slope of the slice within reach, which drop no
-    minimiser (``_line_kernel``).
+    Its geometry is built per step, for the step's slice, and drops no
+    minimiser: in 1D only the cells within ``dt (S + mesh/2)`` of a
+    particle, plus one on each side, S the steepest slope of the slice
+    within reach (``_line_kernel``); in 2D only the controls of the slice's
+    descent box, ``|a_i| <= S_i + mesh/2`` (``_descent_box``).
     """
     grid = value.grid
     dt = value.dt

@@ -23,6 +23,7 @@ from mfglab.cost_models import lqr_oracle, quadratic_congestion, two_wells
 from mfglab.finite_horizon import (
     ValueField,
     _Lattice,
+    _descent_box,
     _line_filter,
     checkpoint_indices,
     default_control_mesh,
@@ -386,6 +387,90 @@ class TestBracketedArgminOracle:
         assert len(ties) == 4
         assert value.policy[0, origin] == ties[0]
         np.testing.assert_array_equal(controls[ties[0]], [-5.0, -5.0])
+
+
+class TestDescentBox:
+    """The 2D descent box: each step searches only the controls with
+    |a_i| <= S_i + mesh/2, and gets the full-lattice minimiser."""
+
+    GRID, DT = TestBracketedArgminOracle.GRID_2D, TestBracketedArgminOracle.DT
+    RADIUS, MESH = TestBracketedArgminOracle.RADIUS_2D, TestBracketedArgminOracle.MESH_2D
+
+    @staticmethod
+    def box(grid, field, dt, radius, mesh):
+        lattice = _Lattice.of(control_lattice(2, radius, mesh), mesh, dt)
+        return lattice, _descent_box(grid, lattice, field)
+
+    @staticmethod
+    def assert_matches_the_full_lattice(grid, field, dt, radius, mesh, points):
+        F, path = slice_cost([field, field], dt, 2), indexed_path(2, dt, 2)
+        value = solve_hjb_backward(F, path, grid, dt, control_radius=radius, control_mesh=mesh)
+        values, policy = brute_force_hjb(F, path, grid, dt, radius, mesh)
+        np.testing.assert_array_equal(value.values, values)
+        np.testing.assert_array_equal(value.policy, policy)
+        assert_transport_matches_the_full_lattice(one_step_value(grid, field, dt, radius, mesh), points)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_keeps_a_minimiser_half_a_step_past_s(self, axis):
+        # the 2D twin of the 1D descent bound case: lattice steps 2.5 cells
+        # apart on a roof falling at slope S = 1.9 along the axis, from 0.01
+        # cells right of the ridge; the lattice minimiser is two steps out,
+        # |a_i| = 2.5 in (S, S + mesh/2] = (1.9, 2.525], and so on the box's
+        # edge: a box without the mesh/2 term drops it
+        grid, dt, mesh = SpatialGrid((-1.0, -1.0), (1.0, 1.0), (40, 40)), 0.1, 1.25
+        ridge = grid.lower_array[axis] + 16 * grid.spacing[axis]
+        field = -1.9 * np.abs(grid.nodes[:, axis] - ridge)
+        edge = np.zeros(2)
+        edge[axis] = 2 * mesh
+        lattice, box = self.box(grid, field, dt, 10 * mesh, mesh)
+        np.testing.assert_array_equal(np.abs(lattice.controls[np.unique(box.table)]).max(axis=0), edge)
+        point = np.zeros(2)
+        point[axis] = ridge + 0.01 * grid.spacing[axis]
+        value = one_step_value(grid, field, dt, 10 * mesh, mesh)
+        np.testing.assert_allclose(brute_force_transport(value, point[None, :])[1, 0], point + dt * edge)
+        rng = np.random.default_rng(41)
+        points = np.concatenate([point[None, :], rng.uniform(-0.5, 0.5, size=(40, 2))])
+        self.assert_matches_the_full_lattice(grid, field, dt, 10 * mesh, mesh, points)
+
+    def test_a_flat_slice_keeps_only_the_zero_control(self):
+        field = np.full(self.GRID.n_nodes, 0.75)
+        _, box = self.box(self.GRID, field, self.DT, self.RADIUS, self.MESH)
+        np.testing.assert_array_equal(box.table, [[0, 0]])
+        points = np.random.default_rng(43).uniform(-1.0, 1.0, size=(40, 2))
+        self.assert_matches_the_full_lattice(self.GRID, field, self.DT, self.RADIUS, self.MESH, points)
+
+    def test_a_slice_steeper_than_the_radius_keeps_the_whole_lattice(self):
+        x = self.GRID.nodes
+        field = -5.0 * x[:, 0] + 4.0 * np.abs(x[:, 1] - 0.1)
+        lattice, box = self.box(self.GRID, field, self.DT, self.RADIUS, self.MESH)
+        np.testing.assert_array_equal(box.table, lattice.table)
+        points = np.random.default_rng(47).uniform(-0.25, 0.25, size=(40, 2))
+        self.assert_matches_the_full_lattice(self.GRID, field, self.DT, self.RADIUS, self.MESH, points)
+
+    def test_a_nan_node_keeps_the_whole_lattice(self):
+        field = np.zeros(self.GRID.n_nodes)
+        field[7] = np.nan
+        lattice, box = self.box(self.GRID, field, self.DT, self.RADIUS, self.MESH)
+        assert box is lattice
+
+    @pytest.mark.parametrize("kind, scale", [("convex", 0.5), ("kink", 1.0), ("noise", 0.01), ("flat", 1.0)])
+    def test_every_box_holds_the_zero_control(self, kind, scale):
+        field = node_field(kind, self.GRID, scale, np.random.default_rng(53))
+        lattice, box = self.box(self.GRID, field, self.DT, self.RADIUS, self.MESH)
+        assert (box.table == 0).any()
+        np.testing.assert_array_equal(box.line_cost, lattice.run_cost[box.table[:, box.table.shape[1] // 2 - 1]])
+
+    def test_gentle_slopes_keep_few_lines_on_the_benchmark_geometry(self):
+        # 3705 controls on 69 lines; slopes of 0.4 keep the controls with
+        # |a_i| <= 0.4 + mesh/2, 4.08 meshes: 9 lines of 9 steps, where a
+        # silent fallback to the whole lattice would keep 69 lines
+        x = self.GRID.nodes
+        field = 0.4 * (np.abs(x[:, 0] - 0.3) + np.abs(x[:, 1] + 0.5))
+        lattice, box = self.box(self.GRID, field, self.DT, self.RADIUS, self.MESH)
+        assert lattice.controls.shape[0] == 3705 and lattice.half.size == 69
+        np.testing.assert_array_equal(box.half, np.full(9, 4))
+        points = np.random.default_rng(59).uniform(-1.0, 1.0, size=(40, 2))
+        self.assert_matches_the_full_lattice(self.GRID, field, self.DT, self.RADIUS, self.MESH, points)
 
 
 class TestLineFilter:
