@@ -380,6 +380,10 @@ class MeasurePath:
 
     ``positions`` has shape (n_times, n_slots, dim); ``weights`` is one
     simplex vector shared by all times (particles move, weights stay).
+    The path is checked once, when it is built: the positions at every
+    time are finite, and the weights pass the checks of
+    ``DiscreteMeasure``, clipped at 0 as it clips them.  ``measure_at``
+    therefore hands out read-only slices without checking them again.
     """
 
     times: np.ndarray
@@ -401,6 +405,8 @@ class MeasurePath:
             raise InvalidMeasureError("times must be strictly increasing")
         # weight checks are delegated to DiscreteMeasure semantics
         DiscreteMeasure(pos[0], w)
+        if not np.all(np.isfinite(pos)):
+            raise InvalidMeasureError("positions must be finite at every time")
         self.times = t.copy()
         self.positions = pos.copy()
         self.weights = np.maximum(w, 0.0).copy()
@@ -424,7 +430,19 @@ class MeasurePath:
         return self.positions.shape[2]
 
     def measure_at(self, k: int) -> DiscreteMeasure:
-        return DiscreteMeasure(self.positions[k], self.weights)
+        """The measure at time index ``k``: a ``DiscreteMeasure`` over
+        read-only views of ``positions[k]`` and the weights, so writing
+        to it raises instead of changing the path.  Its checks are not
+        run again: the path ran them on every time when it was built."""
+        m = object.__new__(DiscreteMeasure)
+        m.points, m.weights, m.metadata = _read_only(self.positions[k]), _read_only(self.weights), {}
+        return m
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _dedupe_trajectories(path: MeasurePath) -> MeasurePath:

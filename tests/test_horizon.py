@@ -23,7 +23,9 @@ from mfglab.cost_models import lqr_oracle, quadratic_congestion, two_wells
 from mfglab.finite_horizon import (
     ValueField,
     _Lattice,
+    _assert_away_from_boundary,
     _descent_box,
+    _first_least,
     _line_filter,
     checkpoint_indices,
     default_control_mesh,
@@ -537,6 +539,51 @@ class TestLineFilter:
         assert kept.any(axis=1).all()
 
 
+class TestFirstLeast:
+    """Per (cell, point) column: the row of the first least value over the
+    sorted lattice, as np.argmin over it picks."""
+
+    @staticmethod
+    def oracle(q, index):
+        nan = np.isnan(q)
+        rows = np.arange(q.shape[0])
+        # np.lexsort sorts by its last key first: NaNs, then value, then
+        # sorted-lattice index, then row
+        return np.array([
+            np.lexsort((rows, index[:, p], np.where(nan[:, p], 0.0, q[:, p]), ~nan[:, p]))[0]
+            for p in range(q.shape[1])
+        ])
+
+    def test_crafted_ties_and_nans(self):
+        nan, inf = np.nan, np.inf
+        q = np.array([
+            [3.0, 2.0, 1.0, inf],
+            [1.0, 0.5, nan, inf],
+            [1.0, 0.5, 0.0, inf],
+            [2.0, inf, nan, inf],
+        ])
+        index = np.array([
+            [5, 3, 2, 4],
+            [9, 7, 8, 2],
+            [4, 7, 1, 2],
+            [1, 0, 6, 9],
+        ])
+        # a tie across cells goes to the smaller index, a tie at one index
+        # to the first row, a NaN column to its first NaN by index
+        expected = [2, 1, 3, 1]
+        np.testing.assert_array_equal(_first_least(q, index, 20), expected)
+        np.testing.assert_array_equal(self.oracle(q, index), expected)
+
+    def test_random_blocks_match_the_oracle(self):
+        rng = np.random.default_rng(4)
+        for cells in (1, 2, 6, 20):
+            q = rng.integers(0, 3, size=(cells, 300)).astype(float)
+            q[rng.random(q.shape) < 0.05] = np.nan
+            q[rng.random(q.shape) < 0.1] = np.inf
+            index = rng.integers(0, 4, size=q.shape)
+            np.testing.assert_array_equal(_first_least(q, index, 4), self.oracle(q, index))
+
+
 class TestControlLattice:
     def test_1d_order_oracle(self):
         lat = control_lattice(1, 0.05, 0.02)
@@ -763,6 +810,20 @@ class TestTransport:
             transport_forward(value, DiscreteMeasure.dirac([1.99]))
         assert err.value.time_index == 0
         assert "boundary" in str(err.value)
+
+    def test_boundary_margin_guard_is_exact_at_the_margin(self):
+        # spacing 0.25: the margin 0.5 and every gap below are exact
+        g = SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16))
+        at_margin = np.array([[-1.5, -1.5], [1.5, 1.5], [0.0, 0.0]])
+        _assert_away_from_boundary(at_margin, g, 3)
+        inside_lo, inside_hi = np.nextafter(-1.5, 0.0), np.nextafter(1.5, 0.0)
+        for y in (np.nextafter(-1.5, -2.0), np.nextafter(1.5, 2.0)):
+            points = np.array([[-1.5, inside_lo], [1.5, inside_hi], [0.0, y], [-1.5, y]])
+            with pytest.raises(DomainEscapeError) as err:
+                _assert_away_from_boundary(points, g, 3)
+            assert err.value.point == (0.0, y)
+            assert err.value.time_index == 3
+            assert str(err.value).startswith("particle 2 at ")
 
     def test_boundary_margin_guard_in_flight(self):
         # a ridge cost drives particles outward until the margin trips

@@ -420,6 +420,22 @@ class TestMeasurePath:
         path = MeasurePath(times, pos, np.array([1.0]))
         assert path.measure_at(1).points[0, 0] == 2.0
 
+    def test_measure_at_is_a_read_only_slice(self):
+        times = np.array([0.0, 1.0])
+        path = MeasurePath(times, np.array([[[0.0], [1.0]], [[2.0], [3.0]]]), np.array([0.5, 0.5]))
+        m = path.measure_at(1)
+        with pytest.raises(ValueError, match="read-only"):
+            m.points[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.weights[0] = 1.0
+        np.testing.assert_array_equal(path.positions[1, :, 0], [2.0, 3.0])
+
+    def test_positions_are_checked_at_every_time_when_built(self):
+        pos = np.zeros((3, 2, 1))
+        pos[2, 1, 0] = np.nan
+        with pytest.raises(InvalidMeasureError):
+            MeasurePath(np.arange(3.0), pos, np.array([0.5, 0.5]))
+
     def test_mix_paths_edges_and_weights(self):
         times = np.linspace(0, 1, 3)
         a = MeasurePath.constant(DiscreteMeasure.dirac([0.0]), times)
