@@ -57,7 +57,6 @@ from .eikonal_ergodic import (
     continuity_residual,
     converse_check,
     solve_eikonal,
-    value_function_crosscheck,
 )
 from .finite_horizon import (
     MfgEquilibrium,
@@ -66,7 +65,6 @@ from .finite_horizon import (
     a_priori_report,
     control_lattice,
     occupational_fractions,
-    occupational_measure,
     solve_hjb_backward,
     solve_mfg,
     transport_forward,
@@ -127,7 +125,6 @@ __all__ = [
     "model_separated_kernel",
     "nonincreasing_with_slack",
     "occupational_fractions",
-    "occupational_measure",
     "push_forward",
     "residual",
     "run_sweep",

@@ -137,8 +137,6 @@ class SweepRecord:
     n_steps: int
     s_grid: np.ndarray
     s_times: np.ndarray
-    R: float
-    delta_occ: float
     support_dist: np.ndarray
     d1_to_limit: np.ndarray
     value_rate_err: np.ndarray
@@ -146,8 +144,6 @@ class SweepRecord:
     u_slices: np.ndarray
     slice_measures: list
     rho: np.ndarray
-    start_points: np.ndarray
-    start_dists: np.ndarray
     occ_bound: float
     chi_hat: float
     chi_prime_hat: float
@@ -297,8 +293,7 @@ def run_sweep(
         rho = occupational_fractions(
             eq.flow_path.positions, F, eq.flow_path, params.delta_occ, grid
         )
-        starts = eq.flow_path.positions[0]
-        start_dists = distance_to_set(starts, argmin_set)
+        start_dists = distance_to_set(eq.flow_path.positions[0], argmin_set)
         away = start_dists > grid.max_spacing
         if away.any():
             occ_bound = float(
@@ -314,8 +309,6 @@ def run_sweep(
                 n_steps=n_t,
                 s_grid=s_grid.copy(),
                 s_times=s_times,
-                R=float(params.R),
-                delta_occ=float(params.delta_occ),
                 support_dist=sup_dist,
                 d1_to_limit=d1,
                 value_rate_err=rate_err,
@@ -323,8 +316,6 @@ def run_sweep(
                 u_slices=u_slices,
                 slice_measures=slice_measures,
                 rho=rho,
-                start_points=starts.copy(),
-                start_dists=start_dists,
                 occ_bound=occ_bound,
                 chi_hat=eq.trajectory_stats.chi_hat,
                 chi_prime_hat=eq.trajectory_stats.chi_prime_hat,

@@ -3,12 +3,12 @@
 Given a measure m in static equilibrium, the long-run value c is the
 minimum of its cost slice and the corrector v solves |grad v| = ell with
 ell = sqrt(2 (F - c)) and v = 0 on the grid-tolerant argmin set.  The
-solver is Godunov-upwind fast sweeping (Gauss-Seidel over all axis
-orderings); validation compares v with an independent shortest-path
-estimate, tests the distributional continuity equation against smooth
-bumps, and runs a converse support/critical-value check.  The integral
-identity tying the average cost under m to the critical value is the
-static residual of m.
+solver is Godunov-upwind fast sweeping (Gauss-Seidel over the four axis
+orderings of a node array; 1D and 2D share it, a line being one column);
+validation compares v with an independent shortest-path estimate, tests
+the distributional continuity equation against smooth bumps, and runs a
+converse support/critical-value check.  The integral identity tying the
+average cost under m to the critical value is the static residual of m.
 """
 
 from __future__ import annotations
@@ -56,27 +56,7 @@ def _local_value(a0: float, h0: float, a1: float, h1: float, rhs: float) -> floa
     return (B + math.sqrt(disc)) / A
 
 
-def _sweep_1d(v, rhs, fixed, order) -> float:
-    n = len(v)
-    max_change = 0.0
-    for i in order:
-        if fixed[i]:
-            continue
-        a = v[i - 1] if i > 0 else _INF
-        if i < n - 1 and v[i + 1] < a:
-            a = v[i + 1]
-        if a == _INF:
-            continue
-        t = a + rhs[i]
-        if t < v[i]:
-            change = v[i] - t
-            if change > max_change:
-                max_change = change
-            v[i] = t
-    return max_change
-
-
-def _sweep_2d(v, ell, fixed, order0, order1, h0, h1) -> float:
+def _sweep(v, ell, fixed, order0, order1, h0, h1) -> float:
     n0 = len(v)
     n1 = len(v[0])
     max_change = 0.0
@@ -115,13 +95,14 @@ def solve_eikonal(
 ) -> np.ndarray | tuple[np.ndarray, int]:
     """Godunov fast-sweeping solution of |grad v| = ell, v = 0 on the set.
 
-    Gauss-Seidel passes alternate over all 2^dim index orderings until the
-    largest node update in a full round falls below ``sweep_tol``; values
-    only decrease, so the limit is the exact discrete solution.  Boundary
-    nodes use one-sided (outflow) differences.  Returns v, or ``(v,
-    sweeps)`` with the number of rounds used when ``return_sweeps`` is
-    set.  Raises :class:`SolverError` carrying the last update map when
-    the sweep budget is exhausted.
+    Gauss-Seidel passes alternate over the four index orderings of a node
+    array until the largest node update in a full round falls below
+    ``sweep_tol``; values only decrease, so the limit is the exact discrete
+    solution.  A 1D grid is swept as one column, where the two axis-1
+    orderings coincide.  Boundary nodes use one-sided (outflow)
+    differences.  Returns v, or ``(v, sweeps)`` with the number of rounds
+    used when ``return_sweeps`` is set.  Raises :class:`SolverError`
+    carrying the last update map when the sweep budget is exhausted.
     """
     arr = np.asarray(ell, dtype=float).reshape(grid.shape)
     if arr.min() < 0:
@@ -130,49 +111,29 @@ def solve_eikonal(
         raise ValueError("ell must be finite")
     if len(dirichlet) == 0:
         raise ValueError("the Dirichlet node set must be nonempty")
-    fixed_flat = np.zeros(grid.n_nodes, dtype=bool)
-    fixed_flat[dirichlet.indices] = True
 
-    if grid.dim == 1:
-        n = grid.shape[0]
-        v = [_INF] * n
-        for idx in dirichlet.indices:
-            v[int(idx)] = 0.0
-        rhs = (arr.ravel() * grid.spacing[0]).tolist()
-        fixed = fixed_flat.tolist()
-        forward = range(n)
-        backward = range(n - 1, -1, -1)
-        for sweeps in range(1, max_sweeps + 1):
-            change = _sweep_1d(v, rhs, fixed, forward)
-            change = max(change, _sweep_1d(v, rhs, fixed, backward))
-            if change <= sweep_tol:
-                v = np.asarray(v, dtype=float).reshape(grid.shape)
-                return (v, sweeps) if return_sweeps else v
-        raise SolverError(
-            "eikonal fast sweeping did not converge within the sweep budget",
-            residual=np.asarray(v, dtype=float).reshape(grid.shape),
-        )
-
-    n0, n1 = grid.shape
-    v = [[_INF] * n1 for _ in range(n0)]
-    fixed = fixed_flat.reshape(grid.shape).tolist()
-    for idx in dirichlet.indices:
-        i, j = np.unravel_index(int(idx), grid.shape)
-        v[i][j] = 0.0
-    ell_rows = arr.tolist()
-    h0, h1 = float(grid.spacing[0]), float(grid.spacing[1])
+    # a line is one column: with no axis-1 neighbour a1 is inf, so
+    # _local_value is the 1D update a0 + ell * h0
+    shape = (grid.shape[0], grid.n_nodes // grid.shape[0])
+    n0, n1 = shape
+    h0, h1 = float(grid.spacing[0]), float(grid.spacing[-1])
+    fixed = np.zeros(grid.n_nodes, dtype=bool)
+    fixed[dirichlet.indices] = True
+    v = np.where(fixed, 0.0, _INF).reshape(shape).tolist()
+    fixed = fixed.reshape(shape).tolist()
+    ell_rows = arr.reshape(shape).tolist()
     orders0 = (range(n0), range(n0 - 1, -1, -1))
     orders1 = (range(n1), range(n1 - 1, -1, -1))
     for sweeps in range(1, max_sweeps + 1):
         change = 0.0
         for o0, o1 in itertools.product(orders0, orders1):
-            change = max(change, _sweep_2d(v, ell_rows, fixed, o0, o1, h0, h1))
+            change = max(change, _sweep(v, ell_rows, fixed, o0, o1, h0, h1))
         if change <= sweep_tol:
-            v = np.asarray(v, dtype=float)
+            v = np.asarray(v, dtype=float).reshape(grid.shape)
             return (v, sweeps) if return_sweeps else v
     raise SolverError(
         "eikonal fast sweeping did not converge within the sweep budget",
-        residual=np.asarray(v, dtype=float),
+        residual=np.asarray(v, dtype=float).reshape(grid.shape),
     )
 
 
@@ -213,18 +174,6 @@ def _graph_stretch(grid: SpatialGrid) -> float:
         return 1.0
     h0, h1 = grid.spacing
     return float(1.0 / np.cos(0.5 * max(np.arctan2(h1, h0), np.arctan2(h0, h1))))
-
-
-def value_function_crosscheck(ell, dirichlet: NodeSet, grid: SpatialGrid, x_samples):
-    """Shortest-path estimate of the weighted distance, as an oracle.
-
-    Reads the grid-graph Dijkstra distance from the Dirichlet nodes at the
-    node nearest each sample.  Returns a list of (point, value) pairs.
-    """
-    dist = _graph_distance(ell, dirichlet, grid)
-    pts = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    nearest = grid.nearest_node_index(pts)
-    return [(pts[k].copy(), float(dist[nearest[k]])) for k in range(pts.shape[0])]
 
 
 # -- distributional continuity check ------------------------------------------

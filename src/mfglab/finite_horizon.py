@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost_models import CostFunctional
-from .errors import DomainEscapeError
+from .errors import DomainEscapeError, SolverError
 from .grid_geometry import SpatialGrid, clamp_cells, distance_to_box, escape_margin, lerp
 from .measures import (
     DEFAULT_SIZE_CAP,
@@ -511,13 +511,6 @@ class ValueField:
     def n_steps(self) -> int:
         return self.times.size - 1
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def interpolate(self, x, k: int) -> float:
-        return self.grid.interpolate(self.values[k], x)
-
 
 def _corner_sum(grid: SpatialGrid, field: np.ndarray, feet: np.ndarray) -> np.ndarray:
     """Bilinear values at the 2D feet as corner values times corner weights,
@@ -573,9 +566,11 @@ def solve_hjb_backward(
     u(x, t) = min over lattice controls a of
     [dt (|a|^2/2 + F(x, m(t))) + u(x + dt a, t + dt)], terminal value zero.
     Control feet beyond the one-cell clamp margin are discarded; the zero
-    control keeps every node feasible.  The argmin control index per
-    (step, node) is stored as the feedback policy; ties go to the first
-    control of the sorted lattice, up to the rounding caveat below.
+    control's foot is the node itself, so an infinite minimum means the
+    next value is +inf at every foot in reach and raises
+    :class:`SolverError`.  The argmin control index per (step, node) is
+    stored as the feedback policy; ties go to the first control of the
+    sorted lattice, up to the rounding caveat below.
 
     The minimum is the closed-form argmin of ``_bracketed_argmin``, its
     two steps evaluated as corner values times corner weights, summed per
@@ -607,9 +602,10 @@ def solve_hjb_backward(
         pol, best = argmin(values[k + 1])
         if np.isinf(best).any():
             bad = int(np.argmax(np.isinf(best)))
-            raise DomainEscapeError(
-                f"every control escapes the box from node {grid.nodes[bad].tolist()}",
-                point=tuple(grid.nodes[bad].tolist()),
+            raise SolverError(
+                f"the value is +inf at every foot that node {grid.nodes[bad].tolist()} "
+                f"reaches at time index {k + 1}: the cost is +inf on a region "
+                "wider than the control reach"
             )
         policy[k] = pol.astype(np.int32)
         values[k] = (best + dt * fk).reshape(grid.shape)
@@ -925,20 +921,6 @@ def occupational_fractions(
     occupied = occupied.reshape(n_times, n_slots)
     # time steps, not node times: left endpoints of the n_times - 1 steps
     return occupied[:-1].mean(axis=0)
-
-
-def occupational_measure(
-    trajectory,
-    F: CostFunctional,
-    path: MeasurePath,
-    delta: float,
-    grid: SpatialGrid,
-    measure_indices=None,
-) -> float:
-    """Occupational fraction for a single trajectory (n_times, dim)."""
-    traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    rho = occupational_fractions(traj[:, None, :], F, path, delta, grid, measure_indices)
-    return float(rho[0])
 
 
 def a_priori_report(value: ValueField, F: CostFunctional | None = None) -> dict:

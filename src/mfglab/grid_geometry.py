@@ -6,8 +6,8 @@ corners (nodes) in row-major order (last axis fastest).  This module owns
 that lattice and the three geometric primitives everything else is built
 from: multilinear interpolation with a strict escape policy, Euclidean
 distance to node sets (and the pairwise squared distances behind every
-kernel and cost matrix), and the Godunov upwind gradient norm used both
-by the eikonal sweeper and by the a-priori gradient diagnostics.
+kernel and cost matrix), and the Godunov upwind gradient norm behind the
+a-priori gradient diagnostics.
 """
 
 from __future__ import annotations
@@ -99,14 +99,6 @@ class SpatialGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def node_point(self, index) -> np.ndarray:
-        """Coordinates of a node given a flat index or a multi-index."""
-        if np.isscalar(index):
-            multi = np.unravel_index(int(index), self.shape)
-        else:
-            multi = tuple(int(i) for i in index)
-        return self.lower_array + np.asarray(multi, dtype=float) * self.spacing
-
     def nearest_node_index(self, points) -> np.ndarray:
         """Flat index of the node closest to each point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -171,10 +163,6 @@ class SpatialGrid:
             vals[escaped] = np.inf
         return vals
 
-    def interpolate(self, field, x) -> float:
-        """Multilinear interpolation at a single point."""
-        return float(self.interpolate_many(field, np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     # -- upwind gradient ---------------------------------------------------
 
     def upwind_gradient_norm_field(self, field) -> np.ndarray:
@@ -198,33 +186,6 @@ class SpatialGrid:
             contrib = np.maximum(np.maximum(backward, forward_neg), 0.0)
             total += contrib * contrib
         return np.sqrt(total)
-
-    def upwind_gradient_norm(self, field, node) -> float:
-        """Godunov upwind gradient norm at one node (flat or multi index)."""
-        arr = np.asarray(field, dtype=float)
-        if arr.shape != self.shape:
-            raise ValueError(f"field has shape {arr.shape}, expected {self.shape}")
-        if np.isscalar(node):
-            multi = np.unravel_index(int(node), self.shape)
-        else:
-            multi = tuple(int(i) for i in node)
-        total = 0.0
-        for ax in range(self.dim):
-            i = multi[ax]
-            h = self.spacing[ax]
-            here = arr[multi]
-            candidates = [0.0]
-            if i > 0:
-                left = list(multi)
-                left[ax] = i - 1
-                candidates.append((here - arr[tuple(left)]) / h)
-            if i < self.shape[ax] - 1:
-                right = list(multi)
-                right[ax] = i + 1
-                candidates.append((here - arr[tuple(right)]) / h)
-            c = max(candidates)
-            total += c * c
-        return float(np.sqrt(total))
 
 
 def escape_margin(n_cells):

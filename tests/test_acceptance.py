@@ -102,6 +102,42 @@ class TestCriterion1RiccatiValue:
         err = float(np.abs(value.values[0][ball] - exact).max())
         certify(1, err <= 5e-2, f"sup error {err:.2e} at h=1e-2, dt=1e-3 (tol 5e-2)")
 
+    def test_observed_order_along_dt_h_over_10(self):
+        errs = lqr_errors(1, (200, 400, 800), dt_per_h=0.1)
+        certify_order(1, errs, "h=2e-2, 1e-2, 5e-3 at dt=h/10", 1e-3)
+
+
+def lqr_errors(dim, cells, dt_per_h):
+    """Sup error of the T = 1 ``lqr_oracle`` value at t = 0 on the unit
+    ball against |x|^2/2 tanh(1), default control mesh, on [-2, 2]^dim
+    with each cell count per axis and dt = dt_per_h * h."""
+    F = lqr_oracle(dim=dim)
+    errs = []
+    for n in cells:
+        grid = SpatialGrid((-2.0,) * dim, (2.0,) * dim, (n,) * dim)
+        dt = dt_per_h * grid.max_spacing
+        times = np.arange(int(round(1.0 / dt)) + 1) * dt
+        path = MeasurePath.constant(DiscreteMeasure.dirac([0.0] * dim), times)
+        u0 = solve_hjb_backward(F, path, grid, dt).values[0].ravel()
+        r2 = (grid.nodes**2).sum(axis=1)
+        ball = r2 <= 1.0
+        errs.append(float(np.abs(u0[ball] - 0.5 * r2[ball] * np.tanh(1.0)).max()))
+    return errs
+
+
+def certify_order(criterion, errs, legs, tol):
+    """Every halving of h (and dt) shrinks the error by at least 1.8, and
+    the finest error is at most ``tol``: first order along dt = c h."""
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    ok = min(ratios) >= 1.8 and errs[-1] <= tol
+    certify(
+        criterion,
+        ok,
+        f"errors {', '.join(f'{e:.3e}' for e in errs)} at {legs}, "
+        f"halving ratios {', '.join(f'{r:.2f}' for r in ratios)} (>= 1.8), "
+        f"finest {errs[-1]:.2e} (tol {tol:g})",
+    )
+
 
 class TestCriterion2EikonalConsistency:
     def test_error_level_and_halving(self):
@@ -395,6 +431,12 @@ class TestCriterion10StandaloneProperties:
                 else f"; output: {proc.stdout[-500:]}; stderr: {proc.stderr[-500:]}"
             ),
         )
+
+
+class TestCriterion12Riccati2DOrder:
+    def test_observed_order_along_dt_h(self):
+        errs = lqr_errors(2, (20, 40, 80), dt_per_h=1.0)
+        certify_order(12, errs, "20^2, 40^2, 80^2 cells at dt=h", 2.5e-2)
 
 
 class TestUniformInHorizonRegression:

@@ -41,12 +41,11 @@ def dummy_record(T, s_grid, slice_measures, argmin_points):
     s = np.asarray(s_grid, dtype=float)
     n_s = s.size
     return SweepRecord(
-        T=float(T), dt=T / 8, n_steps=8, s_grid=s, s_times=s * T, R=1.0,
-        delta_occ=0.1, support_dist=np.zeros(n_s), d1_to_limit=np.zeros(n_s),
+        T=float(T), dt=T / 8, n_steps=8, s_grid=s, s_times=s * T,
+        support_dist=np.zeros(n_s), d1_to_limit=np.zeros(n_s),
         value_rate_err=np.zeros(n_s), wkam_err=np.zeros(n_s),
         u_slices=np.zeros((n_s, 1)), slice_measures=slice_measures,
-        rho=np.zeros(1), start_points=np.zeros((1, 1)), start_dists=np.zeros(1),
-        occ_bound=0.0, chi_hat=0.0, chi_prime_hat=0.0, r1_hat=0.0,
+        rho=np.zeros(1), occ_bound=0.0, chi_hat=0.0, chi_prime_hat=0.0, r1_hat=0.0,
         a_priori={}, converged=True, tainted=False, iterations=1,
         br_residual=0.0, c_star_used=0.0,
         argmin_points=np.asarray(argmin_points, dtype=float), estimated=False,

@@ -15,10 +15,9 @@ from mfglab import (
     converse_check,
     solve_eikonal,
     solve_static,
-    value_function_crosscheck,
 )
 from mfglab.cost_models import fg_plus_g, quadratic_congestion, separated_kernel, two_wells
-from mfglab.eikonal_ergodic import bump_gradient
+from mfglab.eikonal_ergodic import _graph_distance, bump_gradient
 
 
 def grid_1d(n=200, lo=-1.0, hi=1.0):
@@ -88,6 +87,30 @@ class TestEikonal1D:
         with pytest.raises(ValueError, match="nonempty"):
             solve_eikonal(np.ones(g.shape), NodeSet(g, np.array([], dtype=np.int64)), g)
 
+    def test_matches_two_pass_recursion_bit_for_bit(self):
+        # on a line the discrete solution is two sequential passes over
+        # Python floats, v[i] = min(v[i], v[i -/+ 1] + ell[i] h) forward
+        # then backward, with the sources held at 0
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(3, 400))
+            g = SpatialGrid((0.0,), (float(rng.uniform(0.5, 5.0)),), (n,))
+            ell = rng.random(n + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if trial % 3 == 0:
+                lo = int(rng.integers(0, n))
+                ell[lo : lo + int(rng.integers(1, n // 2 + 2))] = 0.0
+            sources = rng.choice(n + 1, size=int(rng.integers(1, 5)), replace=False)
+            h, rhs = float(g.spacing[0]), ell.tolist()
+            v = [float("inf")] * (n + 1)
+            for i in sources:
+                v[i] = 0.0
+            for i in range(1, n + 1):
+                v[i] = min(v[i], v[i - 1] + rhs[i] * h)
+            for i in range(n - 1, -1, -1):
+                v[i] = min(v[i], v[i + 1] + rhs[i] * h)
+            got = solve_eikonal(ell, NodeSet(g, sources), g)
+            np.testing.assert_array_equal(got, v)
+
     def test_sweep_budget_exhaustion(self):
         g = grid_1d(50)
         with pytest.raises(SolverError):
@@ -110,12 +133,11 @@ class TestEikonal2D:
         src = origin_set(g)
         v = solve_eikonal(ell, src, g)
         samples = np.array([[0.5, 0.2], [-0.7, 0.3], [0.4, -0.9]])
-        pairs = value_function_crosscheck(ell, src, g, samples)
-        for pt, dijkstra_val in pairs:
-            exact = float(np.sqrt((pt**2).sum()))
-            node = g.nearest_node_index(pt[None, :])[0]
-            fsm_val = float(v.ravel()[node])
-            assert abs(fsm_val - exact) <= abs(dijkstra_val - exact) + 1e-9
+        nodes = g.nearest_node_index(samples)
+        exact = np.sqrt((samples**2).sum(axis=1))
+        fsm_err = np.abs(v.ravel()[nodes] - exact)
+        dijkstra_err = np.abs(_graph_distance(ell, src, g)[nodes] - exact)
+        assert np.all(fsm_err <= dijkstra_err + 1e-9)
 
     def test_axis_aligned_rays_exact(self):
         g = SpatialGrid((-1.0, -1.0), (1.0, 1.0), (40, 40))
@@ -129,9 +151,9 @@ class TestEikonal2D:
 class TestCrosscheck1D:
     def test_line_graph_distance_exact(self):
         g = grid_1d(100)
-        pairs = value_function_crosscheck(np.ones(g.shape), origin_set(g), g, [[0.4], [-0.8]])
-        assert pairs[0][1] == pytest.approx(0.4, abs=1e-12)
-        assert pairs[1][1] == pytest.approx(0.8, abs=1e-12)
+        dist = _graph_distance(np.ones(g.shape), origin_set(g), g)
+        nodes = g.nearest_node_index([[0.4], [-0.8]])
+        np.testing.assert_allclose(dist[nodes], [0.4, 0.8], rtol=0, atol=1e-12)
 
 
 class TestContinuityResidual:

@@ -43,22 +43,22 @@ class TestConstruction:
     def test_nearest_node_index(self):
         g = unit_1d(4)
         assert g.nearest_node_index([0.26]).tolist() == [1]
-        np.testing.assert_allclose(g.node_point((1,)), [0.25])
+        np.testing.assert_allclose(g.nodes[1], [0.25])
 
 
 class TestInterpolation:
     def test_hat_function_midpoint(self):
         # field (0, 1, 0) on nodes (0, 0.5, 1): value at 0.25 is 0.5
         g = unit_1d(2)
-        assert g.interpolate(np.array([0.0, 1.0, 0.0]), [0.25]) == pytest.approx(0.5)
+        assert g.interpolate_many(np.array([0.0, 1.0, 0.0]), [[0.25]])[0] == pytest.approx(0.5)
 
     def test_bilinear_hand_values(self):
         g = SpatialGrid((0.0, 0.0), (2.0, 2.0), (2, 2))
         field = np.full(g.shape, 99.0)
         # cell [0,1]^2 corners: f(0,0)=1 f(0,1)=3 f(1,0)=2 f(1,1)=5
         field[0, 0], field[0, 1], field[1, 0], field[1, 1] = 1.0, 3.0, 2.0, 5.0
-        assert g.interpolate(field, [0.5, 0.5]) == pytest.approx(2.75)
-        assert g.interpolate(field, [0.25, 0.75]) == pytest.approx(
+        assert g.interpolate_many(field, [[0.5, 0.5]])[0] == pytest.approx(2.75)
+        assert g.interpolate_many(field, [[0.25, 0.75]])[0] == pytest.approx(
             0.75 * 0.25 * 1 + 0.25 * 0.25 * 2 + 0.75 * 0.75 * 3 + 0.25 * 0.75 * 5
         )
 
@@ -99,7 +99,7 @@ class TestInterpolation:
         g = unit_1d(4)
         field = np.linspace(0.0, 1.0, 5)
         # exactly on the boundary is inside
-        assert g.interpolate(field, [1.0]) == pytest.approx(1.0)
+        assert g.interpolate_many(field, [[1.0]])[0] == pytest.approx(1.0)
 
 
 class TestUpwindGradient:
@@ -124,12 +124,23 @@ class TestUpwindGradient:
         )
 
     def test_single_node_matches_field(self):
-        g = SpatialGrid((-1.0,), (1.0,), (16,))
+        # per node and axis, the largest of 0 and the one-sided slopes that
+        # exist: a boundary node takes its one inward side
         rng = np.random.default_rng(3)
-        field = rng.normal(size=g.shape)
-        norms = g.upwind_gradient_norm_field(field)
-        for i in (0, 5, 16):
-            assert g.upwind_gradient_norm(field, (i,)) == pytest.approx(norms[i])
+        for g in (SpatialGrid((-1.0,), (1.0,), (16,)), SpatialGrid((-1.0, 0.0), (1.0, 3.0), (5, 7))):
+            field = rng.normal(size=g.shape)
+            norms = g.upwind_gradient_norm_field(field)
+            for node in np.ndindex(g.shape):
+                total = 0.0
+                for ax in range(g.dim):
+                    slopes = [0.0]
+                    for step in (-1, 1):
+                        other = list(node)
+                        other[ax] += step
+                        if 0 <= other[ax] < g.shape[ax]:
+                            slopes.append((field[node] - field[tuple(other)]) / g.spacing[ax])
+                    total += max(slopes) ** 2
+                assert norms[node] == pytest.approx(np.sqrt(total))
 
 
 class TestNodeSets:

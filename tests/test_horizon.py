@@ -8,11 +8,11 @@ from mfglab import (
     DiscreteMeasure,
     DomainEscapeError,
     MeasurePath,
+    SolverError,
     SpatialGrid,
     a_priori_report,
     control_lattice,
     occupational_fractions,
-    occupational_measure,
     solve_hjb_backward,
     solve_mfg,
     transport_forward,
@@ -694,6 +694,24 @@ class TestBackwardValues:
         assert np.isnan(value.values[0]).any()
         assert 0 <= value.policy.min() and value.policy.max() < len(value.controls)
 
+    def test_infinite_cost_wider_than_the_reach_is_a_solver_error(self):
+        # the zero control's foot is the node itself, so an infinite minimum
+        # means +inf at every foot the node reaches, not an escape
+        def ev(pts, m):
+            return np.where(np.abs(pts[:, 0]) < 1.0, np.inf, 0.0)
+
+        F = CostFunctional(
+            name="inf_core", dim=1, evaluator=ev, m_bound=1.0,
+            core_lower=(-1.0,), core_upper=(1.0,), gap=0.0, test_only=True,
+        )
+        g = SpatialGrid((-2.0,), (2.0,), (40,))
+        path = constant_path(DiscreteMeasure.dirac([0.0]), 0.5, 0.1)
+        # inf - inf along the way is NaN, as the kernel expects
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SolverError, match=r"\+inf at every foot that node \[-0\.79"
+        ):
+            solve_hjb_backward(F, path, g, 0.1, control_radius=1.0, control_mesh=0.1)
+
     def test_nan_cost_keeps_the_policy_on_the_lattice_2d(self, monkeypatch):
         # a value slice with a NaN node: the line filter keeps every line,
         # so HJB and transport give what the cell stage gives on every line
@@ -753,8 +771,8 @@ class TestBackwardValues:
         value = solve_hjb_backward(F, path, g, 0.25)
         assert value.n_steps == 4
         assert value.dt == pytest.approx(0.25)
-        assert value.horizon == pytest.approx(1.0)
-        assert value.interpolate([0.37], 0) == pytest.approx(1.0, abs=1e-12)
+        assert value.times[-1] == pytest.approx(1.0)
+        assert g.interpolate_many(value.values[0], [[0.37]])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAPriori:
@@ -923,17 +941,17 @@ class TestOccupational:
         self.path = constant_path(DiscreteMeasure.dirac([0.0]), 1.0, 0.1)
 
     def test_parked_at_minimum_never_occupied(self):
-        traj = np.zeros((11, 1))
-        assert occupational_measure(traj, self.F, self.path, 0.1, self.g) == 0.0
+        traj = np.zeros((11, 1, 1))
+        assert occupational_fractions(traj, self.F, self.path, 0.1, self.g)[0] == 0.0
 
     def test_parked_far_always_occupied(self):
-        traj = np.ones((11, 1))
-        assert occupational_measure(traj, self.F, self.path, 0.1, self.g) == 1.0
+        traj = np.ones((11, 1, 1))
+        assert occupational_fractions(traj, self.F, self.path, 0.1, self.g)[0] == 1.0
 
     def test_half_time_fraction(self):
-        traj = np.concatenate([np.ones((5, 1)), np.zeros((6, 1))])
-        rho = occupational_measure(traj, self.F, self.path, 0.1, self.g)
-        assert rho == pytest.approx(0.5)
+        traj = np.concatenate([np.ones((5, 1, 1)), np.zeros((6, 1, 1))])
+        rho = occupational_fractions(traj, self.F, self.path, 0.1, self.g)
+        assert rho[0] == pytest.approx(0.5)
 
     def test_quantifies_over_all_sampled_measures(self):
         # occupied means delta-suboptimal against EVERY sampled slice
@@ -948,12 +966,10 @@ class TestOccupational:
         times = np.array([0.0, 0.5, 1.0])
         pos = np.array([[[0.0]], [[0.5]], [[1.0]]])  # mean drifts 0 -> 1
         path = MeasurePath(times, pos, np.array([1.0]))
-        parked_at_one = np.ones((3, 1))
-        parked_at_minus_one = -np.ones((3, 1))
-        rho_plus = occupational_measure(parked_at_one, F, path, 0.5, self.g, measure_indices=[0, 2])
-        rho_minus = occupational_measure(parked_at_minus_one, F, path, 0.5, self.g, measure_indices=[0, 2])
-        assert rho_plus == 0.0  # close to the final mean, so not uniformly far
-        assert rho_minus == 1.0
+        parked = np.tile([[1.0], [-1.0]], (3, 1, 1))  # one point at +1, one at -1
+        rho = occupational_fractions(parked, F, path, 0.5, self.g, measure_indices=[0, 2])
+        # +1 is close to the final mean, so not uniformly far
+        np.testing.assert_array_equal(rho, [0.0, 1.0])
 
     def test_fractions_vector_shape_and_range(self):
         rng = np.random.default_rng(0)
@@ -995,8 +1011,8 @@ class TestOccupational:
             name="abs", dim=1, evaluator=ev, m_bound=2.0,
             core_lower=(-2.0,), core_upper=(2.0,), gap=0.0, test_only=True,
         )
-        traj = np.full((11, 1), 0.25)  # the grid holds 0, so fbar is exactly 0.25
-        assert occupational_measure(traj, F, self.path, 0.25, self.g) == 1.0
+        traj = np.full((11, 1, 1), 0.25)  # the grid holds 0, so fbar is exactly 0.25
+        assert occupational_fractions(traj, F, self.path, 0.25, self.g)[0] == 1.0
 
     def test_no_evaluation_after_every_point_has_left(self):
         rows = []
