@@ -383,6 +383,11 @@ def build_grid(cfg: ExperimentConfig) -> SpatialGrid:
     lower = g["lower"] if g["lower"] is not None else [-2.0] * dim
     upper = g["upper"] if g["upper"] is not None else [2.0] * dim
     n_cells = g["n_cells"] if g["n_cells"] is not None else [200] * dim
+    if dim == 2:
+        # the modules of the 2D W1 and Dijkstra crosscheck: a 2D run loads
+        # them while its config is set up, not inside the solve
+        import scipy.optimize  # noqa: F401
+        import scipy.sparse.csgraph  # noqa: F401
     return SpatialGrid(tuple(lower), tuple(upper), tuple(int(n) for n in n_cells))
 
 

@@ -2,8 +2,8 @@
 
 All numeric parameters live in the config file; flags only pick the
 subcommand, the config path, the output directory, and verbosity.  Exit
-codes: 0 success (possibly with warnings), 2 config error, 3 solver error,
-4 assumption violation found by `validate`.
+codes: 0 success (possibly with warnings), 2 config error, 3 solver error
+(out of memory included), 4 assumption violation found by `validate`.
 """
 
 from __future__ import annotations
@@ -414,6 +414,9 @@ def entrypoint(argv=None) -> int:
         return 2
     except MfgError as exc:
         LOG.error("solver error: %s", exc)
+        return 3
+    except MemoryError as exc:
+        LOG.error("solver error: out of memory: %s", exc)
         return 3
 
 

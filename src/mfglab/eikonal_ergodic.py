@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .cost_models import CostFunctional, slice_stats
 from .errors import SolverError, StaticResidualError
@@ -141,10 +139,14 @@ def solve_eikonal(
 
 
 def _graph_distance(ell, dirichlet: NodeSet, grid: SpatialGrid) -> np.ndarray:
-    """Multi-source Dijkstra distance from the Dirichlet nodes at every node.
+    """Multi-source shortest-path distance from the Dirichlet nodes at every node.
 
     The grid graph has 2 neighbors in 1D and 8 in 2D, with edge cost equal
-    to the mean of ell at the endpoints times the edge length.
+    to the mean of ell at the endpoints times the edge length.  On the 1D
+    line a path runs from its nearest source to either side, so the
+    distance is two passes over Python floats, forward then backward: the
+    sums and comparisons of Dijkstra on the line graph, bit for bit, and
+    no scipy import.  2D runs scipy's Dijkstra.
     """
     flat = np.asarray(ell, dtype=float).reshape(grid.shape).ravel()
     offsets = [(1,)] if grid.dim == 1 else [(1, 0), (0, 1), (1, 1), (1, -1)]
@@ -159,7 +161,20 @@ def _graph_distance(ell, dirichlet: NodeSet, grid: SpatialGrid) -> np.ndarray:
         rows.append(src)
         cols.append(dst)
         costs.append(0.5 * (flat[src] + flat[dst]) * length)
-    graph = sp.csr_matrix(
+    if grid.dim == 1:
+        w = costs[0].tolist()  # w[i] joins nodes i and i + 1
+        d = [_INF] * grid.n_nodes
+        for i in dirichlet.indices.tolist():
+            d[i] = 0.0
+        for i in range(1, len(d)):
+            d[i] = min(d[i], d[i - 1] + w[i - 1])
+        for i in range(len(d) - 2, -1, -1):
+            d[i] = min(d[i], d[i + 1] + w[i])
+        return np.array(d)
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    graph = csr_matrix(
         (np.concatenate(costs), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.n_nodes, grid.n_nodes),
     )

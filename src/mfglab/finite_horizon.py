@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost_models import CostFunctional
 from .errors import DomainEscapeError, SolverError
-from .grid_geometry import SpatialGrid, clamp_cells, distance_to_box, escape_margin, lerp
+from .grid_geometry import SpatialGrid, clamp_cells, distance_to_box, escape_margin, lerp, sorted_unique
 from .measures import (
     DEFAULT_SIZE_CAP,
     DiscreteMeasure,
@@ -599,7 +599,10 @@ def solve_hjb_backward(
         m_k = path.measure_at(k)
         fk = F.evaluate_many(grid.nodes, m_k)
         f_slices[k] = fk.reshape(grid.shape)
-        pol, best = argmin(values[k + 1])
+        # a +inf node gives inf - inf and inf * 0 in the kernel: NaN, which
+        # the argmin ranks and the check below reports, without a warning
+        with np.errstate(invalid="ignore"):
+            pol, best = argmin(values[k + 1])
         if np.isinf(best).any():
             bad = int(np.argmax(np.isinf(best)))
             raise SolverError(
@@ -739,7 +742,7 @@ def transport_forward(
 
 def checkpoint_indices(n_steps: int, n_checkpoints: int = N_CHECKPOINTS) -> np.ndarray:
     """Equispaced time indices including both endpoints."""
-    return np.unique(np.round(np.linspace(0, n_steps, n_checkpoints)).astype(int))
+    return sorted_unique(np.round(np.linspace(0, n_steps, n_checkpoints)).astype(int))
 
 
 def _checkpoint_distance(

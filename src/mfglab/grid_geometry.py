@@ -209,6 +209,17 @@ def clamp_cells(t: np.ndarray, n_cells) -> tuple[np.ndarray, np.ndarray, np.ndar
     return j, t - j, escaped
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The sorted distinct values of an integer array, as ``np.unique``
+    returns them.  Since numpy 2.3 a plain ``np.unique`` imports
+    ``numpy.ma`` on its first call (about 13 ms), which a 1D run needs
+    for nothing else."""
+    values = np.sort(np.asarray(values).ravel())
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def lerp(flat: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The 1D linear interpolant of node values ``flat`` in cell ``j`` at
     weight ``w``: the float expression of every 1D interpolation."""
@@ -228,7 +239,7 @@ class NodeSet:
     tol: float = 0.0
 
     def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64).ravel())
+        idx = sorted_unique(np.asarray(self.indices, dtype=np.int64))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.grid.n_nodes):
             raise ValueError("node index out of range")
         object.__setattr__(self, "indices", idx)

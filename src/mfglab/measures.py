@@ -13,10 +13,9 @@ beyond that and records it in metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import DomainEscapeError, InvalidMeasureError, SizeCapError, SolverError
 from .grid_geometry import NodeSet, SpatialGrid, distance_to_set, pairwise_sq_dist
@@ -147,8 +146,17 @@ def _w1_exact_1d(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     return float(np.sum(np.abs(cdf_gap[:-1]) * np.diff(xs)))
 
 
+def _solvers() -> SimpleNamespace:
+    """scipy's ``linear_sum_assignment``, ``linprog`` and ``sparse``,
+    imported on first 2D use: a 1D run never loads scipy."""
+    from scipy import sparse
+    from scipy.optimize import linear_sum_assignment, linprog
+
+    return SimpleNamespace(linear_sum_assignment=linear_sum_assignment, linprog=linprog, sparse=sparse)
+
+
 def _w1_assignment(cost: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _solvers().linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() / cost.shape[0])
 
 
@@ -159,9 +167,11 @@ def _w1_transport_lp(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -
     are sparse: dense, they would take about 800 MB at the 512 x 256 cap.
     """
     n, m = cost.shape
+    solvers = _solvers()
+    sparse = solvers.sparse
     row_sums = sparse.kron(sparse.eye(n), np.ones((1, m)))
     col_sums = sparse.kron(np.ones((1, n)), sparse.eye(m))
-    res = linprog(
+    res = solvers.linprog(
         cost.ravel(),
         A_eq=sparse.vstack([row_sums, col_sums], format="csc"),
         b_eq=np.concatenate([supply, demand]),

@@ -454,11 +454,63 @@ class TestModuleImport:
         assert callable(m.parse_config)
 
 
+MODULE_PROBE = """
+import json, sys
+from mfglab.cli_io.config import build_grid
+from mfglab.cli_io.main import parse_config, run
+
+command, config, out = sys.argv[1:]
+cfg = parse_config(config)
+if command == "setup":
+    build_grid(cfg)
+else:
+    assert run(command, cfg, out) == 0
+loaded = [name for name in sys.modules if name.startswith("scipy") or name == "numpy.ma"]
+print(json.dumps(sorted(loaded)))
+"""
+
+
+def modules_loaded_after(tmp_path, command, text) -> list:
+    """The scipy modules, and numpy.ma, that a fresh process has loaded
+    after it imports mfglab and runs ``command`` on the config (``setup``:
+    parse it and build its grid).  scipy loads numpy.ma, and so does a
+    plain np.unique since numpy 2.3; a 1D run needs neither."""
+    cfg = write_config(tmp_path, text)
+    src = str(Path(mfglab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", MODULE_PROBE, command, str(cfg), str(tmp_path / "out")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestScipyOnlyIn2D:
+    def test_1d_sweep_loads_no_scipy(self, tmp_path):
+        # the sweep builds the ergodic triple, whose crosscheck is the 1D
+        # graph distance, and takes 1D W1s
+        assert modules_loaded_after(tmp_path, "sweep", SWEEP_CONFIG) == []
+
+    def test_2d_setup_loads_the_2d_solvers(self, tmp_path):
+        loaded = modules_loaded_after(tmp_path, "setup", EVOLVE_2D_CONFIG)
+        assert "scipy.optimize" in loaded
+        assert "scipy.sparse.csgraph" in loaded
+
+
 class TestEntrypointErrors:
     def test_config_error_exits_2(self, tmp_path):
         text = MINIMAL.replace("quadratic_congestion", "viscosity")
         cfg = write_config(tmp_path, text)
         assert entrypoint(["static", str(cfg), "--output-dir", str(tmp_path)]) == 2
+
+    def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, caplog):
+        def run_out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.20 GiB for an array")
+
+        monkeypatch.setattr("mfglab.cli_io.main.run", run_out_of_memory)
+        cfg = write_config(tmp_path, MINIMAL)
+        with caplog.at_level("ERROR", logger="mfglab.cli"):
+            assert entrypoint(["evolve", str(cfg), "--output-dir", str(tmp_path)]) == 3
+        assert "solver error: out of memory: Unable to allocate 3.20 GiB" in caplog.text
 
     def test_missing_config_exits_2(self, tmp_path):
         assert entrypoint(["static", str(tmp_path / "nope.yaml")]) == 2

@@ -155,6 +155,28 @@ class TestCrosscheck1D:
         nodes = g.nearest_node_index([[0.4], [-0.8]])
         np.testing.assert_allclose(dist[nodes], [0.4, 0.8], rtol=0, atol=1e-12)
 
+    def test_line_distance_matches_dijkstra_bit_for_bit(self):
+        # the two passes against scipy's Dijkstra on the same line graph,
+        # edge cost the endpoint mean of ell times h
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        rng = np.random.default_rng(12)
+        for trial in range(240):
+            n = int(rng.integers(3, 400))
+            g = SpatialGrid((0.0,), (float(rng.uniform(0.5, 5.0)),), (n,))
+            ell = rng.random(n + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if trial % 3 == 0:
+                lo = int(rng.integers(0, n))
+                ell[lo : lo + int(rng.integers(2, n // 2 + 3))] = 0.0
+            sources = rng.choice(n + 1, size=int(rng.integers(1, 5)), replace=False)
+            edges = np.arange(n)
+            graph = csr_matrix(
+                (0.5 * (ell[:-1] + ell[1:]) * g.spacing[0], (edges, edges + 1)), shape=(n + 1, n + 1)
+            )
+            expected = dijkstra(graph, directed=False, indices=sources, min_only=True)
+            np.testing.assert_array_equal(_graph_distance(ell, NodeSet(g, sources), g), expected)
+
 
 class TestContinuityResidual:
     def test_linear_field_unit_pairing(self):

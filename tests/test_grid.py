@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfglab import DomainEscapeError, NodeSet, SpatialGrid, distance_to_box, distance_to_set
-from mfglab.grid_geometry import pairwise_sq_dist
+from mfglab.grid_geometry import pairwise_sq_dist, sorted_unique
 
 
 def unit_1d(n=2):
@@ -170,6 +170,17 @@ class TestNodeSets:
         g = unit_1d(4)
         with pytest.raises(ValueError):
             distance_to_set([0.5], NodeSet(g, np.array([], dtype=np.int64)))
+
+
+class TestSortedUnique:
+    def test_matches_np_unique(self):
+        rng = np.random.default_rng(5)
+        cases = [np.array([], dtype=np.int64), np.array([3]), np.array([2, 2, 2])]
+        cases += [rng.integers(-20, 20, size=int(rng.integers(1, 60))) for _ in range(50)]
+        for values in cases:
+            got = sorted_unique(values)
+            assert got.dtype == values.dtype
+            np.testing.assert_array_equal(got, np.unique(values))
 
 
 class TestPairwiseSqDist:

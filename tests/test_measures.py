@@ -18,7 +18,14 @@ from mfglab import (
     wasserstein1,
     wasserstein1_capped,
 )
-from mfglab.measures import merge_duplicates, prune
+from mfglab.measures import _solvers, merge_duplicates, prune
+
+
+def patch_linprog(monkeypatch, fake):
+    """Route the library's 2D transportation LP through ``fake``."""
+    solvers = _solvers()
+    solvers.linprog = fake
+    monkeypatch.setattr("mfglab.measures._solvers", lambda: solvers)
 
 
 def w1_linprog(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
@@ -147,7 +154,7 @@ class TestW1Oracles:
         def infeasible(*args, **kwargs):
             return OptimizeResult(status=2, success=False, fun=None, message="The problem is infeasible.")
 
-        monkeypatch.setattr("mfglab.measures.linprog", infeasible)
+        patch_linprog(monkeypatch, infeasible)
         # off the 1/N weight lattice, so the pair reaches the LP
         a = DiscreteMeasure.from_weighted([[0.0, 0.0], [1.0, 0.0]], [2 ** -0.5, 1 - 2 ** -0.5])
         b = DiscreteMeasure.dirac([0.0, 1.0])
@@ -222,7 +229,7 @@ class TestW1LatticeDispatch:
             calls.append(1)
             return linprog(*args, **kwargs)
 
-        monkeypatch.setattr("mfglab.measures.linprog", spy)
+        patch_linprog(monkeypatch, spy)
         return calls
 
     @pytest.mark.parametrize("name", sorted(LATTICE_PAIRS))
