@@ -55,7 +55,6 @@ from .eikonal_ergodic import (
     ErgodicTriple,
     build_ergodic_triple,
     continuity_residual,
-    converse_check,
     solve_eikonal,
 )
 from .finite_horizon import (
@@ -112,7 +111,6 @@ __all__ = [
     "constant_damping",
     "continuity_residual",
     "control_lattice",
-    "converse_check",
     "default_eps_min",
     "distance_to_box",
     "distance_to_set",

@@ -184,6 +184,12 @@ def _estimate_argmin_and_c(
     return node_set, float(np.mean(c_values))
 
 
+def value_ball(grid: SpatialGrid, R: float) -> np.ndarray:
+    """Mask of the nodes within R of the origin, where a sweep compares
+    u(., sT)/T with c*(1 - s) and the shifted value with the potential."""
+    return np.sqrt((grid.nodes * grid.nodes).sum(axis=1)) <= R + 1e-12
+
+
 def run_sweep(
     F: CostFunctional,
     m0: DiscreteMeasure,
@@ -207,6 +213,9 @@ def run_sweep(
     if len(horizons) == 0:
         raise ValueError("T_list must not be empty")
     s_grid = np.asarray(params.s_grid, dtype=float)
+    ball = value_ball(grid, params.R)
+    if not ball.any():
+        raise ValueError(f"no grid node inside the ball of radius {params.R}")
     seeds = np.random.SeedSequence(params.seed).generate_state(len(horizons))
 
     solves = []
@@ -257,9 +266,6 @@ def run_sweep(
         except (StaticResidualError, SolverError):
             v_erg = None
 
-    ball = np.sqrt((grid.nodes * grid.nodes).sum(axis=1)) <= params.R + 1e-12
-    if not ball.any():
-        raise ValueError(f"no grid node inside the ball of radius {params.R}")
     limit = DiscreteMeasure.dirac(argmin_points[0]) if singleton else None
 
     records = []

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from ..asymptotics import DEFAULT_S_GRID, DEFAULT_T_LIST
 from ..cost_models import BUILTIN_MODELS, CostFunctional, build_model
 from ..errors import ConfigError
 from ..finite_horizon import horizon_steps
@@ -97,11 +98,11 @@ SCHEMA = {
         "damping": _DAMPING,
     },
     "sweep": {
-        "T_list": Field("float_list", (5.0, 10.0, 20.0, 40.0)),
+        "T_list": Field("float_list", DEFAULT_T_LIST),
         "mode": Field("enum", "fixed_steps", choices=("fixed_steps", "fixed_dt")),
         "n_steps": Field("int", 200),
         "dt": Field("opt_float", None),
-        "s_grid": Field("float_list", (0.1, 0.25, 0.5, 0.75, 1.0)),
+        "s_grid": Field("float_list", DEFAULT_S_GRID),
         "R": Field("float", 1.0),
         "delta_occ": Field("float", 0.1),
         "tol": Field("float", 5e-3),
@@ -217,6 +218,13 @@ def _walk(user, schema: dict, path: str) -> dict:
     return out
 
 
+# keys that must be positive wherever a solver section sets them
+_POSITIVE = (
+    "tol", "static_tol", "sweep_tol", "control_radius", "control_mesh",
+    "path_cap", "w1_size_cap", "R", "delta_occ",
+)
+
+
 def _divides(dt: float, T: float) -> bool:
     try:
         horizon_steps(T, dt)
@@ -274,8 +282,10 @@ def _semantic_checks(cfg: dict):
 
     for section in ("static", "ergodic", "evolve", "sweep"):
         for key, val in cfg[section].items():
-            if key in ("tol", "static_tol", "sweep_tol") and val <= 0:
-                raise ConfigValueError(f"'{section}.{key}' must be positive")
+            if key in _POSITIVE and val is not None and val <= 0:
+                raise ConfigValueError(f"'{section}.{key}' must be positive, got {val}")
+            if key == "eps_min" and val is not None and val < 0:
+                raise ConfigValueError(f"'{section}.{key}' must be nonnegative, got {val}")
             if key in ("max_iter", "max_sweeps") and val < 1:
                 raise ConfigValueError(f"'{section}.{key}' must be at least 1")
 

@@ -6,9 +6,12 @@ ell = sqrt(2 (F - c)) and v = 0 on the grid-tolerant argmin set.  The
 solver is Godunov-upwind fast sweeping (Gauss-Seidel over the four axis
 orderings of a node array; 1D and 2D share it, a line being one column);
 validation compares v with an independent shortest-path estimate, tests
-the distributional continuity equation against smooth bumps, and runs a
-converse support/critical-value check.  The integral identity tying the
-average cost under m to the critical value is the static residual of m.
+the distributional continuity equation against smooth bumps, and reports
+how far m charges nodes outside the argmin set.  The integral identity
+tying the average cost under m to the critical value is the static
+residual of m.  The triple is built from a static equilibrium, so c is
+the slice minimum by construction; ``support_violation`` is the converse
+condition that can still fail.
 """
 
 from __future__ import annotations
@@ -282,10 +285,12 @@ class ErgodicTriple:
 
     ``residuals`` carries crosscheck_gap (worst node violation of the
     bracket v <= dist <= kappa v by the shortest-path distance, see
-    :func:`build_ergodic_triple`), continuity_residual, support_violation,
-    static_residual (which for the rest measure m x delta_0 is also the
-    gap between its average action and the critical value), and the
-    continuity family size.
+    :func:`build_ergodic_triple`), continuity_residual, support_violation
+    (the farthest any support point of m lies from the argmin set; more
+    than one cell means m charges points that do not minimise its own
+    slice), static_residual (which for the rest measure m x delta_0 is
+    also the gap between its average action and the critical value), and
+    the continuity family size.
     ``boundary_monotone`` records whether v increases toward the box
     boundary (the outflow condition that replaces decay at infinity on a
     truncated domain).
@@ -324,7 +329,6 @@ def build_ergodic_triple(
     eps_min: float | None = None,
     sweep_tol: float = 1e-12,
     max_sweeps: int = 200,
-    test_functions=None,
 ) -> ErgodicTriple:
     """Assemble and validate the ergodic triple seeded by a static solution.
 
@@ -361,7 +365,7 @@ def build_ergodic_triple(
         c, sweeps, gap,
     )
 
-    cont, family = continuity_residual(v, m, grid, test_functions)
+    cont, family = continuity_residual(v, m, grid)
     support_violation = support_distance(m, stats.argmin_set)
     tol_mono = max(1e-9, 1e-12 * float(np.max(v)))
     return ErgodicTriple(
@@ -380,29 +384,3 @@ def build_ergodic_triple(
         boundary_monotone=_boundary_monotone(v, grid, tol_mono),
         metadata={"eps_min": stats.eps_min, "sweep_tol": sweep_tol},
     )
-
-
-def converse_check(
-    F: CostFunctional,
-    triple: ErgodicTriple,
-    grid: SpatialGrid,
-    eps_min: float | None = None,
-    c_tol: float = 1e-9,
-) -> dict:
-    """Necessary-condition report for a candidate triple.
-
-    The measure must charge only (grid-tolerant) minimizers of its own
-    slice, and the stored c may not exceed the slice minimum.
-    """
-    stats = slice_stats(F, triple.m, grid, eps_min)
-    supp_dist = support_distance(triple.m, stats.argmin_set)
-    support_ok = supp_dist <= grid.max_spacing * (1.0 + 1e-9)
-    c_ok = triple.c <= stats.c_m + c_tol
-    return {
-        "support_distance": float(supp_dist),
-        "support_ok": bool(support_ok),
-        "c_m": float(stats.c_m),
-        "c_gap": float(stats.c_m - triple.c),
-        "c_ok": bool(c_ok),
-        "passed": bool(support_ok and c_ok),
-    }

@@ -24,7 +24,6 @@ from mfglab import (
     a_priori_report,
     bounded_ratio,
     build_ergodic_triple,
-    converse_check,
     nonincreasing_with_slack,
     residual,
     run_sweep,
@@ -286,13 +285,14 @@ class TestCriterion7ErgodicTriples:
             res = solve_static(F, grid, DiscreteMeasure.dirac(start), eps_min=1e-9)
             assert res.converged, F.name
             triple = build_ergodic_triple(F, res.measure, grid, eps_min=1e-9)
-            conv = converse_check(F, triple, grid, eps_min=1e-9)
+            # m charges only minimisers of its own slice, up to one cell
+            support_ok = triple.residuals["support_violation"] <= grid.max_spacing * (1.0 + 1e-9)
             bound = 10.0 * grid.max_spacing
             gap = triple.residuals["crosscheck_gap"]
             cont = triple.residuals["continuity_residual"]
             worst_gap = max(worst_gap, gap / bound)
             worst_cont = max(worst_cont, cont / bound)
-            all_ok = all_ok and conv["passed"] and gap <= bound and cont <= bound
+            all_ok = all_ok and support_ok and gap <= bound and cont <= bound
             if F.analytic_c_star is not None:
                 # closed-form critical value: c and the average cost under m
                 c_err = abs(triple.c - F.analytic_c_star)
@@ -304,7 +304,8 @@ class TestCriterion7ErgodicTriples:
         certify(
             7,
             all_ok,
-            f"5 models: converse checks passed, worst Dijkstra bracket gap {worst_gap:.3f} and "
+            f"5 models: supports within one cell of the argmin set, "
+            f"worst Dijkstra bracket gap {worst_gap:.3f} and "
             f"continuity {worst_cont:.3f} of the 10h budget, "
             f"worst |c - c*| {worst_c:.1e} and |int F dm - c*| {worst_work:.1e} (tol 1e-12)",
         )

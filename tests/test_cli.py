@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import mfglab
 from mfglab import ConfigError, DiscreteMeasure
@@ -202,16 +203,43 @@ ergodic:
 
 
 class TestErgodicCommand:
-    def test_pipeline_from_static_measure(self, tmp_path):
+    def test_pipeline_from_static_measure(self, tmp_path, caplog):
         static_cfg = write_config(tmp_path, STATIC_CONFIG, "static.yaml")
         assert entrypoint(["static", str(static_cfg), "--output-dir", str(tmp_path)]) == 0
         ergodic_cfg = write_config(tmp_path, ERGODIC_CONFIG, "ergodic.yaml")
-        assert entrypoint(["ergodic", str(ergodic_cfg), "--output-dir", str(tmp_path)]) == 0
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert entrypoint(["ergodic", str(ergodic_cfg), "--output-dir", str(tmp_path)]) == 0
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
         summary = json.loads((tmp_path / "ergodic_summary.json").read_text())
+        assert set(summary) == {"meta", "c", "residuals", "boundary_monotone", "dirichlet_points"}
+        assert set(summary["residuals"]) == {
+            "crosscheck_gap",
+            "continuity_residual",
+            "continuity_family",
+            "support_violation",
+            "static_residual",
+        }
         assert summary["c"] == pytest.approx(0.0, abs=1e-12)
-        assert summary["converse"]["passed"] is True
+        # the static measure charges only the argmin set: within one cell
+        assert summary["residuals"]["support_violation"] <= 4.0 / 100
         assert summary["residuals"]["static_residual"] <= 1e-12
         assert (tmp_path / "ergodic_value.csv").exists()
+
+    def test_measure_off_the_argmin_set_exits_0_with_warning(self, tmp_path, caplog):
+        # a Dirac at 0.5 is 12.5 cells from K = {0}; a loose static_tol
+        # lets the triple be built, and the run reports the violation
+        text = ERGODIC_CONFIG.replace(
+            "  measure_file: static_measure.csv\n", "  static_tol: 1.0\n"
+        ) + "m0:\n  kind: dirac\n  point: [0.5]\n"
+        cfg = write_config(tmp_path, text, "off.yaml")
+        with caplog.at_level("WARNING", logger="mfglab.cli"):
+            assert entrypoint(["ergodic", str(cfg), "--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "ergodic_summary.json").read_text())
+        assert summary["residuals"]["support_violation"] == pytest.approx(0.5, abs=1e-12)
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "support_violation 0.5 exceeds one cell" in warnings[0].getMessage()
 
     def test_non_equilibrium_measure_exits_3(self, tmp_path):
         bad = DiscreteMeasure.dirac([0.5])
@@ -496,11 +524,53 @@ class TestScipyOnlyIn2D:
         assert "scipy.sparse.csgraph" in loaded
 
 
+# a small run of every command; each case below sets one value out of range
+SMALL_RUN = {
+    "model": {"name": "quadratic_congestion", "dim": 1},
+    "grid": {"n_cells": [20]},
+    "m0": {"n_particles": 8},
+    "evolve": {"T": 0.2, "dt": 0.1},
+    "sweep": {"T_list": [1.0], "n_steps": 10, "eps_min": 1e-9},
+}
+
+OUT_OF_RANGE = [
+    ("evolve", "evolve.control_mesh", -0.1, {}),
+    ("sweep", "sweep.control_mesh", -0.1, {}),
+    ("evolve", "evolve.control_radius", 0.0, {}),
+    ("evolve", "evolve.path_cap", 0, {}),
+    ("evolve", "evolve.w1_size_cap", 0, {"model.dim": 2, "grid.n_cells": [10, 10]}),
+    ("static", "static.eps_min", -1.0, {}),
+    ("ergodic", "ergodic.eps_min", -1.0, {"m0.kind": "dirac", "m0.point": [0.0]}),
+    ("sweep", "sweep.eps_min", -1.0, {}),
+    ("sweep", "sweep.R", -1.0, {}),
+    ("sweep", "sweep.delta_occ", 0.0, {}),
+    # 21 cells of [-2, 2] put no node within 0.001 of the origin
+    ("sweep", "sweep.R", 0.001, {"grid.n_cells": [21]}),
+]
+
+
 class TestEntrypointErrors:
     def test_config_error_exits_2(self, tmp_path):
         text = MINIMAL.replace("quadratic_congestion", "viscosity")
         cfg = write_config(tmp_path, text)
         assert entrypoint(["static", str(cfg), "--output-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, key, value, others",
+        OUT_OF_RANGE,
+        ids=[f"{key}={value}" for _, key, value, _ in OUT_OF_RANGE],
+    )
+    def test_value_out_of_range_exits_2_naming_its_key(
+        self, tmp_path, caplog, command, key, value, others
+    ):
+        raw = {section: dict(body) for section, body in SMALL_RUN.items()}
+        for dotted, val in [*others.items(), (key, value)]:
+            section, name = dotted.split(".")
+            raw.setdefault(section, {})[name] = val
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        with caplog.at_level("ERROR", logger="mfglab.cli"):
+            assert entrypoint([command, str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert f"config error: '{key}'" in caplog.text
 
     def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, caplog):
         def run_out_of_memory(*args, **kwargs):

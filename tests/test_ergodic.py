@@ -5,18 +5,16 @@ import pytest
 
 from mfglab import (
     DiscreteMeasure,
-    ErgodicTriple,
     NodeSet,
     SolverError,
     SpatialGrid,
     StaticResidualError,
     build_ergodic_triple,
     continuity_residual,
-    converse_check,
     solve_eikonal,
     solve_static,
 )
-from mfglab.cost_models import fg_plus_g, quadratic_congestion, separated_kernel, two_wells
+from mfglab.cost_models import quadratic_congestion, two_wells
 from mfglab.eikonal_ergodic import _graph_distance, bump_gradient
 
 
@@ -282,49 +280,20 @@ class TestErgodicTriple:
             f"crosscheck_gap {t.residuals['crosscheck_gap']:.3e}"
         )
 
+    @pytest.mark.parametrize("cells", [1, 3, 25])
+    def test_support_violation_is_the_distance_off_the_argmin_set(self, cells):
+        # K = {0} for every measure; a loose static_tol admits a Dirac off K
+        F = quadratic_congestion(dim=1)
+        g = SpatialGrid((-2.0,), (2.0,), (200,))
+        x = cells * g.max_spacing
+        t = build_ergodic_triple(F, DiscreteMeasure.dirac([x]), g, static_tol=1.0, eps_min=1e-9)
+        np.testing.assert_array_equal(t.dirichlet.points, [[0.0]])
+        assert t.residuals["support_violation"] == pytest.approx(x, abs=1e-12)
+        assert t.residuals["static_residual"] > 0.0
+
     def test_non_equilibrium_rejected(self):
         F = quadratic_congestion(dim=1)
         g = SpatialGrid((-2.0,), (2.0,), (200,))
         with pytest.raises(StaticResidualError) as err:
             build_ergodic_triple(F, DiscreteMeasure.dirac([0.5]), g)
         assert err.value.residual > err.value.tol
-
-
-class TestConverseCheck:
-    def test_valid_triples_pass(self):
-        for F, x0 in (
-            (quadratic_congestion(dim=1), [1.0]),
-            (two_wells(dim=1), [0.3]),
-            (separated_kernel(dim=1), [0.4]),
-            (fg_plus_g(dim=1), [0.6]),
-        ):
-            g = SpatialGrid((-2.0,), (2.0,), (200,))
-            t = build_triple(F, x0, g)
-            report = converse_check(F, t, g, eps_min=1e-9)
-            assert report["passed"], (F.name, report)
-            assert report["support_distance"] <= g.max_spacing
-
-    def test_support_violation_flagged(self):
-        F = quadratic_congestion(dim=1)
-        g = SpatialGrid((-2.0,), (2.0,), (200,))
-        fake = ErgodicTriple(
-            c=0.0, v=np.zeros(g.shape), m=DiscreteMeasure.dirac([0.5]),
-            grid=g, dirichlet=origin_set(g),
-        )
-        report = converse_check(F, fake, g, eps_min=1e-9)
-        assert not report["support_ok"]
-        assert report["support_distance"] == pytest.approx(0.5, abs=1e-12)
-        assert not report["passed"]
-
-    def test_inflated_critical_value_flagged(self):
-        F = quadratic_congestion(dim=1)
-        g = SpatialGrid((-2.0,), (2.0,), (200,))
-        fake = ErgodicTriple(
-            c=1.0, v=np.zeros(g.shape), m=DiscreteMeasure.dirac([0.0]),
-            grid=g, dirichlet=origin_set(g),
-        )
-        report = converse_check(F, fake, g, eps_min=1e-9)
-        assert report["support_ok"]
-        assert not report["c_ok"]
-        assert report["c_gap"] == pytest.approx(-1.0, abs=1e-12)
-
