@@ -25,7 +25,6 @@ from .measures import (
     MeasurePath,
     mix,
     mix_paths,
-    push_forward,
     sample_from_density,
     support_distance,
     wasserstein1,
@@ -123,7 +122,6 @@ __all__ = [
     "model_separated_kernel",
     "nonincreasing_with_slack",
     "occupational_fractions",
-    "push_forward",
     "residual",
     "run_sweep",
     "sample_from_density",

@@ -257,6 +257,33 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+# The columns of sweep_records.csv: one row per (horizon record r, index j
+# into its s grid).
+_SWEEP_COLUMNS = (
+    ("T", lambda r, j: r.T),
+    ("dt", lambda r, j: r.dt),
+    ("n_steps", lambda r, j: r.n_steps),
+    ("s", lambda r, j: r.s_grid[j]),
+    ("t", lambda r, j: r.s_times[j]),
+    ("support_dist", lambda r, j: r.support_dist[j]),
+    ("d1_to_limit", lambda r, j: r.d1_to_limit[j]),
+    ("value_rate_err", lambda r, j: r.value_rate_err[j]),
+    ("value_rate_err_times_T", lambda r, j: r.T * r.value_rate_err[j]),
+    ("wkam_err", lambda r, j: r.wkam_err[j]),
+    ("chi_hat", lambda r, j: r.chi_hat),
+    ("chi_prime_hat", lambda r, j: r.chi_prime_hat),
+    ("r1_hat", lambda r, j: r.r1_hat),
+    ("rho_max", lambda r, j: float(r.rho.max())),
+    ("occ_bound", lambda r, j: r.occ_bound),
+    ("grad_max", lambda r, j: r.a_priori["grad_max"]),
+    ("iterations", lambda r, j: r.iterations),
+    ("converged", lambda r, j: r.converged),
+    ("tainted", lambda r, j: r.tainted),
+    ("estimated", lambda r, j: r.estimated),
+    ("c_star", lambda r, j: r.c_star_used),
+)
+
+
 def _run_sweep(cfg: ExperimentConfig, out: Path) -> int:
     grid = build_grid(cfg)
     F = build_cost(cfg, grid)
@@ -283,63 +310,17 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> int:
     records = run_sweep(F, m0, sw["T_list"], grid, params)
     sha, seed = cfg.sha256, cfg.seed
 
-    rows = []
-    for r in records:
-        for j, s in enumerate(r.s_grid):
-            rows.append(
-                (
-                    r.T,
-                    r.dt,
-                    r.n_steps,
-                    s,
-                    r.s_times[j],
-                    r.support_dist[j],
-                    r.d1_to_limit[j],
-                    r.value_rate_err[j],
-                    r.T * r.value_rate_err[j],
-                    r.wkam_err[j],
-                    r.chi_hat,
-                    r.chi_prime_hat,
-                    r.r1_hat,
-                    float(r.rho.max()),
-                    r.occ_bound,
-                    r.a_priori["grad_max"],
-                    r.iterations,
-                    r.converged,
-                    r.tainted,
-                    r.estimated,
-                    r.c_star_used,
-                )
-            )
     write_csv(
         out / "sweep_records.csv",
         "sweep",
         sha,
         seed,
+        [name for name, _ in _SWEEP_COLUMNS],
         [
-            "T",
-            "dt",
-            "n_steps",
-            "s",
-            "t",
-            "support_dist",
-            "d1_to_limit",
-            "value_rate_err",
-            "value_rate_err_times_T",
-            "wkam_err",
-            "chi_hat",
-            "chi_prime_hat",
-            "r1_hat",
-            "rho_max",
-            "occ_bound",
-            "grad_max",
-            "iterations",
-            "converged",
-            "tainted",
-            "estimated",
-            "c_star",
+            tuple(value(r, j) for _, value in _SWEEP_COLUMNS)
+            for r in records
+            for j in range(len(r.s_grid))
         ],
-        rows,
     )
 
     summary = sweep_verdict(

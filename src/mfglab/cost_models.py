@@ -97,7 +97,7 @@ def slice_stats(
     if eps_min is None:
         eps_min = default_eps_min(float(np.abs(vals).max()), grid)
     mask = (vals - c) <= eps_min
-    argmin = NodeSet.from_mask(grid, mask, tol=eps_min)
+    argmin = NodeSet.from_mask(grid, mask)
     outside = distance_to_box(argmin.points, F.core_lower, F.core_upper) > grid.max_spacing
     if outside.any():
         logger.warning(

@@ -218,7 +218,7 @@ def _first_least(q: np.ndarray, index: np.ndarray, n_controls: int) -> np.ndarra
     return np.where((q == least) | np.isnan(q), index, n_controls).argmin(axis=0)
 
 
-def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate, reach_field=None):
+def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None):
     """First lattice minimiser of dt|a|^2/2 + u(x + dt a) at fixed points.
 
     ``u`` is the multilinear interpolant of a node field.  Along one line
@@ -235,10 +235,10 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     ranked by the parabola at that step, ties going to the smaller
     sorted-lattice index, and only the two steps ``floor(k*)`` and
     ``floor(k*) + 1`` around the winning cell's clamped vertex are
-    evaluated, by the caller's float expression for u; the lesser wins,
-    ties again by index.  1D has one line and runs the line kernel
+    evaluated by ``SpatialGrid.interpolate_many``; the lesser wins, ties
+    again by index.  1D has one line and runs the line kernel
     (``_line_kernel``), which evaluates with the 1D expression of
-    ``SpatialGrid.interpolate_many`` (``lerp``).
+    ``interpolate_many`` (``lerp``).
 
     The arrays are cell-major: cells along the leading axis, one column
     per point (in 2D, per (point, line) pair), and the two candidates as
@@ -253,8 +253,8 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     line filter (``_line_filter``) drops, per point, every line of the box
     whose lower bound exceeds a value the point reaches on another line;
     the cell stage (``_cell_stage``) runs on the surviving (point, line)
-    pairs and evaluates by ``evaluate(grid, field, feet)``, inf where a
-    foot escapes.
+    pairs and evaluates the two candidate feet by ``interpolate_many``,
+    inf where a foot escapes.
 
     Exactness: the rounded vertex is its cell's least lattice step and one
     of the two evaluated steps, which are compared as a scan of the whole
@@ -286,7 +286,7 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
 
     def argmin(field: np.ndarray):
         sub = _descent_box(grid, lattice, field)
-        return _cell_stage(grid, points, sub, evaluate, _line_filter(grid, points, sub)(field))(field)
+        return _cell_stage(grid, points, sub, _line_filter(grid, points, sub)(field))(field)
 
     return argmin
 
@@ -426,12 +426,13 @@ def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
     return keep
 
 
-def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evaluate, pairs: _Pairs):
+def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, pairs: _Pairs):
     """The 2D cell stage of ``_bracketed_argmin`` on the given pairs;
     returns ``argmin(field)``.  The cells form (cell, pair) arrays, one
     column of cells per pair, and the two candidates of each point a
-    (2, point) block whose feet are evaluated candidate-major, each foot
-    on its own.  A pair whose axis-1 foot escapes holds no step."""
+    (2, point) block whose feet are evaluated candidate-major by
+    ``interpolate_many``, inf where a foot escapes.  A pair whose axis-1
+    foot escapes holds no step."""
     who, starts, line, j1, w1, escaped = pairs
     lo0, h0, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
     mesh, half = lattice.mesh, lattice.half[line]
@@ -476,9 +477,9 @@ def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, evalua
         pair = np.minimum.reduceat(np.where(key == first, pair_columns, who.size), starts)
         vertex_step = np.floor(vertex[cell[pair], pair]).astype(np.int64)
         cand = table[origin[pair] + vertex_step + np.arange(2)[:, None]]
-        # candidate-major feet: each is interpolated on its own
         feet = (points + lattice.moves[cand]).reshape(-1, grid.dim)
-        q = (evaluate(grid, field, feet) + lattice.run_cost[cand].ravel()).reshape(cand.shape)
+        u = grid.interpolate_many(field, feet, out_of_range="inf")
+        q = (u + lattice.run_cost[cand].ravel()).reshape(cand.shape)
         pick = _first_least(q, cand, n_controls)
         return cand[pick, columns], q[pick, columns]
 
@@ -510,28 +511,6 @@ class ValueField:
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-
-def _corner_sum(grid: SpatialGrid, field: np.ndarray, feet: np.ndarray) -> np.ndarray:
-    """Bilinear values at the 2D feet as corner values times corner weights,
-    summed per foot; inf where a foot escapes."""
-    j, w, escaped = grid.locate(feet)
-    ny = grid.shape[1]
-    base = j[:, 0] * ny + j[:, 1]
-    idx = np.stack([base, base + ny, base + 1, base + ny + 1], axis=-1)
-    w0, w1 = w[:, 0], w[:, 1]
-    wts = np.stack(
-        [(1.0 - w0) * (1.0 - w1), w0 * (1.0 - w1), (1.0 - w0) * w1, w0 * w1],
-        axis=-1,
-    )
-    q = (field.ravel()[idx] * wts).sum(axis=-1)
-    q[escaped] = np.inf
-    return q
-
-
-def _interpolate(grid: SpatialGrid, field: np.ndarray, feet: np.ndarray) -> np.ndarray:
-    """``interpolate_many`` at the feet; inf where a foot escapes."""
-    return grid.interpolate_many(field, feet, out_of_range="inf")
 
 
 def horizon_steps(T: float, dt: float) -> int:
@@ -573,15 +552,15 @@ def solve_hjb_backward(
     sorted lattice, up to the rounding caveat below.
 
     The minimum is the closed-form argmin of ``_bracketed_argmin``, its
-    two steps evaluated as corner values times corner weights, summed per
-    foot (in 1D, ``interpolate_many``'s expression, the same bits): values
-    and policy are those of a scan of the whole lattice except where the
-    minima of two cells agree to within rounding.  In 1D its geometry at
-    the nodes is built once per solve: the (cell, node) arrays of the
-    line kernel over the whole reach.  In 2D each step searches the descent box
-    of its value slice, the controls with ``|a_i| <= S_i + mesh/2``, and
-    builds the line filter's (node, line) feet for the box's lines and the
-    cell stage for the lines that survive the filter.
+    two steps evaluated by ``interpolate_many``, as in
+    ``transport_forward``: values and policy are those of a scan of the
+    whole lattice except where the minima of two cells agree to within
+    rounding.  In 1D its geometry at the nodes is built once per solve:
+    the (cell, node) arrays of the line kernel over the whole reach.  In
+    2D each step searches the descent box of its value slice, the
+    controls with ``|a_i| <= S_i + mesh/2``, and builds the line filter's
+    (node, line) feet for the box's lines and the cell stage for the lines
+    that survive the filter.
     """
     n_t, lattice = _check_alignment(path, dt)
     if control_radius is None:
@@ -589,7 +568,7 @@ def solve_hjb_backward(
     if control_mesh is None:
         control_mesh = default_control_mesh(grid, dt)
     controls = control_lattice(grid.dim, control_radius, control_mesh)
-    argmin = _bracketed_argmin(grid, grid.nodes, _Lattice.of(controls, control_mesh, dt), _corner_sum)
+    argmin = _bracketed_argmin(grid, grid.nodes, _Lattice.of(controls, control_mesh, dt))
 
     values = np.empty((n_t + 1,) + grid.shape)
     values[n_t] = 0.0
@@ -681,14 +660,15 @@ def transport_forward(
     within two cells of the box boundary.
 
     The argmin is the closed-form argmin of ``_bracketed_argmin`` at the
-    particle positions, its two steps evaluated by ``interpolate_many``'s
-    float expression: the control is the first minimiser over the whole
-    lattice except where the minima of two cells agree to within rounding.
-    Its geometry is built per step, for the step's slice, and drops no
-    minimiser: in 1D only the cells within ``dt (S + mesh/2)`` of a
-    particle, plus one on each side, S the steepest slope of the slice
-    within reach (``_line_kernel``); in 2D only the controls of the slice's
-    descent box, ``|a_i| <= S_i + mesh/2`` (``_descent_box``).
+    particle positions, its two steps evaluated by ``interpolate_many``,
+    the interpolant of the HJB step: the control is the first minimiser
+    over the whole lattice except where the minima of two cells agree to
+    within rounding.  Its geometry is built per step, for the step's
+    slice, and drops no minimiser: in 1D only the cells within
+    ``dt (S + mesh/2)`` of a particle, plus one on each side, S the
+    steepest slope of the slice within reach (``_line_kernel``); in 2D
+    only the controls of the slice's descent box, ``|a_i| <= S_i + mesh/2``
+    (``_descent_box``).
     """
     grid = value.grid
     dt = value.dt
@@ -702,7 +682,7 @@ def transport_forward(
     sup_speed = np.zeros(n_p)
     for k in range(value.n_steps):
         u_next = value.values[k + 1]
-        pick, best = _bracketed_argmin(grid, pts, lattice, _interpolate, u_next)(u_next)
+        pick, best = _bracketed_argmin(grid, pts, lattice, u_next)(u_next)
         feasible = np.isfinite(best)
         if not feasible.all():
             i = int(np.argmin(feasible))

@@ -131,20 +131,20 @@ class SpatialGrid:
         :class:`DomainEscapeError`, ``"inf"`` returns ``+inf`` for the
         escaped entries.
         """
+        if out_of_range not in ("raise", "inf"):
+            raise ValueError(f"unknown out_of_range mode {out_of_range!r}")
         arr = np.asarray(field, dtype=float)
         if arr.shape != self.shape:
             raise ValueError(f"field has shape {arr.shape}, expected {self.shape}")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         j, w, escaped = self.locate(pts)
-        if escaped.any():
-            if out_of_range == "raise":
-                bad = pts[int(np.argmax(escaped))]
-                raise DomainEscapeError(
-                    f"point {bad.tolist()} lies more than one cell outside the box",
-                    point=tuple(bad.tolist()),
-                )
-            if out_of_range != "inf":
-                raise ValueError(f"unknown out_of_range mode {out_of_range!r}")
+        any_escaped = escaped.any()
+        if any_escaped and out_of_range == "raise":
+            bad = pts[int(np.argmax(escaped))]
+            raise DomainEscapeError(
+                f"point {bad.tolist()} lies more than one cell outside the box",
+                point=tuple(bad.tolist()),
+            )
         flat = arr.ravel()
         if self.dim == 1:
             vals = lerp(flat, j[:, 0], w[:, 0])
@@ -158,8 +158,7 @@ class SpatialGrid:
                 + flat[base + 1] * (1.0 - w0) * w1
                 + flat[base + ny + 1] * w0 * w1
             )
-        if escaped.any():
-            vals = vals.copy()
+        if any_escaped:
             vals[escaped] = np.inf
         return vals
 
@@ -228,15 +227,10 @@ def lerp(flat: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NodeSet:
-    """A finite set of grid nodes, stored as sorted unique flat indices.
-
-    ``tol`` records the extraction tolerance the set was built with (zero
-    for exact constructions); it is carried as metadata only.
-    """
+    """A finite set of grid nodes, stored as sorted unique flat indices."""
 
     grid: SpatialGrid
     indices: np.ndarray
-    tol: float = 0.0
 
     def __post_init__(self):
         idx = sorted_unique(np.asarray(self.indices, dtype=np.int64))
@@ -245,16 +239,16 @@ class NodeSet:
         object.__setattr__(self, "indices", idx)
 
     @classmethod
-    def from_mask(cls, grid: SpatialGrid, mask, tol: float = 0.0) -> "NodeSet":
+    def from_mask(cls, grid: SpatialGrid, mask) -> "NodeSet":
         m = np.asarray(mask, dtype=bool)
         if m.shape != grid.shape:
             raise ValueError(f"mask has shape {m.shape}, expected {grid.shape}")
-        return cls(grid, np.flatnonzero(m.ravel()), tol)
+        return cls(grid, np.flatnonzero(m.ravel()))
 
     @classmethod
-    def from_points(cls, grid: SpatialGrid, points, tol: float = 0.0) -> "NodeSet":
+    def from_points(cls, grid: SpatialGrid, points) -> "NodeSet":
         """Snap points to their nearest nodes."""
-        return cls(grid, grid.nearest_node_index(points), tol)
+        return cls(grid, grid.nearest_node_index(points))
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -263,9 +257,6 @@ class NodeSet:
 
     def __len__(self) -> int:
         return int(self.indices.size)
-
-    def __contains__(self, flat_index) -> bool:
-        return bool(np.isin(int(flat_index), self.indices))
 
 
 def distance_to_set(points, node_set: NodeSet):

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainEscapeError, InvalidMeasureError, SizeCapError, SolverError
+from .errors import InvalidMeasureError, SizeCapError, SolverError
 from .grid_geometry import NodeSet, SpatialGrid, distance_to_set, pairwise_sq_dist
 
 WEIGHT_SUM_TOL = 1e-12
@@ -278,34 +278,6 @@ def _downsample(m: DiscreteMeasure, n: int, rng: np.random.Generator) -> Discret
     return merge_duplicates(
         DiscreteMeasure(m.points[idx], np.full(n, 1.0 / n), meta)
     )
-
-
-# -- transport of measures ---------------------------------------------------
-
-
-def push_forward(m: DiscreteMeasure, flow, grid: SpatialGrid | None = None) -> DiscreteMeasure:
-    """Image measure under ``flow``: particles move, weights stay.
-
-    ``flow`` maps a (n, dim) position array to a (n, dim) array.  When a
-    grid is given, images beyond one cell outside the box raise
-    :class:`DomainEscapeError`; images within that margin are clamped onto
-    the box.
-    """
-    new_pts = np.asarray(flow(m.points.copy()), dtype=float)
-    if new_pts.shape != m.points.shape:
-        raise InvalidMeasureError(
-            f"flow returned shape {new_pts.shape}, expected {m.points.shape}"
-        )
-    if grid is not None:
-        _, _, escaped = grid.locate(new_pts)
-        if escaped.any():
-            bad = new_pts[int(np.argmax(escaped))]
-            raise DomainEscapeError(
-                f"flow sent a particle to {bad.tolist()}, beyond the clamp margin",
-                point=tuple(bad.tolist()),
-            )
-        new_pts = np.clip(new_pts, grid.lower_array, grid.upper_array)
-    return DiscreteMeasure(new_pts, m.weights, dict(m.metadata))
 
 
 def support_distance(m: DiscreteMeasure, node_set: NodeSet, w_min: float = 0.0) -> float:

@@ -398,7 +398,6 @@ class TestCriterion10StandaloneProperties:
         tests_dir = Path(__file__).resolve().parent
         node_ids = [
             f"{tests_dir / 'test_measures.py'}::TestW1MetricAxioms",
-            f"{tests_dir / 'test_measures.py'}::TestPushForward",
             f"{tests_dir / 'test_grid.py'}::TestInterpolation::test_interpolation_reproduces_random_fields",
             f"{tests_dir / 'test_ergodic.py'}::TestEikonal1D::test_homogeneity",
             f"{tests_dir / 'test_ergodic.py'}::TestEikonal1D::test_monotone_in_speed",

@@ -386,6 +386,30 @@ class TestSweepCommand:
         assert "singleton" in summary  # quadratic congestion has a one-point argmin
         assert "semilimit_gaps" not in summary  # needs three horizons
 
+    def test_every_row_fills_every_column(self, tmp_path):
+        cfg = write_config(tmp_path, SWEEP_CONFIG)
+        out = tmp_path / "out"
+        assert entrypoint(["sweep", str(cfg), "--output-dir", str(out)]) == 0
+        lines = [
+            line
+            for line in (out / "sweep_records.csv").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        header = lines[0].split(",")
+        assert header == [
+            "T", "dt", "n_steps", "s", "t", "support_dist", "d1_to_limit", "value_rate_err",
+            "value_rate_err_times_T", "wkam_err", "chi_hat", "chi_prime_hat", "r1_hat", "rho_max",
+            "occ_bound", "grad_max", "iterations", "converged", "tainted", "estimated", "c_star",
+        ]
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert all(len(line.split(",")) == len(header) for line in lines[1:])
+        for row in rows:
+            # t = s T, and the scaled rate error is the rate error times T
+            assert float(row["t"]) == pytest.approx(float(row["s"]) * float(row["T"]))
+            assert float(row["value_rate_err_times_T"]) == pytest.approx(
+                float(row["T"]) * float(row["value_rate_err"]), nan_ok=True
+            )
+
     def test_reruns_are_byte_identical(self, tmp_path):
         assert_reruns_are_byte_identical(tmp_path, "sweep", SWEEP_CONFIG)
 

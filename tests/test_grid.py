@@ -94,6 +94,24 @@ class TestInterpolation:
             g.interpolate_many(field, np.array([[2.0]]))
         vals = g.interpolate_many(field, np.array([[2.0], [0.5]]), out_of_range="inf")
         assert np.isinf(vals[0]) and vals[1] == pytest.approx(0.5)
+        # an unknown mode is rejected whether or not a point escapes
+        for pts in ([[0.5]], [[2.0]]):
+            with pytest.raises(ValueError, match="unknown out_of_range mode 'bogus'"):
+                g.interpolate_many(field, np.array(pts), out_of_range="bogus")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_inf_mode_writes_a_fresh_result(self, dim):
+        # inf lands in the result only: the field stays as it was, and the
+        # in-range entries are those of the raise mode
+        g = SpatialGrid((0.0,) * dim, (1.0,) * dim, (4,) * dim)
+        field = np.random.default_rng(dim).normal(size=g.shape)
+        before = field.copy()
+        pts = np.array([[0.3] * dim, [2.0] * dim, [0.0] * dim, [-1.0] * dim])
+        vals = g.interpolate_many(field, pts, out_of_range="inf")
+        np.testing.assert_array_equal(field, before)
+        assert not np.shares_memory(vals, field)
+        np.testing.assert_array_equal(np.isinf(vals), [False, True, False, True])
+        np.testing.assert_array_equal(vals[[0, 2]], g.interpolate_many(field, pts[[0, 2]]))
 
     def test_clamp_margin_near_edges(self):
         g = unit_1d(4)
@@ -149,11 +167,6 @@ class TestNodeSets:
         s = NodeSet.from_points(g, [[0.5], [0.5], [1.0]])
         assert len(s) == 2
         np.testing.assert_allclose(s.points.ravel(), [0.5, 1.0])
-
-    def test_contains(self):
-        g = unit_1d(4)
-        s = NodeSet.from_points(g, [[0.5]])
-        assert int(g.nearest_node_index([0.5])[0]) in s
 
     def test_distance_to_set_scalar_and_monotone(self):
         g = unit_1d(10)

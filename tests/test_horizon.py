@@ -62,36 +62,24 @@ def constant_path(m, T, dt):
     return MeasurePath.constant(m, np.arange(n_t + 1) * dt)
 
 
-def full_lattice_objective(grid, dt, controls):
-    """``objective(field)``: dt|a|^2/2 + u(x + dt a) per (node, control),
-    u summed corner by corner as the HJB step sums it; inf where a foot
+def full_lattice_objective(grid, points, dt, controls):
+    """``objective(field)``: dt|a|^2/2 + u(x + dt a) per (point, control),
+    u by ``interpolate_many`` as the argmin evaluates it; inf where a foot
     escapes."""
-    feet = (grid.nodes[:, None, :] + dt * controls[None, :, :]).reshape(-1, grid.dim)
-    j, w, escaped = grid.locate(feet)
-    if grid.dim == 1:
-        idx = np.stack([j[:, 0], j[:, 0] + 1], axis=-1)
-        wts = np.stack([1.0 - w[:, 0], w[:, 0]], axis=-1)
-    else:
-        ny = grid.shape[1]
-        base = j[:, 0] * ny + j[:, 1]
-        idx = np.stack([base, base + ny, base + 1, base + ny + 1], axis=-1)
-        w0, w1 = w[:, 0], w[:, 1]
-        wts = np.stack([(1.0 - w0) * (1.0 - w1), w0 * (1.0 - w1), (1.0 - w0) * w1, w0 * w1], axis=-1)
-    escaped = escaped.reshape(grid.n_nodes, -1)
+    feet = (points[:, None, :] + dt * controls[None, :, :]).reshape(-1, grid.dim)
     run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
 
     def objective(field):
-        q = (field.ravel()[idx] * wts).sum(axis=-1).reshape(escaped.shape)
-        q += run_cost[None, :]
-        q[escaped] = np.inf
-        return q
+        q = grid.interpolate_many(field, feet, out_of_range="inf").reshape(len(points), -1)
+        return q + run_cost[None, :]
 
     return objective
 
 
 def brute_force_hjb(F, path, grid, dt, control_radius, control_mesh):
     """Reference recursion: the first argmin over every lattice control."""
-    objective = full_lattice_objective(grid, dt, control_lattice(grid.dim, control_radius, control_mesh))
+    controls = control_lattice(grid.dim, control_radius, control_mesh)
+    objective = full_lattice_objective(grid, grid.nodes, dt, controls)
     n_nodes = grid.n_nodes
     n_t = path.n_times - 1
     values = np.empty((n_t + 1,) + grid.shape)
@@ -108,13 +96,11 @@ def brute_force_hjb(F, path, grid, dt, control_radius, control_mesh):
 def brute_force_transport(value, points):
     """Reference transport: positions under the first argmin over the lattice."""
     grid, dt, controls = value.grid, value.dt, value.controls
-    run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
     positions = [points]
     for k in range(value.n_steps):
         pts = positions[-1]
-        feet = (pts[:, None, :] + dt * controls[None, :, :]).reshape(-1, grid.dim)
-        q = grid.interpolate_many(value.values[k + 1], feet, out_of_range="inf").reshape(len(pts), -1)
-        positions.append(pts + dt * controls[np.argmin(q + run_cost[None, :], axis=1)])
+        q = full_lattice_objective(grid, pts, dt, controls)(value.values[k + 1])
+        positions.append(pts + dt * controls[np.argmin(q, axis=1)])
     return np.array(positions)
 
 
@@ -241,6 +227,24 @@ class TestBracketedArgminOracle:
             self.GRID_2D, self.DT, self.RADIUS_2D, self.MESH_2D, kind, scale, rng, n_t=2
         )
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind, scale", [("noise", 1.0), ("kink", 10.0)])
+    def test_transport_from_a_node_takes_the_hjb_control(self, dim, kind, scale):
+        # the HJB step and transport read u through one interpolant, so a
+        # particle on a node moves by that node's HJB control, bit for bit
+        grid, radius, mesh = (
+            (self.GRID, self.RADIUS, self.MESH) if dim == 1 else (self.GRID_2D, self.RADIUS_2D, self.MESH_2D)
+        )
+        rng = np.random.default_rng([31, dim, len(kind)])
+        fields = [node_field(kind, grid, scale, rng) for _ in range(2)]
+        F, path = slice_cost(fields, self.DT, dim), indexed_path(2, self.DT, dim)
+        value = solve_hjb_backward(F, path, grid, self.DT, control_radius=radius, control_mesh=mesh)
+        # interior nodes stay clear of the boundary margin for two steps
+        inside = np.flatnonzero((np.abs(grid.nodes) <= 1.0).all(axis=1))
+        points = grid.nodes[inside]
+        flow, _ = transport_forward(value, DiscreteMeasure(points, np.full(len(points), 1.0 / len(points))))
+        np.testing.assert_array_equal(flow.positions[1], points + self.DT * value.controls[value.policy[0, inside]])
+
     def test_exact_ties_across_lines_attain_the_full_lattice_minimum(self):
         # the flat floor on the 2D benchmark geometry: from nodes 198 and
         # 200, mirrored feet in a cell of corners (-4, -4, -4, 0) tie
@@ -254,7 +258,7 @@ class TestBracketedArgminOracle:
         value = solve_hjb_backward(F, path, grid, dt, control_radius=radius, control_mesh=mesh)
         values, policy = brute_force_hjb(F, path, grid, dt, radius, mesh)
         np.testing.assert_array_equal(value.values, values)
-        objective = full_lattice_objective(grid, dt, value.controls)
+        objective = full_lattice_objective(grid, grid.nodes, dt, value.controls)
         for k in range(2):
             q = objective(values[k + 1])
             np.testing.assert_array_equal(q[np.arange(grid.n_nodes), value.policy[k]], q.min(axis=1))
@@ -367,8 +371,7 @@ class TestBracketedArgminOracle:
         np.testing.assert_array_equal(value.values[0].ravel()[clean], values[0].ravel()[clean])
         np.testing.assert_array_equal(value.policy[0][clean], policy[0][clean])
         points = rng.uniform(-1.2, 1.2, size=(200, dim))
-        feet = (points[:, None, :] + dt * value.controls).reshape(-1, dim)
-        q = grid.interpolate_many(value.values[1], feet, out_of_range="inf").reshape(200, -1)
+        q = full_lattice_objective(grid, points, dt, value.controls)(value.values[1])
         points = points[~np.isnan(q).any(axis=1)]
         assert len(points) > 100
         assert_transport_matches_the_full_lattice(value, points)
@@ -386,7 +389,7 @@ class TestBracketedArgminOracle:
         # and tie exactly; the sorted lattice lists (-5, -5) first
         origin = grid.nearest_node_index([[0.0, 0.0]])[0]
         controls = value.controls
-        q = grid.interpolate_many(value.values[1], dt * controls) + dt * 0.5 * (controls**2).sum(axis=1)
+        q = full_lattice_objective(grid, np.zeros((1, 2)), dt, controls)(value.values[1])[0]
         ties = np.flatnonzero(q == q.min())
         assert len(ties) == 4
         assert value.policy[0, origin] == ties[0]
@@ -491,9 +494,7 @@ class TestLineFilter:
         line_of = np.unique(np.rint(controls[:, 1] / mesh), return_inverse=True)[1]
         kept = np.zeros((points.shape[0], line_of.max() + 1), dtype=bool)
         kept[pairs.who, pairs.line] = True
-        feet = (points[:, None, :] + dt * controls[None, :, :]).reshape(-1, 2)
-        q = grid.interpolate_many(field.reshape(grid.shape), feet, out_of_range="inf")
-        q = q.reshape(points.shape[0], -1) + dt * 0.5 * (controls * controls).sum(axis=1)
+        q = full_lattice_objective(grid, points, dt, controls)(field.reshape(grid.shape))
         return kept, q, line_of
 
     @classmethod

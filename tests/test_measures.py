@@ -13,7 +13,6 @@ from mfglab import (
     SpatialGrid,
     mix,
     mix_paths,
-    push_forward,
     sample_from_density,
     wasserstein1,
     wasserstein1_capped,
@@ -348,38 +347,6 @@ class TestMixing:
             expect = (1 - lam) * a.mean() + lam * b.mean()
             np.testing.assert_allclose(mixed.mean(), expect, atol=1e-12)
             assert mixed.weights.sum() == pytest.approx(1.0)
-
-
-class TestPushForward:
-    def test_translation_moves_mean(self):
-        m = DiscreteMeasure.uniform([[0.0], [1.0]])
-        out = push_forward(m, lambda p: p + 0.25)
-        assert out.mean()[0] == pytest.approx(0.75)
-        np.testing.assert_allclose(out.weights, m.weights)
-
-    def test_mass_conserved_under_merging_map(self):
-        m = DiscreteMeasure.from_weighted([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5])
-        out = merge_duplicates(push_forward(m, lambda p: np.zeros_like(p)))
-        assert out.size == 1
-        assert out.weights[0] == pytest.approx(1.0)
-
-    def test_halving_map(self):
-        rng = np.random.default_rng(6)
-        m = random_measure(rng, dim=2)
-        out = push_forward(m, lambda p: 0.5 * p)
-        np.testing.assert_allclose(out.points, 0.5 * m.points)
-        np.testing.assert_allclose(out.weights, m.weights)
-
-    def test_escape_detection_and_clamp(self):
-        from mfglab import DomainEscapeError
-
-        g = SpatialGrid((0.0,), (1.0,), (10,))
-        m = DiscreteMeasure.dirac([0.99])
-        # within one cell outside: clamped onto the box
-        out = push_forward(m, lambda p: p + 0.05, grid=g)
-        assert out.points[0, 0] == pytest.approx(1.0)
-        with pytest.raises(DomainEscapeError):
-            push_forward(m, lambda p: p + 0.5, grid=g)
 
 
 class TestSampling:
