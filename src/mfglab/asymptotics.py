@@ -10,7 +10,7 @@ ergodic potential and the measures approach the Dirac limit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,9 +127,9 @@ class SweepRecord:
 
     The per-s arrays are aligned with ``s_grid``; ``slice_measures`` holds
     the transported population at the snapped times s*T, ``u_slices`` the
-    value function there (flat node arrays).  ``tainted`` marks a horizon
-    whose fixed point did not reach tolerance; its numbers are reported but
-    should not certify any limit claim.
+    value function there (flat node arrays).  A horizon whose fixed point
+    did not reach tolerance (``converged`` false) is tainted: its numbers
+    are reported but should not certify any limit claim.
     """
 
     T: float
@@ -150,13 +150,11 @@ class SweepRecord:
     r1_hat: float
     a_priori: dict
     converged: bool
-    tainted: bool
     iterations: int
     br_residual: float
     c_star_used: float
     argmin_points: np.ndarray
     estimated: bool
-    metadata: dict = field(default_factory=dict)
 
 
 def _slice_index_for(s: float, n_steps: int) -> int:
@@ -328,13 +326,11 @@ def run_sweep(
                 r1_hat=eq.trajectory_stats.r1_hat,
                 a_priori=a_priori_report(eq.value, F),
                 converged=eq.converged,
-                tainted=not eq.converged,
                 iterations=eq.iterations,
                 br_residual=eq.br_residual,
                 c_star_used=c_star,
                 argmin_points=argmin_points.copy(),
                 estimated=estimated,
-                metadata={"mode": params.mode, "seed": int(params.seed)},
             )
         )
     return records
@@ -473,7 +469,7 @@ def sweep_verdict(
         "s_grid": s_grid,
         "estimated_limit": bool(records[0].estimated),
         "c_star": records[0].c_star_used,
-        "tainted_any": any(r.tainted for r in records),
+        "tainted_any": not all(r.converged for r in records),
         "support_decay_ok": support_decay_ok,
         "support_final": support_final,
         "support_final_ok": support_final <= support_cap,

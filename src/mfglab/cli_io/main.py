@@ -238,6 +238,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
             "converged": eq.converged,
             "iterations": eq.iterations,
             "br_residual": eq.br_residual,
+            "w1_capped": eq.w1_capped,
             "chi_hat": stats.chi_hat,
             "chi_prime_hat": stats.chi_prime_hat,
             "r1_hat": stats.r1_hat,
@@ -278,7 +279,7 @@ _SWEEP_COLUMNS = (
     ("grad_max", lambda r, j: r.a_priori["grad_max"]),
     ("iterations", lambda r, j: r.iterations),
     ("converged", lambda r, j: r.converged),
-    ("tainted", lambda r, j: r.tainted),
+    ("tainted", lambda r, j: not r.converged),
     ("estimated", lambda r, j: r.estimated),
     ("c_star", lambda r, j: r.c_star_used),
 )
@@ -336,7 +337,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> int:
     )
     write_json(out / "sweep_summary.json", summary, "sweep", sha, seed)
     for r in records:
-        if r.tainted:
+        if not r.converged:
             LOG.warning(
                 "horizon T=%g did not reach the fixed-point tolerance "
                 "(best-response residual %.3e)",

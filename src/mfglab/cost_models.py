@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,8 +36,8 @@ class CostFunctional:
     live; ``gap`` is a certified lower bound on F - min F outside it.
     ``analytic_argmin`` (coordinates, shape (k, dim)) and
     ``analytic_c_star`` are set when the long-time limit is known in
-    closed form.  ``test_only`` marks oracles that are not legitimate
-    experiment models.
+    closed form.  A builtin's parameters are its builder's keyword
+    arguments; the model keeps no copy of them.
     """
 
     name: str
@@ -50,8 +50,6 @@ class CostFunctional:
     analytic_argmin: np.ndarray | None = None
     analytic_c_star: float | None = None
     lipschitz_d1: float | None = None
-    test_only: bool = False
-    params: dict = field(default_factory=dict)
 
     def evaluate_many(self, points, m: DiscreteMeasure) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -73,7 +71,6 @@ class CostSliceStats:
     c_m: float
     argmin_set: NodeSet
     fbar: np.ndarray
-    eps_min: float
 
 
 def default_eps_min(max_abs_f: float, grid: SpatialGrid) -> float:
@@ -103,7 +100,7 @@ def slice_stats(
         logger.warning(
             "model %s: %d argmin node(s) outside the core box", F.name, int(outside.sum())
         )
-    return CostSliceStats(c_m=c, argmin_set=argmin, fbar=vals - c, eps_min=eps_min)
+    return CostSliceStats(c_m=c, argmin_set=argmin, fbar=vals - c)
 
 
 def gamma_estimate(
@@ -240,12 +237,9 @@ def model_separated_kernel(
                 f"model {name}: zero set has diameter {diam}, larger than delta {delta}"
             )
     lo, hi = _as_box(dim, core_lower, core_upper)
-    params = dict(metadata.pop("params", {}))
-    params.setdefault("delta", float(delta))
     return CostFunctional(
         name=name, dim=dim, evaluator=evaluator, m_bound=float(m_bound),
-        core_lower=lo, core_upper=hi, gap=float(gap),
-        params=params, **metadata,
+        core_lower=lo, core_upper=hi, gap=float(gap), **metadata,
     )
 
 
@@ -324,7 +318,7 @@ def _numeric_gap(evaluate_f, dim: int, box_lower, box_upper, core_lower, core_up
     return float(evaluate_f(pts[outside]).min())
 
 
-def quadratic_congestion(dim: int = 1, box_lower=-2.0, box_upper=2.0, **overrides) -> CostFunctional:
+def quadratic_congestion(dim: int = 1, box_lower=-2.0, box_upper=2.0, core: float = 0.5) -> CostFunctional:
     """Congestion around one quadratic well at the origin.
 
     F(x, m) = (1 - e^{-|x|^2}) (1 + I/(1 + I)) with
@@ -332,7 +326,6 @@ def quadratic_congestion(dim: int = 1, box_lower=-2.0, box_upper=2.0, **override
     long-time critical value is 0.
     """
     rmax2 = _box_radius_sq(box_lower, box_upper, dim)
-    core = overrides.pop("core", 0.5)
     # kernel slope bound sup_r 2 r e^{-r^2} = sqrt(2/e), g' <= 1, f <= 1
     lip = float(np.sqrt(2.0 / np.e))
     gap = (1.0 - np.exp(-core * core)) * 1.0
@@ -344,11 +337,10 @@ def quadratic_congestion(dim: int = 1, box_lower=-2.0, box_upper=2.0, **override
         analytic_argmin=np.zeros((1, dim)),
         analytic_c_star=0.0,
         lipschitz_d1=lip,
-        params={"box_lower": box_lower, "box_upper": box_upper, **overrides},
     )
 
 
-def two_wells(dim: int = 1, box_lower=-2.0, box_upper=2.0, **overrides) -> CostFunctional:
+def two_wells(dim: int = 1, box_lower=-2.0, box_upper=2.0) -> CostFunctional:
     """Measure-independent cost with two symmetric wells.
 
     F(x) = (1 - e^{-|x - p|^2})(1 - e^{-|x + p|^2}) with p the first basis
@@ -374,11 +366,10 @@ def two_wells(dim: int = 1, box_lower=-2.0, box_upper=2.0, **overrides) -> CostF
         analytic_argmin=np.stack([-p, p]),
         analytic_c_star=0.0,
         lipschitz_d1=0.0,
-        params={"box_lower": box_lower, "box_upper": box_upper, **overrides},
     )
 
 
-def separated_kernel(dim: int = 1, box_lower=-2.0, box_upper=2.0, delta: float = 0.5, **overrides) -> CostFunctional:
+def separated_kernel(dim: int = 1, box_lower=-2.0, box_upper=2.0, delta: float = 0.5) -> CostFunctional:
     """Additive coupling through a kernel that vanishes near the well.
 
     F(x, m) = (1 - e^{-|x|^2}) + int max(0, |x - y| - delta)^2 dm(y); the
@@ -400,11 +391,10 @@ def separated_kernel(dim: int = 1, box_lower=-2.0, box_upper=2.0, delta: float =
         gap=1.0 - np.exp(-core * core),
         analytic_argmin=np.zeros((1, dim)),
         analytic_c_star=0.0,
-        params={"box_lower": box_lower, "box_upper": box_upper, "delta": delta, **overrides},
     )
 
 
-def fg_plus_g(dim: int = 1, box_lower=-2.0, box_upper=2.0, **overrides) -> CostFunctional:
+def fg_plus_g(dim: int = 1, box_lower=-2.0, box_upper=2.0) -> CostFunctional:
     """Factored coupling with a measure-dependent floor.
 
     F(x, m) = (1 - e^{-|x|^2}) (1 + I/(1 + I)) + int |y| dm(y); the slice
@@ -427,15 +417,14 @@ def fg_plus_g(dim: int = 1, box_lower=-2.0, box_upper=2.0, **overrides) -> CostF
         gap=1.0 - np.exp(-core * core),
         analytic_argmin=np.zeros((1, dim)),
         analytic_c_star=None,
-        params={"box_lower": box_lower, "box_upper": box_upper, **overrides},
     )
 
 
-def lqr_oracle(dim: int = 1, box_lower=-2.0, box_upper=2.0, c_star: float = 0.0, **overrides) -> CostFunctional:
-    """Closed-form test oracle F(x, m) = c* + |x|^2 / 2 (measure-free).
+def lqr_oracle(dim: int = 1, box_lower=-2.0, box_upper=2.0, c_star: float = 0.0) -> CostFunctional:
+    """Closed-form oracle F(x, m) = c* + |x|^2 / 2 (measure-free).
 
-    Marked test-only: its finite-horizon value function is known exactly,
-    which makes it an oracle rather than an experiment model.
+    Its finite-horizon value function is known exactly, which makes it an
+    oracle for the solvers rather than an experiment model.
     """
 
     def evaluator(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
@@ -451,8 +440,6 @@ def lqr_oracle(dim: int = 1, box_lower=-2.0, box_upper=2.0, c_star: float = 0.0,
         analytic_argmin=np.zeros((1, dim)),
         analytic_c_star=float(c_star),
         lipschitz_d1=0.0,
-        test_only=True,
-        params={"box_lower": box_lower, "box_upper": box_upper, "c_star": c_star, **overrides},
     )
 
 

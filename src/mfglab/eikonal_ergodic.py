@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -301,9 +301,8 @@ class ErgodicTriple:
     m: DiscreteMeasure
     grid: SpatialGrid
     dirichlet: NodeSet
-    residuals: dict = field(default_factory=dict)
+    residuals: dict
     boundary_monotone: bool = True
-    metadata: dict = field(default_factory=dict)
 
 
 def _boundary_monotone(v: np.ndarray, grid: SpatialGrid, tol: float) -> bool:
@@ -382,5 +381,4 @@ def build_ergodic_triple(
             "static_residual": float(res),
         },
         boundary_monotone=_boundary_monotone(v, grid, tol_mono),
-        metadata={"eps_min": stats.eps_min, "sweep_tol": sweep_tol},
     )

@@ -711,13 +711,7 @@ def transport_forward(
         chi_prime_hat=float(sup_speed.max()),
         r1_hat=r1,
     )
-    path = MeasurePath(
-        value.times,
-        positions,
-        m0.weights,
-        metadata={"source": "transport_forward"},
-    )
-    return path, stats
+    return MeasurePath(value.times, positions, m0.weights), stats
 
 
 def checkpoint_indices(n_steps: int, n_checkpoints: int = N_CHECKPOINTS) -> np.ndarray:
@@ -754,7 +748,9 @@ class MfgEquilibrium:
     ``converged`` means ``br_residual <= tol``.  ``trace`` rows are
     ``(iteration, br_residual, step_residual)``, where the step is the
     worst checkpoint d1 the damped update moved the path: a diagnostic,
-    not a stopping rule.
+    not a stopping rule.  ``w1_capped`` records whether any checkpoint d1
+    ran on clouds downsampled to ``w1_size_cap``; the residuals are then
+    sampled estimates.
     """
 
     value: ValueField
@@ -766,7 +762,7 @@ class MfgEquilibrium:
     iterations: int
     trace: list
     checkpoints: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    w1_capped: bool
 
 
 def solve_mfg(
@@ -842,13 +838,7 @@ def solve_mfg(
         iterations=iterations,
         trace=trace,
         checkpoints=ckpt,
-        metadata={
-            "dt": float(dt),
-            "tol": float(tol),
-            "seed": int(seed),
-            "path_cap": int(path_cap),
-            "w1_capped": bool(capped_any),
-        },
+        w1_capped=bool(capped_any),
     )
 
 

@@ -6,13 +6,13 @@ by the CDF-difference integral; in dimension two by an assignment when both
 weight vectors sit on a common 1/N lattice with N at most the size cap
 (uniform clouds, Cesaro means of flows, capped resamples), and by the
 transportation LP, solved with HiGHS, for weights off the lattice.  Both
-are capped at ``DEFAULT_SIZE_CAP`` support points; the harness downsamples
-beyond that and records it in metadata.
+are capped at ``DEFAULT_SIZE_CAP`` support points; ``wasserstein1_capped``
+downsamples beyond that and says so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,13 +31,11 @@ class DiscreteMeasure:
     """Probability measure with finite support.
 
     ``points`` has shape (n, dim); ``weights`` is nonnegative and sums to
-    one within ``WEIGHT_SUM_TOL``.  ``metadata`` records provenance such as
-    the sampling source and seed.
+    one within ``WEIGHT_SUM_TOL``.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -64,27 +62,27 @@ class DiscreteMeasure:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def dirac(cls, point, **metadata) -> "DiscreteMeasure":
+    def dirac(cls, point) -> "DiscreteMeasure":
         p = np.atleast_1d(np.asarray(point, dtype=float))
-        return cls(p[None, :], np.array([1.0]), dict(metadata))
+        return cls(p[None, :], np.array([1.0]))
 
     @classmethod
-    def uniform(cls, points, **metadata) -> "DiscreteMeasure":
+    def uniform(cls, points) -> "DiscreteMeasure":
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         n = pts.shape[0]
-        return cls(pts, np.full(n, 1.0 / n), dict(metadata))
+        return cls(pts, np.full(n, 1.0 / n))
 
     @classmethod
-    def from_weighted(cls, points, weights, normalize: bool = False, **metadata) -> "DiscreteMeasure":
+    def from_weighted(cls, points, weights, normalize: bool = False) -> "DiscreteMeasure":
         w = np.asarray(weights, dtype=float).ravel()
         if normalize:
             total = w.sum()
             if total <= 0:
                 raise InvalidMeasureError("cannot normalize nonpositive total weight")
             w = w / total
-        return cls(points, w, dict(metadata))
+        return cls(points, w)
 
     # -- basic queries -------------------------------------------------------
 
@@ -107,7 +105,7 @@ def merge_duplicates(measure: DiscreteMeasure, tol: float = DUPLICATE_TOL) -> Di
     if first.size == measure.size:
         return measure
     weights = np.bincount(inverse, weights=measure.weights, minlength=first.size)
-    return DiscreteMeasure(measure.points[first], weights / weights.sum(), dict(measure.metadata))
+    return DiscreteMeasure(measure.points[first], weights / weights.sum())
 
 
 def prune(measure: DiscreteMeasure, w_min: float = PRUNE_TOL) -> DiscreteMeasure:
@@ -118,7 +116,7 @@ def prune(measure: DiscreteMeasure, w_min: float = PRUNE_TOL) -> DiscreteMeasure
     if not keep.any():
         raise InvalidMeasureError("pruning removed every particle")
     w = measure.weights[keep]
-    return DiscreteMeasure(measure.points[keep], w / w.sum(), dict(measure.metadata))
+    return DiscreteMeasure(measure.points[keep], w / w.sum())
 
 
 def mix(a: DiscreteMeasure, b: DiscreteMeasure, lam: float) -> DiscreteMeasure:
@@ -251,8 +249,9 @@ def wasserstein1_capped(
     """W1 with automatic systematic downsampling above the cap.
 
     Returns ``(value, capped)`` where ``capped`` records whether either
-    measure was downsampled; callers are expected to surface that flag in
-    output metadata.
+    measure was downsampled.  ``solve_mfg`` reports it as
+    ``MfgEquilibrium.w1_capped`` and ``evolve_summary.json`` as
+    ``w1_capped``.
     """
     capped = False
     if a.dim >= 2:
@@ -273,11 +272,7 @@ def _systematic_indices(weights: np.ndarray, n: int, rng: np.random.Generator) -
 
 def _downsample(m: DiscreteMeasure, n: int, rng: np.random.Generator) -> DiscreteMeasure:
     idx = _systematic_indices(m.weights, n, rng)
-    meta = dict(m.metadata)
-    meta["downsampled_to"] = n
-    return merge_duplicates(
-        DiscreteMeasure(m.points[idx], np.full(n, 1.0 / n), meta)
-    )
+    return merge_duplicates(DiscreteMeasure(m.points[idx], np.full(n, 1.0 / n)))
 
 
 def support_distance(m: DiscreteMeasure, node_set: NodeSet, w_min: float = 0.0) -> float:
@@ -344,13 +339,11 @@ def sample_from_density(density, grid: SpatialGrid, n_particles: int, seed: int 
     w = masses / total
     centroids = _cell_centroids(grid)
     positive = np.flatnonzero(w > 0)
-    meta = {"source": "sample_from_density", "seed": seed, "requested": n_particles}
     if n_particles >= positive.size:
-        return DiscreteMeasure(centroids[positive], w[positive], meta)
+        return DiscreteMeasure(centroids[positive], w[positive])
     rng = np.random.default_rng(seed)
     idx = _systematic_indices(w, n_particles, rng)
-    sampled = DiscreteMeasure(centroids[idx], np.full(n_particles, 1.0 / n_particles), meta)
-    return merge_duplicates(sampled)
+    return merge_duplicates(DiscreteMeasure(centroids[idx], np.full(n_particles, 1.0 / n_particles)))
 
 
 # -- measure paths -----------------------------------------------------------
@@ -371,7 +364,6 @@ class MeasurePath:
     times: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).ravel()
@@ -394,10 +386,10 @@ class MeasurePath:
         self.weights = np.maximum(w, 0.0).copy()
 
     @classmethod
-    def constant(cls, m: DiscreteMeasure, times, **metadata) -> "MeasurePath":
+    def constant(cls, m: DiscreteMeasure, times) -> "MeasurePath":
         t = np.asarray(times, dtype=float).ravel()
         pos = np.broadcast_to(m.points, (t.size,) + m.points.shape).copy()
-        return cls(t, pos, m.weights, dict(metadata))
+        return cls(t, pos, m.weights)
 
     @property
     def n_times(self) -> int:
@@ -417,7 +409,7 @@ class MeasurePath:
         to it raises instead of changing the path.  Its checks are not
         run again: the path ran them on every time when it was built."""
         m = object.__new__(DiscreteMeasure)
-        m.points, m.weights, m.metadata = _read_only(self.positions[k]), _read_only(self.weights), {}
+        m.points, m.weights = _read_only(self.positions[k]), _read_only(self.weights)
         return m
 
 
@@ -436,7 +428,7 @@ def _dedupe_trajectories(path: MeasurePath) -> MeasurePath:
         return path
     w = np.bincount(inverse, weights=path.weights, minlength=first.size)
     pos = path.positions[:, first, :]
-    return MeasurePath(path.times, pos, w / w.sum(), dict(path.metadata))
+    return MeasurePath(path.times, pos, w / w.sum())
 
 
 def mix_paths(
@@ -463,19 +455,15 @@ def mix_paths(
     else:
         pos = np.concatenate([a.positions, b.positions], axis=1)
         w = np.concatenate([(1.0 - lam) * a.weights, lam * b.weights])
-        mixed = MeasurePath(a.times, pos, w / w.sum(), dict(b.metadata))
+        mixed = MeasurePath(a.times, pos, w / w.sum())
     mixed = _dedupe_trajectories(mixed)
     keep = mixed.weights >= PRUNE_TOL
     if not keep.all():
         w = mixed.weights[keep]
-        mixed = MeasurePath(mixed.times, mixed.positions[:, keep, :], w / w.sum(), dict(mixed.metadata))
+        mixed = MeasurePath(mixed.times, mixed.positions[:, keep, :], w / w.sum())
     if cap is not None and mixed.n_slots > cap:
         rng = np.random.default_rng(seed)
         idx = _systematic_indices(mixed.weights, cap, rng)
         pos = mixed.positions[:, idx, :]
-        meta = dict(mixed.metadata)
-        meta["path_resampled_to_cap"] = cap
-        mixed = _dedupe_trajectories(
-            MeasurePath(mixed.times, pos, np.full(cap, 1.0 / cap), meta)
-        )
+        mixed = _dedupe_trajectories(MeasurePath(mixed.times, pos, np.full(cap, 1.0 / cap)))
     return mixed

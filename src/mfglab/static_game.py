@@ -64,12 +64,10 @@ def best_response(
     stats = slice_stats(F, m, grid, eps_min)
     nodes = stats.argmin_set.points
     if mode == "uniform":
-        return DiscreteMeasure.uniform(nodes, source="best_response")
+        return DiscreteMeasure.uniform(nodes)
     if mode == "project":
         nearest = np.argmin(pairwise_sq_dist(m.points, nodes), axis=1)
-        return merge_duplicates(
-            DiscreteMeasure(nodes[nearest], m.weights, {"source": "best_response"})
-        )
+        return merge_duplicates(DiscreteMeasure(nodes[nearest], m.weights))
     raise ValueError(f"unknown best-response mode {mode!r}")
 
 

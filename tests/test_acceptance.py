@@ -460,5 +460,4 @@ class TestUniformInHorizonRegression:
     def test_sweeps_converged_untainted(self, lqr_sweep, qc_sweep):
         for _, _, records in (lqr_sweep, qc_sweep):
             assert all(r.converged for r in records)
-            assert not any(r.tainted for r in records)
             assert all(not r.estimated for r in records)

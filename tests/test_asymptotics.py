@@ -32,7 +32,7 @@ def flat_cost(c=0.3):
         name="flat", dim=1, evaluator=ev, m_bound=max(abs(c), 1.0),
         core_lower=(-0.5,), core_upper=(0.5,), gap=0.0,
         analytic_argmin=np.array([[0.0]]), analytic_c_star=float(c),
-        lipschitz_d1=0.0, test_only=True,
+        lipschitz_d1=0.0,
     )
 
 
@@ -46,7 +46,7 @@ def dummy_record(T, s_grid, slice_measures, argmin_points):
         value_rate_err=np.zeros(n_s), wkam_err=np.zeros(n_s),
         u_slices=np.zeros((n_s, 1)), slice_measures=slice_measures,
         rho=np.zeros(1), occ_bound=0.0, chi_hat=0.0, chi_prime_hat=0.0, r1_hat=0.0,
-        a_priori={}, converged=True, tainted=False, iterations=1,
+        a_priori={}, converged=True, iterations=1,
         br_residual=0.0, c_star_used=0.0,
         argmin_points=np.asarray(argmin_points, dtype=float), estimated=False,
     )
@@ -159,7 +159,6 @@ class TestRunSweepQuick:
         m0 = DiscreteMeasure.uniform([[-0.4], [0.4]])
         params = SweepParams(mode="fixed_steps", n_steps=10, tol=1e-15, max_iter=1)
         records = run_sweep(F, m0, (1.0,), g, params)
-        assert records[0].tainted
         assert not records[0].converged
 
 
@@ -215,7 +214,7 @@ class TestSemilimitSurrogates:
 
         F = CostFunctional(
             name="mean_chase", dim=1, evaluator=ev, m_bound=4.0,
-            core_lower=(-2.0,), core_upper=(2.0,), gap=0.0, test_only=True,
+            core_lower=(-2.0,), core_upper=(2.0,), gap=0.0,
         )
         g = small_grid(40)
         s_grid = (0.25, 0.5, 1.0)
@@ -275,7 +274,7 @@ def verdict_records(n_T=3, support=None):
 class TestSweepVerdict:
     def test_tainted_record_fails_the_verdict(self):
         recs = verdict_records()
-        recs[1].tainted = True
+        recs[1].converged = False
         summary = sweep_verdict(recs, flat_cost(), small_grid(40), **VERDICT_CAPS)
         checks = [v for k, v in summary.items() if k.endswith("_ok") or k.endswith("_stable")]
         assert all(checks) and summary["singleton"]["passed"]

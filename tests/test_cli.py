@@ -328,6 +328,16 @@ class TestEvolveCommand:
         assert summary["converged"] is False
         assert "without reaching tol" in caplog.text
 
+    @pytest.mark.parametrize("cap, capped", [(512, False), (4, True)])
+    def test_summary_reports_w1_capped(self, tmp_path, cap, capped):
+        cfg = parse_config(write_config(tmp_path, EVOLVE_2D_CONFIG + f"  w1_size_cap: {cap}\n"))
+        assert run("evolve", cfg, tmp_path) == 0
+        summary = json.loads((tmp_path / "evolve_summary.json").read_text())
+        assert summary["w1_capped"] is capped
+        # 8 particles downsampled to 4: the residual is a sampled estimate
+        # whose noise keeps it above tol
+        assert summary["converged"] is not capped
+
     def test_boundary_escape_exits_3(self, tmp_path):
         text = EVOLVE_CONFIG.replace(
             "kind: uniform_box\n  lower: [-0.5]\n  upper: [0.5]\n  n_particles: 8",
@@ -595,6 +605,25 @@ class TestEntrypointErrors:
         with caplog.at_level("ERROR", logger="mfglab.cli"):
             assert entrypoint([command, str(cfg), "--output-dir", str(tmp_path)]) == 2
         assert f"config error: '{key}'" in caplog.text
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ("quadratic_congestion", "cor"),
+            ("two_wells", "core"),
+            ("separated_kernel", "delt"),
+            ("fG_plus_g", "core"),
+            ("lqr_oracle", "c_sta"),
+        ],
+    )
+    def test_unknown_model_parameter_exits_2_naming_it(self, tmp_path, caplog, model, key):
+        raw = {section: dict(body) for section, body in SMALL_RUN.items()}
+        raw["model"] = {"name": model, "dim": 1, "params": {key: 1.0}}
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        with caplog.at_level("ERROR", logger="mfglab.cli"):
+            assert entrypoint(["static", str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert f"'model.params' rejected by '{model}'" in caplog.text
+        assert f"unexpected keyword argument '{key}'" in caplog.text
 
     def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, caplog):
         def run_out_of_memory(*args, **kwargs):

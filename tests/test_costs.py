@@ -144,7 +144,6 @@ class TestLqrOracle:
         F = lqr_oracle(dim=1, c_star=0.25)
         m = DiscreteMeasure.dirac([1.0])
         assert F.evaluate([2.0], m) == pytest.approx(0.25 + 2.0, abs=1e-15)
-        assert F.test_only is True
         assert F.analytic_c_star == 0.25
 
 
@@ -248,6 +247,16 @@ class TestBuilders:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown model"):
             build_model("viscosity", 1, -2.0, 2.0, None)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_unknown_parameter_raises(self, name):
+        with pytest.raises(TypeError, match="bogus"):
+            build_model(name, 1, -2.0, 2.0, {"bogus": 1})
+
+    def test_builder_parameters_are_accepted(self):
+        assert build_model("quadratic_congestion", 1, -2.0, 2.0, {"core": 0.25}).core_upper == (0.25,)
+        assert build_model("separated_kernel", 1, -2.0, 2.0, {"delta": 0.8}).core_upper == (0.4,)
+        assert build_model("lqr_oracle", 1, -2.0, 2.0, {"c_star": 0.3}).analytic_c_star == 0.3
 
     def test_congestion_builder_rejects_bad_components(self):
         ok = dict(name="bad", dim=1, m_bound=1.0, core_lower=-0.5, core_upper=0.5, gap=0.1)

@@ -157,7 +157,7 @@ def anti_coordination_cost():
 
     return CostFunctional(
         name="anti_coordination", dim=1, evaluator=ev, m_bound=1.0,
-        core_lower=(-2.0,), core_upper=(2.0,), gap=0.0, test_only=True,
+        core_lower=(-2.0,), core_upper=(2.0,), gap=0.0,
     )
 
 
