@@ -14,7 +14,6 @@ from .errors import (
     DomainEscapeError,
     InvalidMeasureError,
     MfgError,
-    ModelValidationError,
     SizeCapError,
     SolverError,
     StaticResidualError,
@@ -36,9 +35,6 @@ from .cost_models import (
     build_model,
     default_eps_min,
     gamma_estimate,
-    model_congestion,
-    model_fG_plus_g,
-    model_separated_kernel,
     slice_stats,
     validate_assumptions,
 )
@@ -91,7 +87,6 @@ __all__ = [
     "MeasurePath",
     "MfgEquilibrium",
     "MfgError",
-    "ModelValidationError",
     "NodeSet",
     "SizeCapError",
     "SolverError",
@@ -117,9 +112,6 @@ __all__ = [
     "harmonic_damping",
     "mix",
     "mix_paths",
-    "model_congestion",
-    "model_fG_plus_g",
-    "model_separated_kernel",
     "nonincreasing_with_slack",
     "occupational_fractions",
     "residual",

@@ -3,8 +3,9 @@
 The schema is a fixed tree of typed fields with defaults; unknown keys are
 rejected with their dotted path, type mismatches and inconsistent values
 raise distinct error kinds.  ``model.params`` is the single free-form
-mapping: it is passed to the model builder as keyword arguments, and a
-key the builder does not take is a ``ConfigValueError`` that names it.
+mapping: it is passed to the builtin model as keyword arguments, and a
+key the builtin does not take, or a value out of its range, is a
+``ConfigValueError`` that names it.
 """
 
 from __future__ import annotations

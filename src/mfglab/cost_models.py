@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidMeasureError, ModelValidationError
+from .errors import InvalidMeasureError
 from .grid_geometry import NodeSet, SpatialGrid, distance_to_box, pairwise_sq_dist
 from .measures import DiscreteMeasure, sample_from_density, wasserstein1
 
@@ -36,7 +36,7 @@ class CostFunctional:
     live; ``gap`` is a certified lower bound on F - min F outside it.
     ``analytic_argmin`` (coordinates, shape (k, dim)) and
     ``analytic_c_star`` are set when the long-time limit is known in
-    closed form.  A builtin's parameters are its builder's keyword
+    closed form.  A builtin's parameters are its function's keyword
     arguments; the model keeps no copy of them.
     """
 
@@ -108,26 +108,22 @@ def gamma_estimate(
     grid: SpatialGrid,
     r_values,
     measures,
-    argmin_points=None,
-    eps_min: float | None = None,
 ) -> list[tuple[float, float]]:
     """Empirical coercivity profile from sampled measures.
 
     For each radius r, the minimum of F(., m) - min F(., m) over nodes
     farther than r from the argmin set, minimised over the sampled
-    measures.  Nondecreasing in r by nestedness; radii whose node set is
-    empty are dropped.
+    measures.  The argmin set is ``F.analytic_argmin`` when declared, else
+    the union of the slice argmins.  Nondecreasing in r by nestedness;
+    radii whose node set is empty are dropped.
     """
+    stats = [slice_stats(F, m, grid) for m in measures]
+    argmin_points = F.analytic_argmin
     if argmin_points is None:
-        argmin_points = F.analytic_argmin
-    if argmin_points is None:
-        unions = []
-        for m in measures:
-            unions.append(slice_stats(F, m, grid, eps_min).argmin_set.points)
-        argmin_points = np.concatenate(unions, axis=0)
+        argmin_points = np.concatenate([st.argmin_set.points for st in stats], axis=0)
     pts = np.atleast_2d(np.asarray(argmin_points, dtype=float))
     dist = np.sqrt(pairwise_sq_dist(grid.nodes, pts).min(axis=1))
-    fbars = [slice_stats(F, m, grid, eps_min).fbar.ravel() for m in measures]
+    fbars = [st.fbar.ravel() for st in stats]
     table = []
     for r in sorted(float(r) for r in r_values):
         mask = dist > r
@@ -138,145 +134,13 @@ def gamma_estimate(
     return table
 
 
-# -- model builders ----------------------------------------------------------
+# -- built-in models -----------------------------------------------------------
 
 
 def _as_box(dim: int, lower, upper) -> tuple[tuple[float, ...], tuple[float, ...]]:
     lo = np.broadcast_to(np.asarray(lower, dtype=float), (dim,))
     hi = np.broadcast_to(np.asarray(upper, dtype=float), (dim,))
     return tuple(float(x) for x in lo), tuple(float(x) for x in hi)
-
-
-def _probe_points(dim: int, lo, hi, pad: float = 1.5, n: int = 9) -> np.ndarray:
-    axes = [np.linspace(lo[i] - pad, hi[i] + pad, n) for i in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([mm.ravel() for mm in mesh], axis=-1)
-
-
-def model_congestion(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    *,
-    name: str,
-    dim: int,
-    m_bound: float,
-    core_lower,
-    core_upper,
-    gap: float,
-    **metadata,
-) -> CostFunctional:
-    """Multiplicative congestion cost F(x, m) = f(x) g(int kernel(x, y) dm).
-
-    Validates f >= 0, g >= 1 and kernel >= 0 on a probe lattice around the
-    core box before returning the model.
-    """
-
-    def evaluator(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
-        interaction = kernel(pts, m.points) @ m.weights
-        return f(pts) * g(interaction)
-
-    lo, hi = _as_box(dim, core_lower, core_upper)
-    probes = _probe_points(dim, lo, hi)
-    fv = np.asarray(f(probes), dtype=float)
-    kv = np.asarray(kernel(probes, probes), dtype=float)
-    if fv.min() < 0:
-        raise ModelValidationError(f"model {name}: f takes negative value {fv.min()}")
-    if kv.min() < 0:
-        raise ModelValidationError(f"model {name}: kernel takes negative value {kv.min()}")
-    gv = np.asarray(g(np.linspace(0.0, max(kv.max(), 1.0), 17)), dtype=float)
-    if gv.min() < 1.0 - 1e-12:
-        raise ModelValidationError(f"model {name}: g takes value {gv.min()} below 1")
-    return CostFunctional(
-        name=name, dim=dim, evaluator=evaluator, m_bound=float(m_bound),
-        core_lower=lo, core_upper=hi, gap=float(gap), **metadata,
-    )
-
-
-def model_separated_kernel(
-    f: Callable[[np.ndarray], np.ndarray],
-    kernel_radial: Callable[[np.ndarray], np.ndarray],
-    delta: float,
-    g_measure: Callable[[DiscreteMeasure], float] | None = None,
-    *,
-    name: str,
-    dim: int,
-    m_bound: float,
-    core_lower,
-    core_upper,
-    gap: float,
-    **metadata,
-) -> CostFunctional:
-    """Additive cost F(x, m) = f(x) + int k(|x - y|) dm(y) + g(m).
-
-    The radial kernel must vanish on [0, delta] and the declared zero set
-    of f (``analytic_argmin``) must have diameter at most delta, so that a
-    measure parked on the zero set never raises the cost there.
-    """
-    if g_measure is None:
-        g_measure = lambda m: 0.0
-
-    def evaluator(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
-        r = pairwise_sq_dist(pts, m.points)
-        np.sqrt(r, out=r)
-        return f(pts) + kernel_radial(r) @ m.weights + g_measure(m)
-
-    if delta <= 0:
-        raise ModelValidationError(f"model {name}: delta must be positive, got {delta}")
-    kv = np.asarray(kernel_radial(np.linspace(0.0, delta, 33)), dtype=float)
-    if np.abs(kv).max() > 1e-15:
-        raise ModelValidationError(
-            f"model {name}: kernel does not vanish on [0, {delta}]"
-        )
-    zeros = metadata.get("analytic_argmin")
-    if zeros is not None:
-        z = np.atleast_2d(np.asarray(zeros, dtype=float))
-        diam = float(np.sqrt(pairwise_sq_dist(z, z)).max())
-        if diam > delta:
-            raise ModelValidationError(
-                f"model {name}: zero set has diameter {diam}, larger than delta {delta}"
-            )
-    lo, hi = _as_box(dim, core_lower, core_upper)
-    return CostFunctional(
-        name=name, dim=dim, evaluator=evaluator, m_bound=float(m_bound),
-        core_lower=lo, core_upper=hi, gap=float(gap), **metadata,
-    )
-
-
-def model_fG_plus_g(
-    f: Callable[[np.ndarray], np.ndarray],
-    G: Callable[[np.ndarray, DiscreteMeasure], np.ndarray],
-    g_measure: Callable[[DiscreteMeasure], float],
-    *,
-    name: str,
-    dim: int,
-    m_bound: float,
-    core_lower,
-    core_upper,
-    gap: float,
-    **metadata,
-) -> CostFunctional:
-    """Factored cost F(x, m) = f(x) G(x, m) + g(m) with f >= 0 and G >= 1."""
-
-    def evaluator(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
-        return f(pts) * G(pts, m) + g_measure(m)
-
-    lo, hi = _as_box(dim, core_lower, core_upper)
-    probes = _probe_points(dim, lo, hi)
-    fv = np.asarray(f(probes), dtype=float)
-    if fv.min() < 0:
-        raise ModelValidationError(f"model {name}: f takes negative value {fv.min()}")
-    probe_m = DiscreteMeasure.dirac(0.5 * (np.asarray(lo) + np.asarray(hi)))
-    Gv = np.asarray(G(probes, probe_m), dtype=float)
-    if Gv.min() < 1.0 - 1e-12:
-        raise ModelValidationError(f"model {name}: G takes value {Gv.min()} below 1")
-    return CostFunctional(
-        name=name, dim=dim, evaluator=evaluator, m_bound=float(m_bound),
-        core_lower=lo, core_upper=hi, gap=float(gap), **metadata,
-    )
-
-
-# -- built-in models -----------------------------------------------------------
 
 
 def _sq_norm(pts: np.ndarray) -> np.ndarray:
@@ -323,20 +187,27 @@ def quadratic_congestion(dim: int = 1, box_lower=-2.0, box_upper=2.0, core: floa
 
     F(x, m) = (1 - e^{-|x|^2}) (1 + I/(1 + I)) with
     I = int e^{-|x-y|^2} dm(y).  The argmin of every slice is {0}; the
-    long-time critical value is 0.
+    long-time critical value is 0.  ``core`` is the half-width of the core
+    box, finite and > 0.
     """
+    if not 0.0 < core < np.inf:
+        raise ValueError(f"core must be finite and > 0, got {core}")
+
+    def evaluator(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
+        interaction = _gauss_kernel(pts, m.points) @ m.weights
+        return _gauss_well(pts) * _congestion_g(interaction)
+
     rmax2 = _box_radius_sq(box_lower, box_upper, dim)
-    # kernel slope bound sup_r 2 r e^{-r^2} = sqrt(2/e), g' <= 1, f <= 1
-    lip = float(np.sqrt(2.0 / np.e))
-    gap = (1.0 - np.exp(-core * core)) * 1.0
-    return model_congestion(
-        _gauss_well, _congestion_g, _gauss_kernel,
-        name="quadratic_congestion", dim=dim,
-        m_bound=(1.0 - np.exp(-rmax2)) * 2.0,
-        core_lower=-core, core_upper=core, gap=gap,
+    lo, hi = _as_box(dim, -core, core)
+    return CostFunctional(
+        name="quadratic_congestion", dim=dim, evaluator=evaluator,
+        m_bound=float((1.0 - np.exp(-rmax2)) * 2.0),
+        core_lower=lo, core_upper=hi,
+        gap=float(1.0 - np.exp(-core * core)),
         analytic_argmin=np.zeros((1, dim)),
         analytic_c_star=0.0,
-        lipschitz_d1=lip,
+        # kernel slope bound sup_r 2 r e^{-r^2} = sqrt(2/e), g' <= 1, f <= 1
+        lipschitz_d1=float(np.sqrt(2.0 / np.e)),
     )
 
 
@@ -374,21 +245,28 @@ def separated_kernel(dim: int = 1, box_lower=-2.0, box_upper=2.0, delta: float =
 
     F(x, m) = (1 - e^{-|x|^2}) + int max(0, |x - y| - delta)^2 dm(y); the
     kernel is flat on [0, delta], so measures supported near the origin do
-    not raise the cost there.
+    not raise the cost there.  ``delta`` is finite and > 0.
     """
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
 
     def k(r: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, r - delta) ** 2
 
+    def evaluator(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
+        r = pairwise_sq_dist(pts, m.points)
+        np.sqrt(r, out=r)
+        return _gauss_well(pts) + k(r) @ m.weights
+
     lo, hi = _as_box(dim, box_lower, box_upper)
     diam = float(np.sqrt(sum((b - a) ** 2 for a, b in zip(lo, hi))))
     core = delta / 2.0
-    return model_separated_kernel(
-        _gauss_well, k, delta,
-        name="separated_kernel", dim=dim,
-        m_bound=1.0 + k(np.array([diam]))[0],
-        core_lower=-core, core_upper=core,
-        gap=1.0 - np.exp(-core * core),
+    core_lo, core_hi = _as_box(dim, -core, core)
+    return CostFunctional(
+        name="separated_kernel", dim=dim, evaluator=evaluator,
+        m_bound=float(1.0 + k(np.array([diam]))[0]),
+        core_lower=core_lo, core_upper=core_hi,
+        gap=float(1.0 - np.exp(-core * core)),
         analytic_argmin=np.zeros((1, dim)),
         analytic_c_star=0.0,
     )
@@ -401,22 +279,19 @@ def fg_plus_g(dim: int = 1, box_lower=-2.0, box_upper=2.0) -> CostFunctional:
     minimum equals the floor term, so the critical value moves with m.
     """
 
-    def G(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
-        return _congestion_g(_gauss_kernel(pts, m.points) @ m.weights)
-
-    def g_measure(m: DiscreteMeasure) -> float:
-        return float(m.weights @ np.sqrt(_sq_norm(m.points)))
+    def evaluator(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
+        G = _congestion_g(_gauss_kernel(pts, m.points) @ m.weights)
+        floor = float(m.weights @ np.sqrt(_sq_norm(m.points)))
+        return _gauss_well(pts) * G + floor
 
     rmax2 = _box_radius_sq(box_lower, box_upper, dim)
     core = 0.5
-    return model_fG_plus_g(
-        _gauss_well, G, g_measure,
-        name="fG_plus_g", dim=dim,
-        m_bound=(1.0 - np.exp(-rmax2)) * 2.0 + np.sqrt(rmax2),
-        core_lower=-core, core_upper=core,
-        gap=1.0 - np.exp(-core * core),
+    return CostFunctional(
+        name="fG_plus_g", dim=dim, evaluator=evaluator,
+        m_bound=float((1.0 - np.exp(-rmax2)) * 2.0 + np.sqrt(rmax2)),
+        core_lower=(-core,) * dim, core_upper=(core,) * dim,
+        gap=float(1.0 - np.exp(-core * core)),
         analytic_argmin=np.zeros((1, dim)),
-        analytic_c_star=None,
     )
 
 
@@ -424,8 +299,11 @@ def lqr_oracle(dim: int = 1, box_lower=-2.0, box_upper=2.0, c_star: float = 0.0)
     """Closed-form oracle F(x, m) = c* + |x|^2 / 2 (measure-free).
 
     Its finite-horizon value function is known exactly, which makes it an
-    oracle for the solvers rather than an experiment model.
+    oracle for the solvers rather than an experiment model.  ``c_star``
+    is finite.
     """
+    if not -np.inf < c_star < np.inf:
+        raise ValueError(f"c_star must be finite, got {c_star}")
 
     def evaluator(pts: np.ndarray, m: DiscreteMeasure) -> np.ndarray:
         return c_star + 0.5 * _sq_norm(pts)

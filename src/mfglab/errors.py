@@ -11,10 +11,6 @@ class ConfigError(MfgError):
     """Invalid, inconsistent, or unknown run configuration."""
 
 
-class ModelValidationError(ConfigError):
-    """A cost-model specification violates its declared structure."""
-
-
 class InvalidMeasureError(MfgError):
     """A particle measure violates a structural invariant."""
 

@@ -98,25 +98,46 @@ class DiscreteMeasure:
         return self.weights @ self.points
 
 
-def merge_duplicates(measure: DiscreteMeasure, tol: float = DUPLICATE_TOL) -> DiscreteMeasure:
-    """Merge particles whose positions agree within ``tol`` per axis."""
-    keys = np.round(measure.points / tol).astype(np.int64)
+def _merge_rows(rows: np.ndarray, weights: np.ndarray):
+    """Group the (n, k) ``rows`` that agree within ``DUPLICATE_TOL`` per
+    coordinate: the index of each group's first row and the group's summed
+    weight, renormalised; None when no two rows agree."""
+    keys = np.round(rows / DUPLICATE_TOL).astype(np.int64)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    if first.size == measure.size:
+    if first.size == rows.shape[0]:
+        return None
+    w = np.bincount(inverse, weights=weights, minlength=first.size)
+    return first, w / w.sum()
+
+
+def _prune_weights(weights: np.ndarray, w_min: float = PRUNE_TOL):
+    """The mask of weights at least ``w_min`` and those weights,
+    renormalised; None when every weight passes."""
+    keep = weights >= w_min
+    if keep.all():
+        return None
+    if not keep.any():
+        raise InvalidMeasureError("pruning removed every particle")
+    w = weights[keep]
+    return keep, w / w.sum()
+
+
+def merge_duplicates(measure: DiscreteMeasure) -> DiscreteMeasure:
+    """Merge particles whose positions agree within ``DUPLICATE_TOL`` per axis."""
+    merged = _merge_rows(measure.points, measure.weights)
+    if merged is None:
         return measure
-    weights = np.bincount(inverse, weights=measure.weights, minlength=first.size)
-    return DiscreteMeasure(measure.points[first], weights / weights.sum())
+    first, w = merged
+    return DiscreteMeasure(measure.points[first], w)
 
 
 def prune(measure: DiscreteMeasure, w_min: float = PRUNE_TOL) -> DiscreteMeasure:
     """Drop particles below ``w_min`` weight and renormalize."""
-    keep = measure.weights >= w_min
-    if keep.all():
+    pruned = _prune_weights(measure.weights, w_min)
+    if pruned is None:
         return measure
-    if not keep.any():
-        raise InvalidMeasureError("pruning removed every particle")
-    w = measure.weights[keep]
-    return DiscreteMeasure(measure.points[keep], w / w.sum())
+    keep, w = pruned
+    return DiscreteMeasure(measure.points[keep], w)
 
 
 def mix(a: DiscreteMeasure, b: DiscreteMeasure, lam: float) -> DiscreteMeasure:
@@ -420,15 +441,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_trajectories(path: MeasurePath) -> MeasurePath:
-    """Merge slots whose full trajectories coincide within 1e-12."""
-    flattened = path.positions.transpose(1, 0, 2).reshape(path.n_slots, -1)
-    keys = np.round(flattened / DUPLICATE_TOL).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    if first.size == path.n_slots:
+    """Merge slots whose full trajectories coincide within ``DUPLICATE_TOL``."""
+    merged = _merge_rows(path.positions.transpose(1, 0, 2).reshape(path.n_slots, -1), path.weights)
+    if merged is None:
         return path
-    w = np.bincount(inverse, weights=path.weights, minlength=first.size)
-    pos = path.positions[:, first, :]
-    return MeasurePath(path.times, pos, w / w.sum())
+    first, w = merged
+    return MeasurePath(path.times, path.positions[:, first, :], w)
 
 
 def mix_paths(
@@ -457,10 +475,10 @@ def mix_paths(
         w = np.concatenate([(1.0 - lam) * a.weights, lam * b.weights])
         mixed = MeasurePath(a.times, pos, w / w.sum())
     mixed = _dedupe_trajectories(mixed)
-    keep = mixed.weights >= PRUNE_TOL
-    if not keep.all():
-        w = mixed.weights[keep]
-        mixed = MeasurePath(mixed.times, mixed.positions[:, keep, :], w / w.sum())
+    pruned = _prune_weights(mixed.weights)
+    if pruned is not None:
+        keep, w = pruned
+        mixed = MeasurePath(mixed.times, mixed.positions[:, keep, :], w)
     if cap is not None and mixed.n_slots > cap:
         rng = np.random.default_rng(seed)
         idx = _systematic_indices(mixed.weights, cap, rng)

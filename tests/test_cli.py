@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -515,6 +516,19 @@ class TestModuleImport:
         assert callable(m.run)
         assert callable(m.parse_config)
 
+    def test_all_lists_every_public_name_and_each_resolves(self):
+        # a deleted function must not leave a stale export behind
+        bound = {
+            name
+            for name, value in vars(mfglab).items()
+            if not name.startswith("_") and not isinstance(value, ModuleType)
+        }
+        assert set(mfglab.__all__) - {"__version__"} == bound
+        assert len(mfglab.__all__) == len(set(mfglab.__all__))
+        star = {}
+        exec("from mfglab import *", star)
+        assert all(name in star for name in mfglab.__all__)
+
 
 MODULE_PROBE = """
 import json, sys
@@ -624,6 +638,25 @@ class TestEntrypointErrors:
             assert entrypoint(["static", str(cfg), "--output-dir", str(tmp_path)]) == 2
         assert f"'model.params' rejected by '{model}'" in caplog.text
         assert f"unexpected keyword argument '{key}'" in caplog.text
+
+    @pytest.mark.parametrize(
+        "command, model, key, value",
+        [
+            ("validate", "quadratic_congestion", "core", -0.5),
+            ("static", "quadratic_congestion", "core", -0.5),
+            ("static", "lqr_oracle", "c_star", float("nan")),
+            ("static", "separated_kernel", "delta", float("nan")),
+        ],
+    )
+    def test_model_parameter_out_of_range_exits_2_naming_it(
+        self, tmp_path, caplog, command, model, key, value
+    ):
+        raw = {section: dict(body) for section, body in SMALL_RUN.items()}
+        raw["model"] = {"name": model, "dim": 1, "params": {key: value}}
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        with caplog.at_level("ERROR", logger="mfglab.cli"):
+            assert entrypoint([command, str(cfg), "--output-dir", str(tmp_path)]) == 2
+        assert f"'model.params' rejected by '{model}': {key} must be finite" in caplog.text
 
     def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, caplog):
         def run_out_of_memory(*args, **kwargs):

@@ -8,13 +8,10 @@ import pytest
 from mfglab import (
     BUILTIN_MODELS,
     DiscreteMeasure,
-    ModelValidationError,
     SpatialGrid,
     build_model,
     default_eps_min,
     gamma_estimate,
-    model_congestion,
-    model_separated_kernel,
     slice_stats,
     validate_assumptions,
     wasserstein1,
@@ -258,29 +255,20 @@ class TestBuilders:
         assert build_model("separated_kernel", 1, -2.0, 2.0, {"delta": 0.8}).core_upper == (0.4,)
         assert build_model("lqr_oracle", 1, -2.0, 2.0, {"c_star": 0.3}).analytic_c_star == 0.3
 
-    def test_congestion_builder_rejects_bad_components(self):
-        ok = dict(name="bad", dim=1, m_bound=1.0, core_lower=-0.5, core_upper=0.5, gap=0.1)
-        pos = lambda p: np.ones(p.shape[0])
-        ker = lambda x, y: np.ones((x.shape[0], y.shape[0]))
-        with pytest.raises(ModelValidationError, match="negative"):
-            model_congestion(lambda p: -pos(p), lambda r: 1.0 + r, ker, **ok)
-        with pytest.raises(ModelValidationError, match="below 1"):
-            model_congestion(pos, lambda r: 0.5 + 0.0 * r, ker, **ok)
-        with pytest.raises(ModelValidationError, match="negative"):
-            model_congestion(pos, lambda r: 1.0 + r, lambda x, y: -ker(x, y), **ok)
-
-    def test_separated_builder_rejects_bad_kernels(self):
-        ok = dict(name="bad", dim=1, m_bound=1.0, core_lower=-0.5, core_upper=0.5, gap=0.1)
-        f = lambda p: (p**2).sum(axis=-1)
-        with pytest.raises(ModelValidationError, match="vanish"):
-            model_separated_kernel(f, lambda r: r, 0.5, **ok)
-        with pytest.raises(ModelValidationError, match="delta"):
-            model_separated_kernel(f, lambda r: np.maximum(0, r - 0.5) ** 2, -1.0, **ok)
-        with pytest.raises(ModelValidationError, match="diameter"):
-            model_separated_kernel(
-                f, lambda r: np.maximum(0, r - 0.5) ** 2, 0.5,
-                analytic_argmin=[[-1.0], [1.0]], **ok,
-            )
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("quadratic_congestion", "core", -0.5),
+            ("quadratic_congestion", "core", float("nan")),
+            ("separated_kernel", "delta", -1.0),
+            ("separated_kernel", "delta", float("nan")),
+            ("lqr_oracle", "c_star", float("nan")),
+            ("lqr_oracle", "c_star", float("inf")),
+        ],
+    )
+    def test_parameter_out_of_range_raises_naming_it(self, name, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            build_model(name, 1, -2.0, 2.0, {key: value})
 
 
 class TestDefaultEpsMin:
