@@ -66,8 +66,10 @@ class CostFunctional:
 
 @dataclass(eq=False)
 class CostSliceStats:
-    """Grid statistics of one slice x -> F(x, m)."""
+    """Grid statistics of one slice x -> F(x, m): its node ``values``, minimum
+    ``c_m``, grid-tolerant argmin set and shifted values ``fbar``."""
 
+    values: np.ndarray
     c_m: float
     argmin_set: NodeSet
     fbar: np.ndarray
@@ -84,7 +86,8 @@ def slice_stats(
     grid: SpatialGrid,
     eps_min: float | None = None,
 ) -> CostSliceStats:
-    """Minimum, grid-tolerant argmin set, and shifted values of F(., m).
+    """The one grid evaluation of F(., m), with its minimum, grid-tolerant
+    argmin set and shifted values.
 
     Logs a warning when the extracted argmin leaks outside the model's
     core box (an assumption-violation signal, not an error).
@@ -100,24 +103,23 @@ def slice_stats(
         logger.warning(
             "model %s: %d argmin node(s) outside the core box", F.name, int(outside.sum())
         )
-    return CostSliceStats(c_m=c, argmin_set=argmin, fbar=vals - c)
+    return CostSliceStats(values=vals, c_m=c, argmin_set=argmin, fbar=vals - c)
 
 
 def gamma_estimate(
     F: CostFunctional,
     grid: SpatialGrid,
     r_values,
-    measures,
+    stats: list[CostSliceStats],
 ) -> list[tuple[float, float]]:
-    """Empirical coercivity profile from sampled measures.
+    """Empirical coercivity profile from the slices of sampled measures.
 
     For each radius r, the minimum of F(., m) - min F(., m) over nodes
-    farther than r from the argmin set, minimised over the sampled
-    measures.  The argmin set is ``F.analytic_argmin`` when declared, else
-    the union of the slice argmins.  Nondecreasing in r by nestedness;
-    radii whose node set is empty are dropped.
+    farther than r from the argmin set, minimised over the slices.  The
+    argmin set is ``F.analytic_argmin`` when declared, else the union of
+    the slice argmins.  Nondecreasing in r by nestedness; radii whose node
+    set is empty are dropped.
     """
-    stats = [slice_stats(F, m, grid) for m in measures]
     argmin_points = F.analytic_argmin
     if argmin_points is None:
         argmin_points = np.concatenate([st.argmin_set.points for st in stats], axis=0)
@@ -359,11 +361,15 @@ def _sample_measures(F: CostFunctional, grid: SpatialGrid, seed: int, extra: int
     return samples
 
 
-def monotonicity_pairing(F: CostFunctional, m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
-    """``int (F(., m1) - F(., m2)) d(m1 - m2)``: negative breaks Lasry-Lions monotonicity."""
-    on_1 = F.evaluate_many(m1.points, m1) - F.evaluate_many(m1.points, m2)
-    on_2 = F.evaluate_many(m2.points, m1) - F.evaluate_many(m2.points, m2)
-    return float(m1.weights @ on_1 - m2.weights @ on_2)
+def monotonicity_pairing_min(F: CostFunctional, measures: list[DiscreteMeasure]) -> float:
+    """Least ``int (F(., a) - F(., b)) d(a - b)`` over the pairs of ``measures``:
+    negative breaks Lasry-Lions monotonicity.  F is evaluated once on each
+    (support, measure) pair."""
+    on = [[F.evaluate_many(a.points, b) for b in measures] for a in measures]
+    return min(
+        float(measures[i].weights @ (on[i][i] - on[i][j]) - measures[j].weights @ (on[j][i] - on[j][j]))
+        for i, j in itertools.combinations(range(len(measures)), 2)
+    )
 
 
 def validate_assumptions(
@@ -383,17 +389,17 @@ def validate_assumptions(
     means all assumptions held.
     ``metrics["gamma_table"]`` is the coercivity profile of
     :func:`gamma_estimate`, nondecreasing by construction.
-    ``metrics["monotonicity_pairing_min"]`` is the least
-    :func:`monotonicity_pairing` over the pairs of sampled measures and
-    Diracs at the two box corners: a negative value witnesses that F is
-    not Lasry-Lions monotone.
+    ``metrics["monotonicity_pairing_min"]`` is
+    :func:`monotonicity_pairing_min` over the sampled measures and Diracs
+    at the two box corners: a negative value witnesses that F is not
+    Lasry-Lions monotone.  Each sampled measure's slice is evaluated once.
     """
     samples = _sample_measures(F, grid, seed, n_random)
+    slices = [slice_stats(F, m, grid) for m in samples]
     violations: list[str] = []
     metrics: dict = {}
 
-    all_vals = [F.evaluate_many(grid.nodes, m).reshape(grid.shape) for m in samples]
-    max_abs = max(float(np.abs(v).max()) for v in all_vals)
+    max_abs = max(float(np.abs(st.values).max()) for st in slices)
     metrics["max_abs_f"] = max_abs
     if max_abs > F.m_bound * (1 + 1e-9):
         violations.append(f"|F| reaches {max_abs}, above the declared bound {F.m_bound}")
@@ -408,11 +414,10 @@ def validate_assumptions(
             ring[tuple(idx)] = True
     worst_ring = np.inf
     worst_core = 0.0
-    for m, vals in zip(samples, all_vals):
-        stats = slice_stats(F, m, grid)
-        pts = stats.argmin_set.points
+    for st in slices:
+        pts = st.argmin_set.points
         worst_core = max(worst_core, float(distance_to_box(pts, F.core_lower, F.core_upper).max()))
-        worst_ring = min(worst_ring, float((vals - stats.c_m)[ring].min()))
+        worst_ring = min(worst_ring, float(st.fbar[ring].min()))
     metrics["argmin_core_excess"] = worst_core
     metrics["boundary_ring_gap"] = worst_ring
     if worst_core > grid.max_spacing:
@@ -424,9 +429,9 @@ def validate_assumptions(
 
     # regularity: second differences stay bounded
     second = 0.0
-    for vals in all_vals:
+    for st in slices:
         for ax in range(grid.dim):
-            d2 = np.diff(vals, n=2, axis=ax) / grid.spacing[ax] ** 2
+            d2 = np.diff(st.values, n=2, axis=ax) / grid.spacing[ax] ** 2
             second = max(second, float(np.abs(d2).max()))
     metrics["max_second_difference"] = second
     if not np.isfinite(second):
@@ -439,7 +444,7 @@ def validate_assumptions(
             d1 = wasserstein1(samples[i], samples[j])
             if d1 < 1e-12:
                 continue
-            gapij = float(np.abs(all_vals[i] - all_vals[j]).max())
+            gapij = float(np.abs(slices[i].values - slices[j].values).max())
             ratio = max(ratio, gapij / d1)
     metrics["lipschitz_ratio"] = ratio
     if F.lipschitz_d1 is not None and ratio > max(F.lipschitz_d1, 1e-12) * lipschitz_slack:
@@ -451,15 +456,12 @@ def validate_assumptions(
     # assume it, so a negative minimum is a witness, not a violation.  The
     # Diracs at the box corners add pairs farther apart than the core box.
     corners = [DiscreteMeasure.dirac(grid.lower_array), DiscreteMeasure.dirac(grid.upper_array)]
-    metrics["monotonicity_pairing_min"] = min(
-        monotonicity_pairing(F, a, b) for a, b in itertools.combinations(samples + corners, 2)
-    )
+    metrics["monotonicity_pairing_min"] = monotonicity_pairing_min(F, samples + corners)
 
     # coercivity profile
     lo, hi = np.asarray(grid.lower), np.asarray(grid.upper)
     rmax = float(np.sqrt(((hi - lo) / 2) @ ((hi - lo) / 2)))
     radii = np.linspace(0.25, rmax, 6)
-    table = gamma_estimate(F, grid, radii, samples[:3])
-    metrics["gamma_table"] = table
+    metrics["gamma_table"] = gamma_estimate(F, grid, radii, slices[:3])
 
     return {"model": F.name, "violations": violations, "metrics": metrics}

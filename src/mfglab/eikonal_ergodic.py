@@ -340,14 +340,14 @@ def build_ergodic_triple(
     worst path stretch (1 in 1D, 1.0824 on square 2D cells), so it is
     O(h) and shrinks as the grid is refined.
     """
-    res = static_residual(F, m, grid)
+    stats = slice_stats(F, m, grid, eps_min)
+    res = static_residual(F, m, stats)
     if res > static_tol:
         raise StaticResidualError(
             f"measure is not a static equilibrium: residual {res} > {static_tol}",
             residual=res,
             tol=static_tol,
         )
-    stats = slice_stats(F, m, grid, eps_min)
     c = stats.c_m
     ell = np.sqrt(2.0 * stats.fbar)
     v, sweeps = solve_eikonal(

@@ -74,16 +74,6 @@ class DiscreteMeasure:
         n = pts.shape[0]
         return cls(pts, np.full(n, 1.0 / n))
 
-    @classmethod
-    def from_weighted(cls, points, weights, normalize: bool = False) -> "DiscreteMeasure":
-        w = np.asarray(weights, dtype=float).ravel()
-        if normalize:
-            total = w.sum()
-            if total <= 0:
-                raise InvalidMeasureError("cannot normalize nonpositive total weight")
-            w = w / total
-        return cls(points, w)
-
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -296,38 +286,19 @@ def _downsample(m: DiscreteMeasure, n: int, rng: np.random.Generator) -> Discret
     return merge_duplicates(DiscreteMeasure(m.points[idx], np.full(n, 1.0 / n)))
 
 
-def support_distance(m: DiscreteMeasure, node_set: NodeSet, w_min: float = 0.0) -> float:
-    """Largest distance from a retained particle to the node set.
-
-    Particles with weight <= ``w_min`` are ignored.
-    """
-    keep = m.weights > w_min
-    if not keep.any():
-        raise InvalidMeasureError("w_min filtered out every particle")
-    return float(np.max(distance_to_set(m.points[keep], node_set)))
+def support_distance(m: DiscreteMeasure, node_set: NodeSet) -> float:
+    """Largest distance from a particle of positive weight to the node set."""
+    return float(np.max(distance_to_set(m.points[m.weights > 0], node_set)))
 
 
 # -- sampling from densities -------------------------------------------------
 
 
 def _cell_masses(density: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Cell mass array from a cell-indexed or node-indexed density."""
-    dens = np.asarray(density, dtype=float)
-    if dens.shape == tuple(grid.n_cells):
-        cell_vals = dens
-    elif dens.shape == grid.shape:
-        # corner average: exact integral of the multilinear interpolant
-        if grid.dim == 1:
-            cell_vals = 0.5 * (dens[:-1] + dens[1:])
-        else:
-            cell_vals = 0.25 * (
-                dens[:-1, :-1] + dens[1:, :-1] + dens[:-1, 1:] + dens[1:, 1:]
-            )
-    else:
-        raise ValueError(
-            f"density shape {dens.shape} matches neither cells {tuple(grid.n_cells)} "
-            f"nor nodes {grid.shape}"
-        )
+    """Cell mass array from a cell-indexed density."""
+    cell_vals = np.asarray(density, dtype=float)
+    if cell_vals.shape != tuple(grid.n_cells):
+        raise ValueError(f"density shape {cell_vals.shape} is not the cell shape {tuple(grid.n_cells)}")
     if cell_vals.min() < 0:
         raise ValueError("density must be nonnegative")
     return cell_vals * float(np.prod(grid.spacing))
@@ -343,7 +314,7 @@ def _cell_centroids(grid: SpatialGrid) -> np.ndarray:
 
 
 def sample_from_density(density, grid: SpatialGrid, n_particles: int, seed: int = 0) -> DiscreteMeasure:
-    """Deterministic stratified sampling of a density on the grid.
+    """Deterministic stratified sampling of a cell-indexed density on the grid.
 
     Cell weights are proportional to density times cell volume.  When
     ``n_particles`` is at least the number of positive cells, one particle

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cost_models import CostFunctional, slice_stats
+from .cost_models import CostFunctional, CostSliceStats, slice_stats
 from .grid_geometry import SpatialGrid, pairwise_sq_dist
 from .measures import DiscreteMeasure, merge_duplicates, mix, wasserstein1_capped
 
@@ -34,34 +34,26 @@ def constant_damping(lam: float) -> Callable[[int], float]:
     return lambda k: lam
 
 
-def residual(F: CostFunctional, m: DiscreteMeasure, grid: SpatialGrid) -> float:
+def residual(F: CostFunctional, m: DiscreteMeasure, stats: CostSliceStats) -> float:
     """Equilibrium certificate: integral of F(., m) minus its minimum.
 
-    The reference minimum is taken over the grid nodes *and* the particle
-    positions, so the value is nonnegative by construction even when a
-    particle sits off-lattice below the best node.  Zero exactly when every
-    particle carries minimal cost.
+    ``stats`` is the slice of m.  The reference minimum is taken over the
+    grid nodes *and* the particle positions, so the value is nonnegative by
+    construction even when a particle sits off-lattice below the best node.
+    Zero exactly when every particle carries minimal cost.
     """
     particle_vals = F.evaluate_many(m.points, m)
-    grid_min = float(F.evaluate_many(grid.nodes, m).min())
-    c = min(grid_min, float(particle_vals.min()))
+    c = min(stats.c_m, float(particle_vals.min()))
     return float(m.weights @ (particle_vals - c))
 
 
-def best_response(
-    F: CostFunctional,
-    m: DiscreteMeasure,
-    grid: SpatialGrid,
-    eps_min: float | None = None,
-    mode: str = "uniform",
-) -> DiscreteMeasure:
-    """A measure supported on the grid-tolerant argmin of F(., m).
+def best_response(m: DiscreteMeasure, stats: CostSliceStats, mode: str = "uniform") -> DiscreteMeasure:
+    """A measure supported on the grid-tolerant argmin of the slice ``stats`` of m.
 
     ``mode="uniform"`` returns the uniform measure on the argmin nodes (the
     canonical symmetric selection); ``mode="project"`` moves each particle
     of m to its nearest argmin node, keeping weights.
     """
-    stats = slice_stats(F, m, grid, eps_min)
     nodes = stats.argmin_set.points
     if mode == "uniform":
         return DiscreteMeasure.uniform(nodes)
@@ -100,9 +92,10 @@ def solve_static(
 ) -> StaticSolveResult:
     """Damped best-response iteration m_{k+1} = (1 - lam_k) m_k + lam_k BR(m_k).
 
-    Stops when the equilibrium residual drops to ``tol``, so ``converged``
-    means ``residual <= tol``; the last of the ``max_iter`` residual checks
-    takes no further step.  Returns the best iterate with its residual; a
+    Each iterate's slice is evaluated on the grid once, for both its
+    residual and its best response.  Stops when the residual drops to
+    ``tol``, so ``converged`` means ``residual <= tol``; the last of the
+    ``max_iter`` residual checks takes no further step.  Returns the best iterate with its residual; a
     result with ``converged=False`` carries the full residual trace for
     cycle diagnosis.  Logs each residual at DEBUG and the stop reason at
     INFO on ``mfglab.static_game``.
@@ -116,7 +109,8 @@ def solve_static(
     iterations = 0
     step = np.nan
     for k in range(max_iter):
-        res = residual(F, m, grid)
+        stats = slice_stats(F, m, grid, eps_min)
+        res = residual(F, m, stats)
         history.append((k, res, step))
         logger.debug("static iteration %d: residual %.3e", k, res)
         if res < best_res:
@@ -128,7 +122,7 @@ def solve_static(
         if k == max_iter - 1:
             break
         lam = float(damping_schedule(k))
-        br = best_response(F, m, grid, eps_min=eps_min, mode=br_mode)
+        br = best_response(m, stats, br_mode)
         m_next = mix(m, br, lam)
         step, _ = wasserstein1_capped(m, m_next, size_cap=w1_size_cap)
         m = m_next

@@ -680,9 +680,9 @@ class TestEntrypointErrors:
 class TestMeasureCsvRoundtrip:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        m = DiscreteMeasure.from_weighted(
-            rng.uniform(-1, 1, size=(6, 2)), rng.random(6) + 0.1, normalize=True
-        )
+        pts = rng.uniform(-1, 1, size=(6, 2))
+        w = rng.random(6) + 0.1
+        m = DiscreteMeasure(pts, w / w.sum())
         path = tmp_path / "m.csv"
         write_measure_csv(path, m, "test", "f" * 64, 7)
         back = read_measure_csv(path)

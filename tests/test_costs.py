@@ -7,19 +7,22 @@ import pytest
 
 from mfglab import (
     BUILTIN_MODELS,
+    CostFunctional,
     DiscreteMeasure,
     SpatialGrid,
+    build_ergodic_triple,
     build_model,
     default_eps_min,
     gamma_estimate,
     slice_stats,
+    solve_static,
     validate_assumptions,
     wasserstein1,
 )
 from mfglab.cost_models import (
     fg_plus_g,
     lqr_oracle,
-    monotonicity_pairing,
+    monotonicity_pairing_min,
     quadratic_congestion,
     separated_kernel,
     two_wells,
@@ -78,7 +81,7 @@ class TestQuadraticCongestion:
         F = quadratic_congestion(dim=1)
         g = grid_1d(400)
         measures = [DiscreteMeasure.dirac([0.0]), DiscreteMeasure.uniform([[-0.4], [0.3]])]
-        table = gamma_estimate(F, g, [0.5, 1.0], measures)
+        table = gamma_estimate(F, g, [0.5, 1.0], [slice_stats(F, m, g) for m in measures])
         assert table[0][1] >= (1.0 - np.exp(-0.25)) - 1e-9
         assert table[1][1] >= (1.0 - np.exp(-1.0)) - 1e-9
         assert table[1][1] >= table[0][1]
@@ -221,7 +224,7 @@ class TestMonotonicityPairing:
             F = build_model(name, 1, -2.0, 2.0, None)
             diff = F.evaluate_many(pts, m1) - F.evaluate_many(pts, m2)
             assert diff[0] - diff[1] == pytest.approx(value, abs=1e-15), name
-            assert monotonicity_pairing(F, m1, m2) == pytest.approx(value, abs=1e-15), name
+            assert monotonicity_pairing_min(F, [m1, m2]) == pytest.approx(value, abs=1e-15), name
 
     def test_validate_reports_the_least_sampled_pairing(self):
         g = grid_1d(160)
@@ -232,6 +235,41 @@ class TestMonotonicityPairing:
         assert witness["violations"] == []  # a witness, not a violation
         assert measure_free["metrics"]["monotonicity_pairing_min"] == 0.0
         assert measure_free["violations"] == []
+
+
+class TestOneSlicePerMeasure:
+    """F(., m) is evaluated on the grid once per measure whose slice is read."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sizes = []
+        evaluate_many = CostFunctional.evaluate_many
+
+        def spy(self, points, m):
+            sizes.append(np.atleast_2d(np.asarray(points)).shape[0])
+            return evaluate_many(self, points, m)
+
+        monkeypatch.setattr(CostFunctional, "evaluate_many", spy)
+        return sizes
+
+    def test_static_solve_one_grid_evaluation_per_iterate(self, calls):
+        g = grid_1d()
+        res = solve_static(quadratic_congestion(dim=1), g, DiscreteMeasure.dirac([1.0]), max_iter=10)
+        assert not res.converged and len(res.history) == 10
+        assert calls.count(g.n_nodes) == len(res.history)
+
+    def test_ergodic_triple_one_grid_evaluation(self, calls):
+        g = grid_1d()
+        build_ergodic_triple(quadratic_congestion(dim=1), DiscreteMeasure.dirac([0.0]), g, eps_min=1e-9)
+        assert calls.count(g.n_nodes) == 1
+
+    def test_validate_one_grid_evaluation_per_sample(self, calls):
+        g = grid_1d(160)
+        validate_assumptions(quadratic_congestion(dim=1), g, seed=0, n_random=3)
+        # 7 sampled measures; the pairings add the 2 box-corner Diracs, and
+        # F is evaluated once on each of the 9 x 9 (support, measure) pairs
+        assert calls.count(g.n_nodes) == 7
+        assert len(calls) == 7 + 81
 
 
 class TestBuilders:

@@ -819,7 +819,7 @@ class TestTransport:
 
     def test_weights_and_times_preserved(self):
         F, g, value = self.make_riccati_value(dt=0.1, T=1.0)
-        m0 = DiscreteMeasure.from_weighted([[-0.7], [0.3]], [0.25, 0.75])
+        m0 = DiscreteMeasure([[-0.7], [0.3]], [0.25, 0.75])
         path, _ = transport_forward(value, m0)
         np.testing.assert_array_equal(path.weights, m0.weights)
         np.testing.assert_allclose(path.times, value.times)

@@ -8,12 +8,14 @@ from mfglab import (
     DiscreteMeasure,
     InvalidMeasureError,
     MeasurePath,
+    NodeSet,
     SizeCapError,
     SolverError,
     SpatialGrid,
     mix,
     mix_paths,
     sample_from_density,
+    support_distance,
     wasserstein1,
     wasserstein1_capped,
 )
@@ -48,7 +50,7 @@ def random_measure(rng, dim=1, max_size=6):
     size = int(rng.integers(1, max_size + 1))
     pts = rng.uniform(-2, 2, size=(size, dim))
     w = rng.random(size) + 0.05
-    return DiscreteMeasure.from_weighted(pts, w, normalize=True)
+    return DiscreteMeasure(pts, w / w.sum())
 
 
 class TestDiscreteMeasure:
@@ -57,29 +59,30 @@ class TestDiscreteMeasure:
         assert d.size == 1 and d.dim == 1 and d.weights[0] == 1.0
         u = DiscreteMeasure.uniform([[0.0], [1.0]])
         np.testing.assert_allclose(u.weights, [0.5, 0.5])
-        f = DiscreteMeasure.from_weighted([[0.0], [1.0]], [1.0, 3.0], normalize=True)
+        w = np.array([1.0, 3.0])
+        f = DiscreteMeasure([[0.0], [1.0]], w / w.sum())
         np.testing.assert_allclose(f.weights, [0.25, 0.75])
 
     def test_weight_validation(self):
         with pytest.raises(InvalidMeasureError):
             DiscreteMeasure(np.array([[0.0]]), np.array([0.5]))  # mass != 1
         with pytest.raises(InvalidMeasureError):
-            DiscreteMeasure.from_weighted([[0.0], [1.0]], [1.5, -0.5])
+            DiscreteMeasure([[0.0], [1.0]], [1.5, -0.5])
         with pytest.raises(InvalidMeasureError):
             DiscreteMeasure(np.array([[np.nan]]), np.array([1.0]))
 
     def test_mean(self):
-        m = DiscreteMeasure.from_weighted([[0.0], [1.0]], [0.25, 0.75])
+        m = DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
         assert m.mean()[0] == pytest.approx(0.75)
 
     def test_merge_duplicates(self):
-        m = DiscreteMeasure.from_weighted([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5])
+        m = DiscreteMeasure([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5])
         merged = merge_duplicates(m)
         assert merged.size == 2
         np.testing.assert_allclose(sorted(merged.weights), [0.5, 0.5])
 
     def test_prune_renormalizes(self):
-        m = DiscreteMeasure.from_weighted([[0.0], [1.0]], [1.0 - 1e-15, 1e-15])
+        m = DiscreteMeasure([[0.0], [1.0]], [1.0 - 1e-15, 1e-15])
         p = prune(m, w_min=1e-12)
         assert p.size == 1
         assert p.weights.sum() == pytest.approx(1.0)
@@ -131,8 +134,8 @@ class TestW1Oracles:
         for _ in range(25):
             ka = integer_weights(int(rng.integers(2, 7)))
             kb = integer_weights(int(rng.integers(1, 7)))
-            a = DiscreteMeasure.from_weighted(rng.uniform(-2, 2, size=(ka.size, 2)), ka / n_units)
-            b = DiscreteMeasure.from_weighted(rng.uniform(-2, 2, size=(kb.size, 2)), kb / n_units)
+            a = DiscreteMeasure(rng.uniform(-2, 2, size=(ka.size, 2)), ka / n_units)
+            b = DiscreteMeasure(rng.uniform(-2, 2, size=(kb.size, 2)), kb / n_units)
             assert wasserstein1(a, b) == pytest.approx(w1_linprog(a, b), abs=1e-12)
 
     def test_2d_dirac_against_closed_form(self):
@@ -141,9 +144,9 @@ class TestW1Oracles:
         for _ in range(20):
             x = rng.uniform(-2, 2, size=2)
             size = int(rng.integers(2, 7))
-            mu = DiscreteMeasure.from_weighted(
-                rng.uniform(-2, 2, size=(size, 2)), rng.random(size) + 0.05, normalize=True
-            )
+            pts = rng.uniform(-2, 2, size=(size, 2))
+            w = rng.random(size) + 0.05
+            mu = DiscreteMeasure(pts, w / w.sum())
             expected = float(mu.weights @ np.linalg.norm(mu.points - x, axis=1))
             dirac = DiscreteMeasure.dirac(x)
             assert wasserstein1(dirac, mu) == pytest.approx(expected, abs=1e-12)
@@ -155,7 +158,7 @@ class TestW1Oracles:
 
         patch_linprog(monkeypatch, infeasible)
         # off the 1/N weight lattice, so the pair reaches the LP
-        a = DiscreteMeasure.from_weighted([[0.0, 0.0], [1.0, 0.0]], [2 ** -0.5, 1 - 2 ** -0.5])
+        a = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [2 ** -0.5, 1 - 2 ** -0.5])
         b = DiscreteMeasure.dirac([0.0, 1.0])
         with pytest.raises(SolverError, match="infeasible"):
             wasserstein1(a, b)
@@ -172,7 +175,7 @@ class TestW1Oracles:
 def _evolve_shaped_pair(rng):
     # a two-flow Cesaro mean after merging: 62 slots of 2/128 and 4 of 1/128
     counts = np.array([2] * 62 + [1] * 4)
-    a = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(66, 2)), counts / 128)
+    a = DiscreteMeasure(rng.uniform(-1, 1, size=(66, 2)), counts / 128)
     return a, DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(64, 2)))
 
 
@@ -200,13 +203,13 @@ def _unequal_uniform_pair(rng):
 
 
 def _dirac_cloud_pair(rng):
-    cloud = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(4, 2)), np.array([1, 2, 2, 3]) / 8)
+    cloud = DiscreteMeasure(rng.uniform(-1, 1, size=(4, 2)), np.array([1, 2, 2, 3]) / 8)
     return DiscreteMeasure.dirac(rng.uniform(-1, 1, size=2)), cloud
 
 
 def _least_count_above_one_pair(rng):
     # counts 2 and 3 on 1/5: the smallest weight is not one lattice unit
-    cloud = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(2, 2)), [0.4, 0.6])
+    cloud = DiscreteMeasure(rng.uniform(-1, 1, size=(2, 2)), [0.4, 0.6])
     return cloud, DiscreteMeasure.dirac(rng.uniform(-1, 1, size=2))
 
 
@@ -244,7 +247,7 @@ class TestW1LatticeDispatch:
         rng = np.random.default_rng(32)
         weights = rng.random(40) + 0.05
         weights[:3] += 4.0
-        a = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(40, 2)), weights, normalize=True)
+        a = DiscreteMeasure(rng.uniform(-1, 1, size=(40, 2)), weights / weights.sum())
         b = DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(40, 2)))
         seen = []
 
@@ -270,7 +273,7 @@ class TestW1LatticeDispatch:
     def test_weights_off_lattice_reach_lp(self, lp_calls):
         rng = np.random.default_rng(34)
         w = np.full(4, 0.25) + np.array([1e-9, -1e-9, 0.0, 0.0])
-        a = DiscreteMeasure.from_weighted(rng.uniform(-1, 1, size=(4, 2)), w)
+        a = DiscreteMeasure(rng.uniform(-1, 1, size=(4, 2)), w)
         b = DiscreteMeasure.uniform(rng.uniform(-1, 1, size=(4, 2)))
         value = wasserstein1(a, b)
         assert lp_calls == [1]
@@ -353,30 +356,46 @@ class TestSampling:
     def test_stratified_oracle_1d(self):
         # uniform density on [0,1], 4 cells: centroids carry equal mass
         g = SpatialGrid((0.0,), (1.0,), (4,))
-        m = sample_from_density(np.ones(g.shape), g, n_particles=4)
+        m = sample_from_density(np.ones(g.n_cells), g, n_particles=4)
         np.testing.assert_allclose(sorted(m.points.ravel()), [0.125, 0.375, 0.625, 0.875])
         np.testing.assert_allclose(m.weights, 0.25)
 
     def test_mass_proportional_to_density(self):
         g = SpatialGrid((0.0,), (1.0,), (2,))
-        density = np.array([1.0, 1.0, 3.0])  # node values; cells get 1 and 2
+        density = np.array([1.0, 2.0])
         m = sample_from_density(density, g, n_particles=8)
         w = m.weights[np.argsort(m.points.ravel())]
         np.testing.assert_allclose(w, [1.0 / 3.0, 2.0 / 3.0])
 
+    def test_node_indexed_density_rejected(self):
+        g = SpatialGrid((0.0,), (1.0,), (4,))
+        with pytest.raises(ValueError, match=r"cell shape \(4,\)"):
+            sample_from_density(np.ones(g.shape), g, n_particles=4)
+
     def test_zero_density_rejected(self):
         g = SpatialGrid((0.0,), (1.0,), (4,))
         with pytest.raises(ValueError):
-            sample_from_density(np.zeros(g.shape), g, n_particles=4)
+            sample_from_density(np.zeros(g.n_cells), g, n_particles=4)
 
     def test_deterministic_for_fixed_seed(self):
         g = SpatialGrid((0.0, 0.0), (1.0, 1.0), (6, 6))
         rng = np.random.default_rng(7)
-        density = rng.random(g.shape)
+        density = rng.random(g.n_cells)
         m1 = sample_from_density(density, g, n_particles=10, seed=3)
         m2 = sample_from_density(density, g, n_particles=10, seed=3)
         np.testing.assert_array_equal(m1.points, m2.points)
         np.testing.assert_array_equal(m1.weights, m2.weights)
+
+
+class TestSupportDistance:
+    def test_hand_case_ignores_zero_weight_particle(self):
+        # node set {0, 0.25}; the particles at 0.75 and 0.125 lie 0.5 and
+        # 0.125 from it, and the massless one at 1.0 (0.75 away) is ignored
+        g = SpatialGrid((0.0,), (1.0,), (4,))
+        nodes = NodeSet(g, [0, 1])
+        m = DiscreteMeasure([[0.75], [0.125], [1.0]], [0.5, 0.5, 0.0])
+        assert support_distance(m, nodes) == 0.5
+        assert support_distance(DiscreteMeasure.dirac([1.0]), nodes) == 0.75
 
 
 class TestMeasurePath:

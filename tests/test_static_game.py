@@ -13,6 +13,7 @@ from mfglab import (
     constant_damping,
     harmonic_damping,
     residual,
+    slice_stats,
     solve_static,
     static_game,
     wasserstein1,
@@ -38,7 +39,7 @@ def brute_force_residual(F, support_points, grid, steps=20):
     for w in simplex_mesh(pts.shape[0], steps):
         keep = w > 0
         m = DiscreteMeasure(pts[keep], w[keep])
-        best = min(best, residual(F, m, grid))
+        best = min(best, residual(F, m, slice_stats(F, m, grid)))
     return best
 
 
@@ -50,7 +51,7 @@ class TestResidualOracles:
         g = grid_1d()
         m = DiscreteMeasure.dirac([0.5])
         expect = (1.0 - np.exp(-0.25)) * 1.5
-        assert residual(F, m, g) == pytest.approx(expect, abs=1e-12)
+        assert residual(F, m, slice_stats(F, m, g)) == pytest.approx(expect, abs=1e-12)
 
     def test_mixture_hand_formula(self):
         F = quadratic_congestion(dim=1)
@@ -59,31 +60,33 @@ class TestResidualOracles:
         interaction = 0.5 * np.exp(-1.0) + 0.5
         f1 = 1.0 - np.exp(-1.0)
         expect = 0.5 * f1 * (1.0 + interaction / (1.0 + interaction))
-        assert residual(F, m, g) == pytest.approx(expect, abs=1e-12)
+        assert residual(F, m, slice_stats(F, m, g)) == pytest.approx(expect, abs=1e-12)
 
     def test_equilibrium_residual_zero(self):
         F = quadratic_congestion(dim=1)
-        assert residual(F, DiscreteMeasure.dirac([0.0]), grid_1d()) == 0.0
+        m = DiscreteMeasure.dirac([0.0])
+        assert residual(F, m, slice_stats(F, m, grid_1d())) == 0.0
 
     def test_off_lattice_particle_stays_nonnegative(self):
         # particle below every grid node's value: reference min uses it
         F = quadratic_congestion(dim=1)
         g = grid_1d(7)  # crude grid without a node at the origin
         m = DiscreteMeasure.dirac([0.01])
-        assert residual(F, m, g) >= 0.0
+        assert residual(F, m, slice_stats(F, m, g)) >= 0.0
 
 
 class TestBestResponse:
     def test_uniform_mode_spreads_over_argmin(self):
         F = two_wells(dim=1)
-        br = best_response(F, DiscreteMeasure.dirac([0.0]), grid_1d(), eps_min=1e-9)
+        m = DiscreteMeasure.dirac([0.0])
+        br = best_response(m, slice_stats(F, m, grid_1d(), eps_min=1e-9))
         np.testing.assert_allclose(sorted(br.points.ravel()), [-1.0, 1.0])
         np.testing.assert_allclose(br.weights, [0.5, 0.5])
 
     def test_project_mode_keeps_weights(self):
         F = two_wells(dim=1)
-        m = DiscreteMeasure.from_weighted([[-0.4], [0.8]], [0.3, 0.7])
-        br = best_response(F, m, grid_1d(), eps_min=1e-9, mode="project")
+        m = DiscreteMeasure([[-0.4], [0.8]], [0.3, 0.7])
+        br = best_response(m, slice_stats(F, m, grid_1d(), eps_min=1e-9), mode="project")
         order = np.argsort(br.points.ravel())
         np.testing.assert_allclose(br.points.ravel()[order], [-1.0, 1.0])
         np.testing.assert_allclose(br.weights[order], [0.3, 0.7])
@@ -91,7 +94,8 @@ class TestBestResponse:
     def test_unknown_mode(self):
         F = two_wells(dim=1)
         with pytest.raises(ValueError, match="mode"):
-            best_response(F, DiscreteMeasure.dirac([0.0]), grid_1d(), mode="softmax")
+            m = DiscreteMeasure.dirac([0.0])
+            best_response(m, slice_stats(F, m, grid_1d()), mode="softmax")
 
 
 class TestSolveStatic:
