@@ -18,7 +18,7 @@ import numpy as np
 from ..asymptotics import SweepParams, failed_checks, run_sweep, sweep_verdict, value_ball
 from ..cost_models import validate_assumptions
 from ..eikonal_ergodic import build_ergodic_triple
-from ..errors import ConfigError, MfgError
+from ..errors import ConfigError, MfgError, StaticResidualError
 from ..finite_horizon import a_priori_report, solve_mfg
 from ..static_game import solve_static
 from .config import (
@@ -142,15 +142,24 @@ def _run_ergodic(cfg: ExperimentConfig, out: Path) -> int:
         m = read_measure_csv(cfg.resolve(ec["measure_file"]))
     else:
         m = build_initial_measure(cfg, grid, F)
-    triple = build_ergodic_triple(
-        F,
-        m,
-        grid,
-        static_tol=ec["static_tol"],
-        eps_min=ec["eps_min"],
-        sweep_tol=ec["sweep_tol"],
-        max_sweeps=ec["max_sweeps"],
-    )
+    try:
+        triple = build_ergodic_triple(
+            F,
+            m,
+            grid,
+            static_tol=ec["static_tol"],
+            eps_min=ec["eps_min"],
+            sweep_tol=ec["sweep_tol"],
+            max_sweeps=ec["max_sweeps"],
+        )
+    except StaticResidualError as exc:
+        raise StaticResidualError(
+            f"{exc}; raise ergodic.static_tol to accept this measure, or give "
+            "ergodic.measure_file a static equilibrium solved with a narrow argmin "
+            "band (static.eps_min and ergodic.eps_min, e.g. 1e-9)",
+            residual=exc.residual,
+            tol=exc.tol,
+        ) from exc
     sha, seed = cfg.sha256, cfg.seed
     write_field_csv(out / "ergodic_value.csv", grid, triple.v, "v", "ergodic", sha, seed)
     write_json(

@@ -551,6 +551,12 @@ def solve_hjb_backward(
     stored as the feedback policy; ties go to the first control of the
     sorted lattice, up to the rounding caveat below.
 
+    F(., m(t_k)) is evaluated on the nodes once per distinct measure: a
+    step whose positions equal those of the step after it (a constant
+    path, or a flow parked on the argmin set) reuses that step's slice,
+    since the path shares one weight vector and the evaluator call would
+    be the same.
+
     The minimum is the closed-form argmin of ``_bracketed_argmin``, its
     two steps evaluated by ``interpolate_many``, as in
     ``transport_forward``: values and policy are those of a scan of the
@@ -574,9 +580,13 @@ def solve_hjb_backward(
     values[n_t] = 0.0
     policy = np.empty((n_t, grid.n_nodes), dtype=np.int32)
     f_slices = np.empty((n_t,) + grid.shape)
+    evaluated = None
     for k in range(n_t - 1, -1, -1):
-        m_k = path.measure_at(k)
-        fk = F.evaluate_many(grid.nodes, m_k)
+        # one weight vector for the whole path: equal positions are an
+        # equal measure, so the slice evaluated last is this one, same bits
+        if evaluated is None or not np.array_equal(path.positions[k], evaluated):
+            evaluated = path.positions[k]
+            fk = F.evaluate_many(grid.nodes, path.measure_at(k))
         f_slices[k] = fk.reshape(grid.shape)
         # a +inf node gives inf - inf and inf * 0 in the kernel: NaN, which
         # the argmin ranks and the check below reports, without a warning
@@ -862,21 +872,38 @@ def occupational_fractions(
     slice below delta (or NaN) and later slices evaluate only the points
     still live; once none is live the remaining slices are skipped.  This
     is exact, since "every slice at least delta" is the same test as
-    "minimum over slices at least delta".  Points meet the evaluator in
-    other batches than in a full evaluation, and a BLAS product may round
-    a row one unit in the last place differently by its batch; so only a
-    point within that rounding of delta could flip, as it already could
-    at any chunk boundary.
+    "minimum over slices at least delta".
+
+    Each slot is tested at t = 0 and at the steps where it moved; a point
+    where its slot sat one step earlier takes the verdict of the point it
+    repeats.  A checkpoint whose positions equal those of the last slice
+    tested is skipped: every live point has already passed that measure.
+
+    Points meet the evaluator in other batches than in a full evaluation,
+    and a BLAS product may round a row one unit in the last place
+    differently by its batch; so only a point within that rounding of
+    delta could flip, as it already could at any chunk boundary.
     """
     pos = np.asarray(positions, dtype=float)
     n_times, n_slots, dim = pos.shape
     if measure_indices is None:
         measure_indices = checkpoint_indices(path.n_times - 1)
     flat = pos.reshape(-1, dim)
-    live = np.arange(flat.shape[0])
+    moved = np.ones((n_times, n_slots), dtype=bool)
+    moved[1:] = np.any(pos[1:] != pos[:-1], axis=2)
+    # the flat index of the (time, slot) point whose verdict each point shares
+    source = np.maximum.accumulate(
+        np.where(moved, np.arange(flat.shape[0]).reshape(n_times, n_slots), 0), axis=0
+    )
+    live = np.flatnonzero(moved)
+    tested = None
     for j in measure_indices:
         if live.size == 0:
             break
+        # every live point has passed the slice of these same positions
+        if tested is not None and np.array_equal(path.positions[int(j)], tested):
+            continue
+        tested = path.positions[int(j)]
         m_j = path.measure_at(int(j))
         c_j = float(F.evaluate_many(grid.nodes, m_j).min())
         # chunks of ~1M (point, support) pairs.  The batch fixes the
@@ -891,7 +918,7 @@ def occupational_fractions(
         live = live[keep]
     occupied = np.zeros(flat.shape[0], dtype=bool)
     occupied[live] = True
-    occupied = occupied.reshape(n_times, n_slots)
+    occupied = occupied[source]
     # time steps, not node times: left endpoints of the n_times - 1 steps
     return occupied[:-1].mean(axis=0)
 

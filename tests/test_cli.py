@@ -242,12 +242,15 @@ class TestErgodicCommand:
         assert len(warnings) == 1
         assert "support_violation 0.5 exceeds one cell" in warnings[0].getMessage()
 
-    def test_non_equilibrium_measure_exits_3(self, tmp_path):
+    def test_non_equilibrium_measure_exits_3(self, tmp_path, caplog):
         bad = DiscreteMeasure.dirac([0.5])
         write_measure_csv(tmp_path / "off.csv", bad, "test", "0" * 64, 0)
         text = ERGODIC_CONFIG.replace("static_measure.csv", "off.csv")
         cfg = write_config(tmp_path, text, "bad.yaml")
         assert entrypoint(["ergodic", str(cfg), "--output-dir", str(tmp_path)]) == 3
+        # the error line the CLI prints on stderr names the keys to set
+        assert "solver error: measure is not a static equilibrium" in caplog.text
+        assert "ergodic.static_tol" in caplog.text and "ergodic.eps_min" in caplog.text
 
 
 EVOLVE_CONFIG = """

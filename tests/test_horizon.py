@@ -1,5 +1,6 @@
 """Backward semi-Lagrangian values, forward transport, and the coupled loop."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -148,6 +149,17 @@ def slice_cost(fields, dt, dim):
         name="slices", dim=dim, evaluator=ev, m_bound=1.0,
         core_lower=(-1.0,) * dim, core_upper=(1.0,) * dim, gap=0.0,
     )
+
+
+def counting(F):
+    """F with an evaluator that also records the number of points of each call."""
+    rows = []
+
+    def ev(pts, m):
+        rows.append(pts.shape[0])
+        return F.evaluator(pts, m)
+
+    return dataclasses.replace(F, evaluator=ev), rows
 
 
 def indexed_path(n_t, dt, dim):
@@ -757,6 +769,34 @@ class TestBackwardValues:
         np.testing.assert_array_equal(value.policy, every_value.policy)
         np.testing.assert_array_equal(flow.positions, every_flow.positions)
 
+    def test_one_node_evaluation_per_distinct_measure(self):
+        F, rows = counting(quadratic_congestion(dim=1))
+        g = SpatialGrid((-2.0,), (2.0,), (40,))
+        path = constant_path(DiscreteMeasure.uniform([[-0.5], [0.25]]), 1.0, 0.1)
+        solve_hjb_backward(F, path, g, 0.1)
+        assert rows == [g.n_nodes]
+        positions = path.positions.copy()
+        positions[3:, 0, 0] += 0.1  # slot 0 moves at step 3
+        positions[7:, 1, 0] -= 0.2  # slot 1 moves at step 7
+        rows.clear()
+        solve_hjb_backward(F, MeasurePath(path.times, positions, path.weights), g, 0.1)
+        assert rows == [g.n_nodes] * 3
+
+    def test_reused_slices_match_the_per_step_evaluation(self):
+        # a flow that parks on the argmin set: most steps repeat the next one
+        F = quadratic_congestion(dim=1)
+        g = SpatialGrid((-2.0,), (2.0,), (100,))
+        m0 = DiscreteMeasure.uniform([[-0.6], [-0.1], [0.0], [0.45]])
+        first = solve_hjb_backward(F, constant_path(m0, 2.0, 0.05), g, 0.05)
+        flow, _ = transport_forward(first, m0)
+        repeats = [np.array_equal(flow.positions[k], flow.positions[k + 1]) for k in range(39)]
+        assert 0 < sum(repeats) < 39
+        counted, rows = counting(F)
+        value = solve_hjb_backward(counted, flow, g, 0.05)
+        assert len(rows) == 40 - sum(repeats)
+        stack = np.stack([F.evaluate_many(g.nodes, flow.measure_at(k)) for k in range(40)])
+        np.testing.assert_array_equal(value.f_slices, stack.reshape(value.f_slices.shape))
+
     def test_alignment_errors(self):
         F = lqr_oracle(dim=1)
         g = SpatialGrid((-2.0,), (2.0,), (40,))
@@ -1005,6 +1045,40 @@ class TestOccupational:
         rho = occupational_fractions(positions, self.F, path, delta, self.g, measure_indices=indices)
         np.testing.assert_array_equal(rho, occupied[:-1].mean(axis=0))
 
+    def test_stationary_runs_match_per_point_oracle(self):
+        # slots that park, stop, return to an earlier point or never rest,
+        # against a path whose checkpoints 4 and 7 are the same measure
+        rng = np.random.default_rng(8)
+        centers = np.linspace(-1.0, 1.0, 11)[:, None, None]
+        crowd = centers + 0.2 * rng.standard_normal((11, 6, 1))
+        crowd[7] = crowd[4]
+        path = MeasurePath(np.linspace(0.0, 1.0, 11), crowd, np.full(6, 1.0 / 6.0))
+        signs = rng.choice([-1.0, 1.0], size=(13, 6, 1))
+        positions = signs * rng.uniform(0.3, 0.7, size=(13, 6, 1))
+        positions[:, 0] = 0.45  # parked
+        positions[:, 1] = -0.6  # parked
+        positions[5:, 2] = positions[4, 2]  # stops at step 4
+        positions[3:6, 3] = positions[2, 3]  # rests, moves, then returns
+        positions[9:, 3] = positions[0, 3]
+        indices, delta = [1, 4, 7, 10], 0.25
+        fbar = np.empty((len(indices), 13, 6))
+        for a, j in enumerate(indices):
+            m_j = path.measure_at(j)
+            c_j = self.F.evaluate_many(self.g.nodes, m_j).min()
+            for t in range(13):
+                for s in range(6):
+                    fbar[a, t, s] = self.F.evaluate(positions[t, s], m_j) - c_j
+        occupied = fbar.min(axis=0) >= delta
+        assert 0.0 < occupied.mean() < 1.0
+        assert occupied[:, 3].any() and not occupied[:, 3].all()
+        F, rows = counting(self.F)
+        rho = occupational_fractions(positions, F, path, delta, self.g, measure_indices=indices)
+        np.testing.assert_array_equal(rho, occupied[:-1].mean(axis=0))
+        # checkpoint 7 repeats checkpoint 4: three slices, and the first
+        # tests only the 1 + 1 + 5 + 7 + 13 + 13 points where a slot moved
+        assert rows.count(self.g.n_nodes) == 3
+        assert rows[:2] == [self.g.n_nodes, 40]
+
     def test_fbar_equal_to_delta_is_occupied(self):
         def ev(pts, m):
             return np.abs(pts[:, 0])
@@ -1032,4 +1106,5 @@ class TestOccupational:
         positions = np.zeros((11, 3, 1))  # at the first slice's mean: fbar 0 there
         rho = occupational_fractions(positions, F, path, 0.1, self.g)
         np.testing.assert_array_equal(rho, np.zeros(3))
-        assert rows == [self.g.n_nodes, 33]  # one slice: its nodes, then the points
+        # one slice: its nodes, then each parked slot once
+        assert rows == [self.g.n_nodes, 3]
