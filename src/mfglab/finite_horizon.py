@@ -20,7 +20,11 @@ particle, S the steepest slope of the value slice within reach (see
 forward along that feedback (the same argmin at the particle positions).
 The coupled system is solved by damped fixed-point iteration on the
 measure path (the value field is always the exact solution for the path
-it was computed against).
+it was computed against).  Each solve runs once per distinct input: the
+HJB gives back the last iteration's value field when the grid, time
+lattice, control lattice and cost slices all equal its own, and the
+transport gives back the last flow when it gets that same value field and
+an equal initial cloud.
 """
 from __future__ import annotations
 
@@ -539,6 +543,7 @@ def solve_hjb_backward(
     dt: float,
     control_radius: float | None = None,
     control_mesh: float | None = None,
+    previous: ValueField | None = None,
 ) -> ValueField:
     """Backward semi-Lagrangian recursion for the value of the crowd cost.
 
@@ -567,6 +572,13 @@ def solve_hjb_backward(
     controls with ``|a_i| <= S_i + mesh/2``, and builds the line filter's
     (node, line) feet for the box's lines and the cell stage for the lines
     that survive the filter.
+
+    The recursion is a pure function of the grid, ``dt``, the control
+    lattice and the cost slices, so a ``previous`` field (from an earlier
+    call) is returned as is when all four match: an equal grid, the same
+    time lattice, equal controls and mesh, and ``f_slices`` equal under
+    ``np.array_equal``.  The slices are still evaluated, since that is how
+    a repeat is seen; the argmin geometry and the recursion are skipped.
     """
     n_t, lattice = _check_alignment(path, dt)
     if control_radius is None:
@@ -574,11 +586,7 @@ def solve_hjb_backward(
     if control_mesh is None:
         control_mesh = default_control_mesh(grid, dt)
     controls = control_lattice(grid.dim, control_radius, control_mesh)
-    argmin = _bracketed_argmin(grid, grid.nodes, _Lattice.of(controls, control_mesh, dt))
 
-    values = np.empty((n_t + 1,) + grid.shape)
-    values[n_t] = 0.0
-    policy = np.empty((n_t, grid.n_nodes), dtype=np.int32)
     f_slices = np.empty((n_t,) + grid.shape)
     evaluated = None
     for k in range(n_t - 1, -1, -1):
@@ -588,6 +596,22 @@ def solve_hjb_backward(
             evaluated = path.positions[k]
             fk = F.evaluate_many(grid.nodes, path.measure_at(k))
         f_slices[k] = fk.reshape(grid.shape)
+    if (
+        previous is not None
+        and previous.grid == grid
+        and np.array_equal(previous.times, lattice)
+        and previous.metadata["control_mesh"] == float(control_mesh)
+        and np.array_equal(previous.controls, controls)
+        and np.array_equal(previous.f_slices, f_slices)
+    ):
+        return previous
+
+    argmin = _bracketed_argmin(grid, grid.nodes, _Lattice.of(controls, control_mesh, dt))
+    values = np.empty((n_t + 1,) + grid.shape)
+    values[n_t] = 0.0
+    policy = np.empty((n_t, grid.n_nodes), dtype=np.int32)
+    for k in range(n_t - 1, -1, -1):
+        fk = f_slices[k].ravel()
         # a +inf node gives inf - inf and inf * 0 in the kernel: NaN, which
         # the argmin ranks and the check below reports, without a warning
         with np.errstate(invalid="ignore"):
@@ -660,6 +684,7 @@ def transport_forward(
     value: ValueField,
     m0: DiscreteMeasure,
     core_box=None,
+    previous: tuple[ValueField, MeasurePath, TrajectoryStats] | None = None,
 ) -> tuple[MeasurePath, TrajectoryStats]:
     """Push the initial cloud forward along the optimal feedback.
 
@@ -679,7 +704,21 @@ def transport_forward(
     steepest slope of the slice within reach (``_line_kernel``); in 2D
     only the controls of the slice's descent box, ``|a_i| <= S_i + mesh/2``
     (``_descent_box``).
+
+    The transport is a pure function of the value field and the cloud, so
+    ``previous``, the ``(value, path, stats)`` of an earlier call, gives
+    back its path and stats when ``value`` is that call's field (the same
+    object) and ``m0`` has the points and weights of its path at t = 0;
+    only ``r1_hat`` is taken again, for this call's ``core_box``.
     """
+    if previous is not None:
+        prev_value, prev_path, prev_stats = previous
+        if (
+            prev_value is value
+            and np.array_equal(prev_path.positions[0], m0.points)
+            and np.array_equal(prev_path.weights, m0.weights)
+        ):
+            return prev_path, replace(prev_stats, r1_hat=_core_distance(prev_path.positions, core_box))
     grid = value.grid
     dt = value.dt
     controls = value.controls
@@ -708,20 +747,23 @@ def transport_forward(
         positions[k + 1] = pts
         sup_speed = np.maximum(sup_speed, np.sqrt((alpha * alpha).sum(axis=1)))
     sup_position = np.sqrt((positions * positions).sum(axis=-1)).max(axis=0)
-    if core_box is not None:
-        lo, hi = core_box
-        flat = positions.reshape(-1, grid.dim)
-        r1 = float(distance_to_box(flat, lo, hi).max())
-    else:
-        r1 = float("nan")
     stats = TrajectoryStats(
         sup_position=sup_position,
         sup_speed=sup_speed,
         chi_hat=float(sup_position.max()),
         chi_prime_hat=float(sup_speed.max()),
-        r1_hat=r1,
+        r1_hat=_core_distance(positions, core_box),
     )
     return MeasurePath(value.times, positions, m0.weights), stats
+
+
+def _core_distance(positions: np.ndarray, core_box) -> float:
+    """The largest distance of any (time, particle) position to the core
+    box; nan when no box is given."""
+    if core_box is None:
+        return float("nan")
+    lo, hi = core_box
+    return float(distance_to_box(positions.reshape(-1, positions.shape[-1]), lo, hi).max())
 
 
 def checkpoint_indices(n_steps: int, n_checkpoints: int = N_CHECKPOINTS) -> np.ndarray:
@@ -801,6 +843,12 @@ def solve_mfg(
     Non-convergence returns the best iterate seen with ``converged=False``
     and the full residual trace.  Logs each iteration at DEBUG and the stop
     reason at INFO on ``mfglab.finite_horizon``.
+
+    Each iteration hands the last one's value field to the HJB and its
+    ``(value, flow_path, stats)`` to the transport, so an iteration whose
+    cost slices repeat the last one's (F independent of m, or a path that
+    did not change) takes both back instead of solving again, and logs
+    that at DEBUG.  Both functions are still called once per iteration.
     """
     if damping_schedule is None:
         damping_schedule = harmonic_damping
@@ -817,9 +865,14 @@ def solve_mfg(
     converged = False
     capped_any = False
     iterations = 0
+    value = transported = None
     for k in range(max_iter):
-        value = solve_hjb_backward(F, path, grid, dt, control_radius, control_mesh)
-        flow_path, stats = transport_forward(value, m0, core_box=core_box)
+        last_value = value
+        value = solve_hjb_backward(F, path, grid, dt, control_radius, control_mesh, previous=value)
+        if value is last_value:
+            logger.debug("mfg iteration %d: cost slices repeat, reusing the value field and flow", k)
+        flow_path, stats = transport_forward(value, m0, core_box=core_box, previous=transported)
+        transported = (value, flow_path, stats)
         br_res, c1 = _checkpoint_distance(flow_path, path, ckpt, w1_size_cap, int(seeds[2 * k]))
         lam = float(damping_schedule(k))
         mixed = mix_paths(path, flow_path, lam, cap=path_cap, seed=int(seeds[2 * k + 1]))

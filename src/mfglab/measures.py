@@ -412,7 +412,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_trajectories(path: MeasurePath) -> MeasurePath:
-    """Merge slots whose full trajectories coincide within ``DUPLICATE_TOL``."""
+    """Merge slots whose full trajectories coincide within ``DUPLICATE_TOL``.
+
+    Slots whose t = 0 keys differ cannot merge, so a path whose starts are
+    all distinct is returned without keying the full trajectories."""
+    starts = np.round(path.positions[0] / DUPLICATE_TOL).astype(np.int64)
+    starts = starts[np.lexsort(starts.T)]
+    if np.any(starts[1:] != starts[:-1], axis=1).all():
+        return path
     merged = _merge_rows(path.positions.transpose(1, 0, 2).reshape(path.n_slots, -1), path.weights)
     if merged is None:
         return path

@@ -976,6 +976,124 @@ class TestSolveMfg:
         ]
 
 
+class TestRepeatedInputs:
+    """A solve whose inputs equal an earlier call's gives back its result,
+    bit for bit what a fresh call computes."""
+
+    def setup_method(self):
+        self.F = quadratic_congestion(dim=1)
+        self.g = SpatialGrid((-2.0,), (2.0,), (40,))
+        self.m0 = DiscreteMeasure.uniform([[-0.5], [0.3]])
+        self.path = constant_path(self.m0, 1.0, 0.1)
+
+    @staticmethod
+    def count_argmin(monkeypatch):
+        calls = []
+        original = finite_horizon._bracketed_argmin
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(finite_horizon, "_bracketed_argmin", spy)
+        return calls
+
+    @staticmethod
+    def assert_same_field(a, b):
+        assert a.grid == b.grid
+        for name in ("times", "values", "controls", "policy", "f_slices"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.metadata == b.metadata
+
+    def test_hjb_with_equal_slices_returns_the_previous_field(self, monkeypatch):
+        first = solve_hjb_backward(self.F, self.path, self.g, 0.1)
+        calls = self.count_argmin(monkeypatch)
+        # an equal grid and an equal path, other objects
+        grid = SpatialGrid((-2.0,), (2.0,), (40,))
+        path = MeasurePath(self.path.times, self.path.positions, self.path.weights)
+        assert solve_hjb_backward(self.F, path, grid, 0.1, previous=first) is first
+        assert calls == []
+
+    @pytest.mark.parametrize("change", ["slice", "dt", "control_mesh"])
+    def test_hjb_with_other_inputs_computes_afresh(self, change):
+        mesh = 0.25
+        first = solve_hjb_backward(self.F, self.path, self.g, 0.1, control_mesh=mesh)
+        path, dt = self.path, 0.1
+        if change == "slice":
+            positions = path.positions.copy()
+            positions[3, 0, 0] += 0.05
+            path = MeasurePath(path.times, positions, path.weights)
+        elif change == "dt":
+            # ten steps of the same constant measure: equal slices, other dt
+            path, dt = constant_path(self.m0, 0.5, 0.05), 0.05
+            np.testing.assert_array_equal(
+                solve_hjb_backward(self.F, path, self.g, dt, control_mesh=mesh).f_slices, first.f_slices
+            )
+        else:
+            mesh = 0.2
+        fresh = solve_hjb_backward(self.F, path, self.g, dt, control_mesh=mesh, previous=first)
+        assert fresh is not first
+        self.assert_same_field(fresh, solve_hjb_backward(self.F, path, self.g, dt, control_mesh=mesh))
+
+    def test_transport_reuses_only_its_own_field_and_cloud(self, monkeypatch):
+        box = (self.F.core_lower, self.F.core_upper)
+        value = solve_hjb_backward(self.F, self.path, self.g, 0.1)
+        equal_value = solve_hjb_backward(self.F, self.path, self.g, 0.1)
+        flow, stats = transport_forward(value, self.m0, core_box=box)
+        previous = (value, flow, stats)
+        calls = self.count_argmin(monkeypatch)
+        same_cloud = DiscreteMeasure(self.m0.points.copy(), self.m0.weights.copy())
+        again, again_stats = transport_forward(value, same_cloud, core_box=box, previous=previous)
+        assert again is flow and calls == []
+        np.testing.assert_array_equal(again_stats.sup_position, stats.sup_position)
+        np.testing.assert_array_equal(again_stats.sup_speed, stats.sup_speed)
+        assert (again_stats.chi_hat, again_stats.chi_prime_hat, again_stats.r1_hat) == (
+            stats.chi_hat, stats.chi_prime_hat, stats.r1_hat,
+        )
+        # r1 is taken for this call's core box
+        assert np.isnan(transport_forward(value, same_cloud, previous=previous)[1].r1_hat)
+        assert calls == []
+        for v, m0 in (
+            (equal_value, self.m0),
+            (value, DiscreteMeasure.uniform([[-0.5], [0.35]])),
+            (value, DiscreteMeasure([[-0.5], [0.3]], [0.25, 0.75])),
+        ):
+            got, got_stats = transport_forward(v, m0, core_box=box, previous=previous)
+            assert got is not flow
+            assert len(calls) == value.n_steps
+            calls.clear()
+            want, want_stats = transport_forward(v, m0, core_box=box)
+            np.testing.assert_array_equal(got.positions, want.positions)
+            np.testing.assert_array_equal(got.weights, want.weights)
+            np.testing.assert_array_equal(got_stats.sup_speed, want_stats.sup_speed)
+            assert got_stats.r1_hat == want_stats.r1_hat
+            calls.clear()
+
+    def test_mfg_with_a_measure_independent_cost_solves_once(self, monkeypatch):
+        # iteration 1 sees the slices of iteration 0: no argmin is built
+        calls = self.count_argmin(monkeypatch)
+        eq = solve_mfg(lqr_oracle(dim=1), self.m0, 1.0, self.g, 0.1, tol=1e-9)
+        assert eq.converged and eq.iterations == 2
+        assert eq.br_residual == 0.0
+        assert calls == [self.g.n_nodes] + [self.m0.size] * 10
+
+    def test_mfg_with_congestion_solves_every_iteration(self, monkeypatch):
+        calls = self.count_argmin(monkeypatch)
+        eq = solve_mfg(self.F, self.m0, 1.0, self.g, 0.1, tol=1e-9, max_iter=3)
+        assert eq.iterations == 3
+        assert calls == ([self.g.n_nodes] + [self.m0.size] * 10) * 3
+
+    def test_mfg_logs_each_reuse(self, caplog):
+        def reuses(F):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="mfglab.finite_horizon"):
+                solve_mfg(F, self.m0, 1.0, self.g, 0.1, tol=1e-9, max_iter=3)
+            return [r.getMessage() for r in caplog.records if "reusing" in r.getMessage()]
+
+        assert reuses(lqr_oracle(dim=1)) == ["mfg iteration 1: cost slices repeat, reusing the value field and flow"]
+        assert reuses(self.F) == []
+
+
 class TestOccupational:
     def setup_method(self):
         self.F = quadratic_congestion(dim=1)

@@ -19,7 +19,7 @@ from mfglab import (
     wasserstein1,
     wasserstein1_capped,
 )
-from mfglab.measures import _solvers, merge_duplicates, prune
+from mfglab.measures import _dedupe_trajectories, _merge_rows, _solvers, merge_duplicates, prune
 
 
 def patch_linprog(monkeypatch, fake):
@@ -447,6 +447,29 @@ class TestMeasurePath:
         mixed = mix_paths(a, b, 0.5)
         assert mixed.n_slots == 1
         assert mixed.weights[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dedupe_matches_merging_the_full_trajectories(self, dim):
+        # the t = 0 shortcut against the full-row merge: distinct starts,
+        # shared starts that diverge later, and exact duplicates
+        rng = np.random.default_rng(5)
+        distinct = rng.normal(size=(4, 6, dim))
+        diverging = distinct.copy()
+        diverging[0, 3] = diverging[0, 1]
+        duplicated = diverging.copy()
+        duplicated[:, 4] = duplicated[:, 2]
+        weights = rng.random(6)
+        for positions in (distinct, diverging, duplicated):
+            path = MeasurePath(np.arange(4.0), positions, weights / weights.sum())
+            merged = _merge_rows(positions.transpose(1, 0, 2).reshape(6, -1), path.weights)
+            got = _dedupe_trajectories(path)
+            if merged is None:
+                assert got is path
+            else:
+                first, w = merged
+                np.testing.assert_array_equal(got.positions, positions[:, first])
+                np.testing.assert_array_equal(got.weights, w)
+        assert _dedupe_trajectories(MeasurePath(np.arange(4.0), duplicated, weights / weights.sum())).n_slots == 5
 
     def test_mix_paths_cap_resamples_trajectories(self):
         times = np.linspace(0, 1, 3)
