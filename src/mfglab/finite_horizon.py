@@ -959,11 +959,12 @@ def occupational_fractions(
         tested = path.positions[int(j)]
         m_j = path.measure_at(int(j))
         c_j = float(F.evaluate_many(grid.nodes, m_j).min())
-        # chunks of ~1M (point, support) pairs.  The batch fixes the
-        # rounding: the BLAS product ``K @ w`` may round a row one ulp
-        # differently in another batch, so this size is part of the
-        # artifacts' bytes
-        step = max(1024, int(1_000_000 // max(1, m_j.size)))
+        # blocks of 262 144 (point, support) pairs, 2 MiB of float64
+        # kernel.  The batch fixes the rounding: the BLAS product ``K @ w``
+        # may round a row one ulp differently in another batch, so this
+        # size is part of the artifacts' bytes for a point within that
+        # rounding of delta
+        step = max(1024, int(262_144 // max(1, m_j.size)))
         keep = np.empty(live.size, dtype=bool)
         for lo in range(0, live.size, step):
             sl = slice(lo, lo + step)

@@ -91,11 +91,20 @@ class DiscreteMeasure:
 def _merge_rows(rows: np.ndarray, weights: np.ndarray):
     """Group the (n, k) ``rows`` that agree within ``DUPLICATE_TOL`` per
     coordinate: the index of each group's first row and the group's summed
-    weight, renormalised; None when no two rows agree."""
+    weight, renormalised; None when no two rows agree.  Groups come in
+    lexicographic key order with the first and inverse indices of
+    ``np.unique(keys, axis=0)``, from one stable ``np.lexsort`` rather than
+    a sort over a k-field structured dtype."""
     keys = np.round(rows / DUPLICATE_TOL).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = order[starts]
     if first.size == rows.shape[0]:
         return None
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
     w = np.bincount(inverse, weights=weights, minlength=first.size)
     return first, w / w.sum()
 

@@ -19,7 +19,7 @@ from mfglab import (
     wasserstein1,
     wasserstein1_capped,
 )
-from mfglab.measures import _dedupe_trajectories, _merge_rows, _solvers, merge_duplicates, prune
+from mfglab.measures import DUPLICATE_TOL, _dedupe_trajectories, _merge_rows, _solvers, merge_duplicates, prune
 
 
 def patch_linprog(monkeypatch, fake):
@@ -350,6 +350,39 @@ class TestMixing:
             expect = (1 - lam) * a.mean() + lam * b.mean()
             np.testing.assert_allclose(mixed.mean(), expect, atol=1e-12)
             assert mixed.weights.sum() == pytest.approx(1.0)
+
+
+class TestMergeRowsOracle:
+    """Rows grouped by one lexsort give ``np.unique(axis=0)``'s first
+    indices and inverse, so merged weights and slot order are unchanged."""
+
+    @staticmethod
+    def random_keys(rng, n, k):
+        span = int(rng.choice([3, 2**40]))
+        keys = rng.integers(-span, span, size=(n, k))
+        if n > 1:  # duplicate rows, and rows that share a prefix
+            keys[rng.integers(0, n, size=n // 2)] = keys[rng.integers(0, n, size=n // 2)]
+            keys[rng.integers(0, n), : k // 2] = keys[0, : k // 2]
+        return keys
+
+    def test_merge_rows_matches_unique(self):
+        rng = np.random.default_rng(23)
+        merged = 0
+        for k in (*range(1, 9), 40, 161):
+            for n in (1, 2, 7, 64):
+                rows = self.random_keys(rng, n, k) * DUPLICATE_TOL
+                weights = rng.random(n)
+                keys = np.round(rows / DUPLICATE_TOL).astype(np.int64)
+                _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+                got = _merge_rows(rows, weights)
+                if first.size == n:
+                    assert got is None
+                    continue
+                merged += 1
+                w = np.bincount(inverse.ravel(), weights=weights, minlength=first.size)
+                np.testing.assert_array_equal(got[0], first)
+                np.testing.assert_array_equal(got[1], w / w.sum())
+        assert merged >= 20
 
 
 class TestSampling:
