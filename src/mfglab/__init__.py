@@ -54,6 +54,7 @@ from .eikonal_ergodic import (
 )
 from .finite_horizon import (
     MfgEquilibrium,
+    MfgParams,
     TrajectoryStats,
     ValueField,
     a_priori_report,
@@ -87,6 +88,7 @@ __all__ = [
     "MeasurePath",
     "MfgEquilibrium",
     "MfgError",
+    "MfgParams",
     "NodeSet",
     "SizeCapError",
     "SolverError",

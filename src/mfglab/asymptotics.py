@@ -18,6 +18,7 @@ from .cost_models import CostFunctional, slice_stats
 from .eikonal_ergodic import build_ergodic_triple
 from .errors import SolverError, StaticResidualError
 from .finite_horizon import (
+    MfgParams,
     a_priori_report,
     checkpoint_indices,
     horizon_steps,
@@ -25,12 +26,7 @@ from .finite_horizon import (
     solve_mfg,
 )
 from .grid_geometry import NodeSet, SpatialGrid, distance_to_set
-from .measures import (
-    DEFAULT_SIZE_CAP,
-    DiscreteMeasure,
-    support_distance,
-    wasserstein1_capped,
-)
+from .measures import DiscreteMeasure, support_distance, wasserstein1_capped
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +80,7 @@ class SweepParams:
     ``mode`` selects the time resolution policy: "fixed_steps" keeps the
     number of steps constant across T (dt grows with T), "fixed_dt" keeps
     dt constant (step count grows with T; dt must divide every T).
+    Every horizon's ``solve_mfg`` takes the one set of knobs ``mfg``.
     """
 
     mode: str = "fixed_steps"
@@ -92,12 +89,7 @@ class SweepParams:
     s_grid: tuple = DEFAULT_S_GRID
     R: float = 1.0
     delta_occ: float = 0.1
-    tol: float = 5e-3
-    max_iter: int = 30
-    control_radius: float | None = None
-    control_mesh: float | None = None
-    path_cap: int = 4096
-    w1_size_cap: int = DEFAULT_SIZE_CAP
+    mfg: MfgParams = MfgParams()
     eps_min: float | None = None
     seed: int = 0
 
@@ -219,20 +211,7 @@ def run_sweep(
     solves = []
     for T, seed in zip(horizons, seeds):
         dt = params.step_for(T)
-        eq = solve_mfg(
-            F,
-            m0,
-            T,
-            grid,
-            dt,
-            tol=params.tol,
-            max_iter=params.max_iter,
-            control_radius=params.control_radius,
-            control_mesh=params.control_mesh,
-            path_cap=params.path_cap,
-            w1_size_cap=params.w1_size_cap,
-            seed=int(seed),
-        )
+        eq = solve_mfg(F, m0, T, grid, dt, params.mfg, seed=int(seed))
         logger.info(
             "sweep horizon T=%g: dt %g, %d iterations, br_residual %.3e, converged %s",
             T, dt, eq.iterations, eq.br_residual, eq.converged,
@@ -287,7 +266,7 @@ def run_sweep(
             sup_dist[i] = support_distance(m_s, argmin_set)
             if limit is not None:
                 d1[i], _ = wasserstein1_capped(
-                    m_s, limit, size_cap=params.w1_size_cap, seed=params.seed
+                    m_s, limit, size_cap=params.mfg.w1_size_cap, seed=params.seed
                 )
             rate_err[i] = float(np.abs(u[ball] / T - c_star * (1.0 - s)).max())
             if v_erg is not None:

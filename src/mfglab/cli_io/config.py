@@ -21,9 +21,9 @@ import yaml
 from ..asymptotics import DEFAULT_S_GRID, DEFAULT_T_LIST
 from ..cost_models import BUILTIN_MODELS, CostFunctional, build_model
 from ..errors import ConfigError
-from ..finite_horizon import horizon_steps
+from ..finite_horizon import MfgParams, horizon_steps
 from ..grid_geometry import SpatialGrid
-from ..measures import DiscreteMeasure
+from ..measures import DEFAULT_SIZE_CAP, DiscreteMeasure
 from ..static_game import constant_damping, harmonic_damping
 
 
@@ -49,6 +49,16 @@ class Field:
 _DAMPING = {
     "kind": Field("enum", "harmonic", choices=("harmonic", "constant")),
     "value": Field("opt_float", None),
+}
+
+# the keys of solve_mfg's MfgParams, shared by evolve and sweep
+_MFG = {
+    "tol": Field("float", MfgParams.tol),
+    "max_iter": Field("int", MfgParams.max_iter),
+    "control_radius": Field("opt_float", MfgParams.control_radius),
+    "control_mesh": Field("opt_float", MfgParams.control_mesh),
+    "path_cap": Field("int", MfgParams.path_cap),
+    "w1_size_cap": Field("int", MfgParams.w1_size_cap),
 }
 
 SCHEMA = {
@@ -78,7 +88,7 @@ SCHEMA = {
         "max_iter": Field("int", 200),
         "br_mode": Field("enum", "uniform", choices=("uniform", "project")),
         "eps_min": Field("opt_float", None),
-        "w1_size_cap": Field("int", 512),
+        "w1_size_cap": Field("int", DEFAULT_SIZE_CAP),
         "damping": _DAMPING,
     },
     "ergodic": {
@@ -91,12 +101,7 @@ SCHEMA = {
     "evolve": {
         "T": Field("float", 1.0),
         "dt": Field("float", 0.02),
-        "tol": Field("float", 5e-3),
-        "max_iter": Field("int", 30),
-        "control_radius": Field("opt_float", None),
-        "control_mesh": Field("opt_float", None),
-        "path_cap": Field("int", 4096),
-        "w1_size_cap": Field("int", 512),
+        **_MFG,
         "damping": _DAMPING,
     },
     "sweep": {
@@ -107,12 +112,7 @@ SCHEMA = {
         "s_grid": Field("float_list", DEFAULT_S_GRID),
         "R": Field("float", 1.0),
         "delta_occ": Field("float", 0.1),
-        "tol": Field("float", 5e-3),
-        "max_iter": Field("int", 30),
-        "control_radius": Field("opt_float", None),
-        "control_mesh": Field("opt_float", None),
-        "path_cap": Field("int", 4096),
-        "w1_size_cap": Field("int", 512),
+        **_MFG,
         "eps_min": Field("opt_float", None),
         "wkam_cap": Field("float", 5e-2),
         "slack": Field("float", 0.25),
@@ -284,7 +284,7 @@ def _semantic_checks(cfg: dict):
 
     for section in ("static", "ergodic", "evolve", "sweep"):
         for key, val in cfg[section].items():
-            if key in _POSITIVE and val is not None and val <= 0:
+            if key in _POSITIVE and val is not None and not val > 0:
                 raise ConfigValueError(f"'{section}.{key}' must be positive, got {val}")
             if key == "eps_min" and val is not None and val < 0:
                 raise ConfigValueError(f"'{section}.{key}' must be nonnegative, got {val}")
@@ -439,6 +439,11 @@ def build_initial_measure(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x6D30]))
     points = lower + (upper - lower) * rng.random((m0["n_particles"], dim))
     return DiscreteMeasure.uniform(points)
+
+
+def mfg_params(section: dict) -> MfgParams:
+    """The ``MfgParams`` of an ``evolve`` or ``sweep`` section."""
+    return MfgParams(**{key: section[key] for key in _MFG})
 
 
 def make_damping(damping_cfg: dict):

@@ -28,6 +28,7 @@ from .config import (
     build_grid,
     build_initial_measure,
     make_damping,
+    mfg_params,
     parse_config,
 )
 from .formats import (
@@ -198,13 +199,8 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
         ev["T"],
         grid,
         ev["dt"],
+        mfg_params(ev),
         damping_schedule=make_damping(ev["damping"]),
-        tol=ev["tol"],
-        max_iter=ev["max_iter"],
-        control_radius=ev["control_radius"],
-        control_mesh=ev["control_mesh"],
-        path_cap=ev["path_cap"],
-        w1_size_cap=ev["w1_size_cap"],
         seed=cfg.seed,
     )
     sha, seed = cfg.sha256, cfg.seed
@@ -308,12 +304,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> int:
         s_grid=tuple(sw["s_grid"]),
         R=sw["R"],
         delta_occ=sw["delta_occ"],
-        tol=sw["tol"],
-        max_iter=sw["max_iter"],
-        control_radius=sw["control_radius"],
-        control_mesh=sw["control_mesh"],
-        path_cap=sw["path_cap"],
-        w1_size_cap=sw["w1_size_cap"],
+        mfg=mfg_params(sw),
         eps_min=sw["eps_min"],
         seed=cfg.seed,
     )

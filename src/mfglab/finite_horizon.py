@@ -817,19 +817,39 @@ class MfgEquilibrium:
     w1_capped: bool
 
 
+@dataclass(frozen=True)
+class MfgParams:
+    """The knobs of one ``solve_mfg`` fixed point, shared by every horizon
+    of a sweep: the loop stops at ``br_residual <= tol`` or after
+    ``max_iter`` iterations; ``control_radius`` and ``control_mesh`` set
+    the control lattice (None: the resolution defaults); a damped path is
+    resampled to ``path_cap`` slots, and a checkpoint d1 between clouds
+    above ``w1_size_cap`` support points runs on downsampled clouds.
+    """
+
+    tol: float = 5e-3
+    max_iter: int = 30
+    control_radius: float | None = None
+    control_mesh: float | None = None
+    path_cap: int = 4096
+    w1_size_cap: int = DEFAULT_SIZE_CAP
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        for name in ("max_iter", "path_cap", "w1_size_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
+
 def solve_mfg(
     F: CostFunctional,
     m0: DiscreteMeasure,
     T: float,
     grid: SpatialGrid,
     dt: float,
+    params: MfgParams = MfgParams(),
     damping_schedule: Callable[[int], float] | None = None,
-    tol: float = 5e-3,
-    max_iter: int = 30,
-    control_radius: float | None = None,
-    control_mesh: float | None = None,
-    path_cap: int = 4096,
-    w1_size_cap: int = DEFAULT_SIZE_CAP,
     seed: int = 0,
 ) -> MfgEquilibrium:
     """Damped fixed-point iteration coupling backward HJB to forward transport.
@@ -855,6 +875,7 @@ def solve_mfg(
     n_t = horizon_steps(T, dt)
     times = np.arange(n_t + 1) * dt
     ckpt = checkpoint_indices(n_t)
+    tol, max_iter = params.tol, params.max_iter
     seeds = np.random.SeedSequence(seed).generate_state(2 * max_iter + 2)
     core_box = (F.core_lower, F.core_upper)
 
@@ -868,15 +889,15 @@ def solve_mfg(
     value = transported = None
     for k in range(max_iter):
         last_value = value
-        value = solve_hjb_backward(F, path, grid, dt, control_radius, control_mesh, previous=value)
+        value = solve_hjb_backward(F, path, grid, dt, params.control_radius, params.control_mesh, previous=value)
         if value is last_value:
             logger.debug("mfg iteration %d: cost slices repeat, reusing the value field and flow", k)
         flow_path, stats = transport_forward(value, m0, core_box=core_box, previous=transported)
         transported = (value, flow_path, stats)
-        br_res, c1 = _checkpoint_distance(flow_path, path, ckpt, w1_size_cap, int(seeds[2 * k]))
+        br_res, c1 = _checkpoint_distance(flow_path, path, ckpt, params.w1_size_cap, int(seeds[2 * k]))
         lam = float(damping_schedule(k))
-        mixed = mix_paths(path, flow_path, lam, cap=path_cap, seed=int(seeds[2 * k + 1]))
-        step_res, c2 = _checkpoint_distance(mixed, path, ckpt, w1_size_cap, int(seeds[2 * k]))
+        mixed = mix_paths(path, flow_path, lam, cap=params.path_cap, seed=int(seeds[2 * k + 1]))
+        step_res, c2 = _checkpoint_distance(mixed, path, ckpt, params.w1_size_cap, int(seeds[2 * k]))
         capped_any = capped_any or c1 or c2
         trace.append((k, br_res, step_res))
         logger.debug("mfg iteration %d: br_residual %.3e, lambda %.4g", k, br_res, lam)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cost_models import CostFunctional, CostSliceStats, slice_stats
 from .grid_geometry import SpatialGrid, pairwise_sq_dist
-from .measures import DiscreteMeasure, merge_duplicates, mix, wasserstein1_capped
+from .measures import DEFAULT_SIZE_CAP, DiscreteMeasure, merge_duplicates, mix, wasserstein1_capped
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +88,7 @@ def solve_static(
     max_iter: int = 200,
     eps_min: float | None = None,
     br_mode: str = "uniform",
-    w1_size_cap: int = 512,
+    w1_size_cap: int = DEFAULT_SIZE_CAP,
 ) -> StaticSolveResult:
     """Damped best-response iteration m_{k+1} = (1 - lam_k) m_k + lam_k BR(m_k).
 

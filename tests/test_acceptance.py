@@ -18,6 +18,7 @@ import mfglab
 from mfglab import (
     DiscreteMeasure,
     MeasurePath,
+    MfgParams,
     NodeSet,
     SpatialGrid,
     SweepParams,
@@ -64,7 +65,7 @@ def lqr_sweep():
     F = lqr_oracle(dim=1)
     grid = SpatialGrid((-2.0,), (2.0,), (200,))
     params = SweepParams(
-        mode="fixed_dt", dt=0.05, s_grid=S_GRID, control_mesh=0.02,
+        mode="fixed_dt", dt=0.05, s_grid=S_GRID, mfg=MfgParams(control_mesh=0.02),
         eps_min=1e-9, seed=0,
     )
     records = run_sweep(F, initial_cloud(), HORIZONS, grid, params)
@@ -76,8 +77,8 @@ def qc_sweep():
     F = quadratic_congestion(dim=1)
     grid = SpatialGrid((-2.0,), (2.0,), (160,))
     params = SweepParams(
-        mode="fixed_dt", dt=0.05, s_grid=S_GRID, control_mesh=0.05,
-        eps_min=1e-9, path_cap=1024, seed=0,
+        mode="fixed_dt", dt=0.05, s_grid=S_GRID,
+        mfg=MfgParams(control_mesh=0.05, path_cap=1024), eps_min=1e-9, seed=0,
     )
     records = run_sweep(F, initial_cloud(), HORIZONS, grid, params)
     return F, grid, records

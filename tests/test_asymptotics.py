@@ -1,11 +1,14 @@
 """Horizon-sweep harness: records, limit checks, and decision helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mfglab import (
     CostFunctional,
     DiscreteMeasure,
+    MfgParams,
     SpatialGrid,
     SweepParams,
     SweepRecord,
@@ -106,6 +109,14 @@ class TestSweepParams:
         with pytest.raises(ValueError):
             SweepParams(delta_occ=-0.1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("max_iter", 0), ("path_cap", 0), ("w1_size_cap", 0)],
+    )
+    def test_fixed_point_knob_range(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SweepParams(mode="fixed_dt", dt=0.05, mfg=dataclasses.replace(SweepParams().mfg, **{name: value}))
+
 
 class TestRunSweepQuick:
     def test_record_shapes_and_flags(self):
@@ -126,14 +137,14 @@ class TestRunSweepQuick:
             assert np.isfinite(r.occ_bound)
             assert r.a_priori["grad_max"] <= r.a_priori["grad_bound"]
             if r.converged:
-                assert r.br_residual <= params.tol
+                assert r.br_residual <= params.mfg.tol
         # longer horizon ends (relatively) closer to the minimizing point
         assert records[1].support_dist[-1] <= records[0].support_dist[0] + 1e-9
 
     def test_logs_one_record_per_horizon(self, caplog):
         F = quadratic_congestion(dim=1)
         m0 = DiscreteMeasure.uniform([[-0.4], [0.4]])
-        params = SweepParams(mode="fixed_steps", n_steps=10, max_iter=2, seed=0)
+        params = SweepParams(mode="fixed_steps", n_steps=10, mfg=MfgParams(max_iter=2), seed=0)
         with caplog.at_level("INFO", logger="mfglab.asymptotics"):
             records = run_sweep(F, m0, (2.0, 1.0), small_grid(40), params)
         logged = [r.getMessage() for r in caplog.records if r.name == "mfglab.asymptotics"]
@@ -157,7 +168,7 @@ class TestRunSweepQuick:
         F = quadratic_congestion(dim=1)
         g = small_grid(40)
         m0 = DiscreteMeasure.uniform([[-0.4], [0.4]])
-        params = SweepParams(mode="fixed_steps", n_steps=10, tol=1e-15, max_iter=1)
+        params = SweepParams(mode="fixed_steps", n_steps=10, mfg=MfgParams(tol=1e-15, max_iter=1))
         records = run_sweep(F, m0, (1.0,), g, params)
         assert not records[0].converged
 

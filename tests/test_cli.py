@@ -1,5 +1,7 @@
 """Config parsing, CLI subcommands, artifact formats, and exit codes."""
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +14,9 @@ import pytest
 import yaml
 
 import mfglab
-from mfglab import ConfigError, DiscreteMeasure
+import mfglab.asymptotics
+import mfglab.cli_io.main
+from mfglab import ConfigError, DiscreteMeasure, MfgParams, solve_mfg
 from mfglab.cli_io import (
     ConfigSchemaError,
     entrypoint,
@@ -22,6 +26,7 @@ from mfglab.cli_io import (
     write_csv,
     write_measure_csv,
 )
+from mfglab.cli_io.config import SCHEMA
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -480,6 +485,48 @@ sweep:
 """
 
 
+# one value per MfgParams key, none of them its default
+MFG_VALUES = {
+    "tol": 1.0e-3,
+    "max_iter": 7,
+    "control_radius": 2.5,
+    "control_mesh": 0.03,
+    "path_cap": 333,
+    "w1_size_cap": 77,
+}
+
+
+class _SolveReached(Exception):
+    pass
+
+
+class TestMfgParamsReachTheSolver:
+    @pytest.mark.parametrize("key", sorted(MFG_VALUES))
+    @pytest.mark.parametrize(
+        "command, module", [("evolve", mfglab.cli_io.main), ("sweep", mfglab.asymptotics)]
+    )
+    def test_section_key_reaches_params(self, tmp_path, monkeypatch, command, module, key):
+        # the schema sections spell every knob, and only MfgParams' knobs
+        names = {f.name for f in dataclasses.fields(MfgParams)}
+        assert names == set(MFG_VALUES)
+        assert names <= set(SCHEMA[command])
+
+        seen = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(solve_mfg).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["params"])
+            raise _SolveReached
+
+        monkeypatch.setattr(module, "solve_mfg", spy)
+        text = MINIMAL + f"{command}:\n  {key}: {MFG_VALUES[key]}\n"
+        with pytest.raises(_SolveReached):
+            run(command, parse_config(write_config(tmp_path, text)), tmp_path)
+        # the set key arrives, every other key at its default
+        assert seen == [dataclasses.replace(MfgParams(), **{key: MFG_VALUES[key]})]
+
+
 VALIDATE_CONFIG = """
 seed: 0
 model:
@@ -589,6 +636,9 @@ OUT_OF_RANGE = [
     ("sweep", "sweep.control_mesh", -0.1, {}),
     ("evolve", "evolve.control_radius", 0.0, {}),
     ("evolve", "evolve.path_cap", 0, {}),
+    # NaN is no positive tolerance either
+    ("evolve", "evolve.tol", float("nan"), {}),
+    ("sweep", "sweep.tol", float("nan"), {}),
     ("evolve", "evolve.w1_size_cap", 0, {"model.dim": 2, "grid.n_cells": [10, 10]}),
     ("static", "static.eps_min", -1.0, {}),
     ("ergodic", "ergodic.eps_min", -1.0, {"m0.kind": "dirac", "m0.point": [0.0]}),

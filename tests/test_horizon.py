@@ -11,6 +11,7 @@ from mfglab import (
     DiscreteMeasure,
     DomainEscapeError,
     MeasurePath,
+    MfgParams,
     SolverError,
     SpatialGrid,
     a_priori_report,
@@ -915,7 +916,7 @@ class TestSolveMfg:
         F = two_wells(dim=1)
         g = SpatialGrid((-2.0,), (2.0,), (100,))
         m0 = DiscreteMeasure.uniform([[-0.4], [0.2], [0.6]])
-        eq = solve_mfg(F, m0, 1.0, g, 0.05, tol=1e-9)
+        eq = solve_mfg(F, m0, 1.0, g, 0.05, MfgParams(tol=1e-9))
         assert eq.converged
         assert eq.iterations == 2
         assert eq.br_residual == 0.0
@@ -933,7 +934,7 @@ class TestSolveMfg:
         F = quadratic_congestion(dim=1)
         g = SpatialGrid((-2.0,), (2.0,), (100,))
         m0 = DiscreteMeasure.uniform([[-0.8], [0.6]])
-        eq = solve_mfg(F, m0, 4.0, g, 0.05, tol=5e-3)
+        eq = solve_mfg(F, m0, 4.0, g, 0.05, MfgParams(tol=5e-3))
         assert eq.converged
         assert eq.br_residual <= 5e-3
         mid = eq.flow_path.measure_at(eq.flow_path.n_times // 2)
@@ -944,6 +945,19 @@ class TestSolveMfg:
         g = SpatialGrid((-2.0,), (2.0,), (40,))
         with pytest.raises(ValueError, match="does not divide"):
             solve_mfg(F, DiscreteMeasure.dirac([0.0]), 1.0, g, 0.3)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("max_iter", 0), ("path_cap", 0), ("w1_size_cap", 0)],
+    )
+    def test_out_of_range_knob_is_a_value_error_naming_it(self, name, value):
+        # none of these may reach the loop: no iteration, a zero cap, a
+        # tolerance no residual meets
+        F = quadratic_congestion(dim=1)
+        g = SpatialGrid((-2.0,), (2.0,), (40,))
+        m0 = DiscreteMeasure.uniform([[-0.4], [0.4]])
+        with pytest.raises(ValueError, match=name):
+            solve_mfg(F, m0, 1.0, g, 0.1, MfgParams(**{name: value}))
 
     def test_trace_and_metadata(self):
         F = quadratic_congestion(dim=1)
@@ -962,8 +976,8 @@ class TestSolveMfg:
         g = SpatialGrid((-2.0,), (2.0,), (100,))
         m0 = DiscreteMeasure.dirac([0.5])
         with caplog.at_level("DEBUG", logger="mfglab.finite_horizon"):
-            eq = solve_mfg(F, m0, 1.0, g, 0.1, tol=1e-2)
-            stopped = solve_mfg(F, m0, 1.0, g, 0.1, tol=1e-2, max_iter=1)
+            eq = solve_mfg(F, m0, 1.0, g, 0.1, MfgParams(tol=1e-2))
+            stopped = solve_mfg(F, m0, 1.0, g, 0.1, MfgParams(tol=1e-2, max_iter=1))
         assert eq.converged and not stopped.converged
         records = [r for r in caplog.records if r.name == "mfglab.finite_horizon"]
         debug = [r.getMessage() for r in records if r.levelname == "DEBUG"]
@@ -1072,14 +1086,14 @@ class TestRepeatedInputs:
     def test_mfg_with_a_measure_independent_cost_solves_once(self, monkeypatch):
         # iteration 1 sees the slices of iteration 0: no argmin is built
         calls = self.count_argmin(monkeypatch)
-        eq = solve_mfg(lqr_oracle(dim=1), self.m0, 1.0, self.g, 0.1, tol=1e-9)
+        eq = solve_mfg(lqr_oracle(dim=1), self.m0, 1.0, self.g, 0.1, MfgParams(tol=1e-9))
         assert eq.converged and eq.iterations == 2
         assert eq.br_residual == 0.0
         assert calls == [self.g.n_nodes] + [self.m0.size] * 10
 
     def test_mfg_with_congestion_solves_every_iteration(self, monkeypatch):
         calls = self.count_argmin(monkeypatch)
-        eq = solve_mfg(self.F, self.m0, 1.0, self.g, 0.1, tol=1e-9, max_iter=3)
+        eq = solve_mfg(self.F, self.m0, 1.0, self.g, 0.1, MfgParams(tol=1e-9, max_iter=3))
         assert eq.iterations == 3
         assert calls == ([self.g.n_nodes] + [self.m0.size] * 10) * 3
 
@@ -1087,7 +1101,7 @@ class TestRepeatedInputs:
         def reuses(F):
             caplog.clear()
             with caplog.at_level("DEBUG", logger="mfglab.finite_horizon"):
-                solve_mfg(F, self.m0, 1.0, self.g, 0.1, tol=1e-9, max_iter=3)
+                solve_mfg(F, self.m0, 1.0, self.g, 0.1, MfgParams(tol=1e-9, max_iter=3))
             return [r.getMessage() for r in caplog.records if "reusing" in r.getMessage()]
 
         assert reuses(lqr_oracle(dim=1)) == ["mfg iteration 1: cost slices repeat, reusing the value field and flow"]
