@@ -137,9 +137,7 @@ class SweepRecord:
     slice_measures: list
     rho: np.ndarray
     occ_bound: float
-    chi_hat: float
     chi_prime_hat: float
-    r1_hat: float
     a_priori: dict
     converged: bool
     iterations: int
@@ -300,9 +298,7 @@ def run_sweep(
                 slice_measures=slice_measures,
                 rho=rho,
                 occ_bound=occ_bound,
-                chi_hat=eq.trajectory_stats.chi_hat,
                 chi_prime_hat=eq.trajectory_stats.chi_prime_hat,
-                r1_hat=eq.trajectory_stats.r1_hat,
                 a_priori=a_priori_report(eq.value, F),
                 converged=eq.converged,
                 iterations=eq.iterations,
@@ -429,8 +425,9 @@ def sweep_verdict(
 
     Checks support decay in T (within slack) at s >= 0.25 and its final
     value, the spread of T times the value-rate error, the stability of the
-    trajectory bounds, the singleton limit report (one-point minimizing set
-    with a built potential) and the semilimit gaps (three or more horizons).
+    speed bound ``chi_prime_hat``, the singleton limit report (one-point
+    minimizing set with a built potential) and the semilimit gaps (three or
+    more horizons).
     ``passed`` requires every check and no tainted horizon.
     """
     records = sorted(records, key=lambda r: r.T)
@@ -455,9 +452,7 @@ def sweep_verdict(
         "value_rate_times_T": rate_values,
         "value_rate_ratio": rate_ratio,
         "value_rate_ok": rate_ratio <= rate_ratio_cap,
-        "chi_hat_stable": stable_within([r.chi_hat for r in records]),
         "chi_prime_hat_stable": stable_within([r.chi_prime_hat for r in records]),
-        "r1_hat_stable": stable_within([r.r1_hat for r in records], atol=grid.max_spacing),
         "occ_bound_max": float(np.nanmax([r.occ_bound for r in records])),
     }
     if records[0].argmin_points.shape[0] == 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -141,17 +142,16 @@ def _coerce_scalar(value, kind: str, path: str):
             fail("an integer")
         return int(value)
     if kind == "float":
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             fail("a number")
-        if isinstance(value, (int, float)):
-            return float(value)
-        if isinstance(value, str):
+        try:
             # PyYAML reads exponent-only literals like 1e-9 as strings
-            try:
-                return float(value)
-            except ValueError:
-                fail("a number")
-        fail("a number")
+            number = float(value)
+        except (ValueError, OverflowError):
+            fail("a number")
+        if not math.isfinite(number):
+            raise ConfigSchemaError(f"'{path}' must be finite, got {value!r}")
+        return number
     if kind == "str":
         if not isinstance(value, str):
             fail("a string")

@@ -234,8 +234,8 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
         "evolve",
         sha,
         seed,
-        ["particle", "sup_position", "sup_speed"],
-        zip(range(stats.sup_position.size), stats.sup_position.tolist(), stats.sup_speed.tolist()),
+        ["particle", "sup_speed"],
+        enumerate(stats.sup_speed.tolist()),
     )
     write_json(
         out / "evolve_summary.json",
@@ -244,9 +244,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
             "iterations": eq.iterations,
             "br_residual": eq.br_residual,
             "w1_capped": eq.w1_capped,
-            "chi_hat": stats.chi_hat,
             "chi_prime_hat": stats.chi_prime_hat,
-            "r1_hat": stats.r1_hat,
             "checkpoints": eq.checkpoints,
             "a_priori": a_priori_report(eq.value, F),
         },
@@ -276,9 +274,7 @@ _SWEEP_COLUMNS = (
     ("value_rate_err", lambda r, j: r.value_rate_err[j]),
     ("value_rate_err_times_T", lambda r, j: r.T * r.value_rate_err[j]),
     ("wkam_err", lambda r, j: r.wkam_err[j]),
-    ("chi_hat", lambda r, j: r.chi_hat),
     ("chi_prime_hat", lambda r, j: r.chi_prime_hat),
-    ("r1_hat", lambda r, j: r.r1_hat),
     ("rho_max", lambda r, j: float(r.rho.max())),
     ("occ_bound", lambda r, j: r.occ_bound),
     ("grad_max", lambda r, j: r.a_priori["grad_max"]),

@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost_models import CostFunctional
 from .errors import DomainEscapeError, SolverError
-from .grid_geometry import SpatialGrid, clamp_cells, distance_to_box, escape_margin, lerp, sorted_unique
+from .grid_geometry import SpatialGrid, clamp_cells, escape_margin, lerp, sorted_unique
 from .measures import (
     DEFAULT_SIZE_CAP,
     DiscreteMeasure,
@@ -641,18 +641,11 @@ def solve_hjb_backward(
 
 @dataclass(eq=False)
 class TrajectoryStats:
-    """Per-trajectory position and speed extremes with their aggregates.
+    """Per-trajectory speed extremes; ``chi_prime_hat`` bounds the speed
+    over all particles."""
 
-    ``chi_hat``/``chi_prime_hat`` bound positions and speeds over all
-    particles; ``r1_hat`` is the largest distance any particle ever had to
-    the model's core box (nan when no box was supplied).
-    """
-
-    sup_position: np.ndarray
     sup_speed: np.ndarray
-    chi_hat: float
     chi_prime_hat: float
-    r1_hat: float
 
 
 def _assert_away_from_boundary(points: np.ndarray, grid: SpatialGrid, time_index: int):
@@ -683,7 +676,6 @@ def _assert_away_from_boundary(points: np.ndarray, grid: SpatialGrid, time_index
 def transport_forward(
     value: ValueField,
     m0: DiscreteMeasure,
-    core_box=None,
     previous: tuple[ValueField, MeasurePath, TrajectoryStats] | None = None,
 ) -> tuple[MeasurePath, TrajectoryStats]:
     """Push the initial cloud forward along the optimal feedback.
@@ -708,8 +700,7 @@ def transport_forward(
     The transport is a pure function of the value field and the cloud, so
     ``previous``, the ``(value, path, stats)`` of an earlier call, gives
     back its path and stats when ``value`` is that call's field (the same
-    object) and ``m0`` has the points and weights of its path at t = 0;
-    only ``r1_hat`` is taken again, for this call's ``core_box``.
+    object) and ``m0`` has the points and weights of its path at t = 0.
     """
     if previous is not None:
         prev_value, prev_path, prev_stats = previous
@@ -718,7 +709,7 @@ def transport_forward(
             and np.array_equal(prev_path.positions[0], m0.points)
             and np.array_equal(prev_path.weights, m0.weights)
         ):
-            return prev_path, replace(prev_stats, r1_hat=_core_distance(prev_path.positions, core_box))
+            return prev_path, prev_stats
     grid = value.grid
     dt = value.dt
     controls = value.controls
@@ -746,24 +737,8 @@ def transport_forward(
         _assert_away_from_boundary(pts, grid, k + 1)
         positions[k + 1] = pts
         sup_speed = np.maximum(sup_speed, np.sqrt((alpha * alpha).sum(axis=1)))
-    sup_position = np.sqrt((positions * positions).sum(axis=-1)).max(axis=0)
-    stats = TrajectoryStats(
-        sup_position=sup_position,
-        sup_speed=sup_speed,
-        chi_hat=float(sup_position.max()),
-        chi_prime_hat=float(sup_speed.max()),
-        r1_hat=_core_distance(positions, core_box),
-    )
+    stats = TrajectoryStats(sup_speed=sup_speed, chi_prime_hat=float(sup_speed.max()))
     return MeasurePath(value.times, positions, m0.weights), stats
-
-
-def _core_distance(positions: np.ndarray, core_box) -> float:
-    """The largest distance of any (time, particle) position to the core
-    box; nan when no box is given."""
-    if core_box is None:
-        return float("nan")
-    lo, hi = core_box
-    return float(distance_to_box(positions.reshape(-1, positions.shape[-1]), lo, hi).max())
 
 
 def checkpoint_indices(n_steps: int, n_checkpoints: int = N_CHECKPOINTS) -> np.ndarray:
@@ -877,7 +852,6 @@ def solve_mfg(
     ckpt = checkpoint_indices(n_t)
     tol, max_iter = params.tol, params.max_iter
     seeds = np.random.SeedSequence(seed).generate_state(2 * max_iter + 2)
-    core_box = (F.core_lower, F.core_upper)
 
     path = MeasurePath.constant(m0, times)
     best = None
@@ -892,7 +866,7 @@ def solve_mfg(
         value = solve_hjb_backward(F, path, grid, dt, params.control_radius, params.control_mesh, previous=value)
         if value is last_value:
             logger.debug("mfg iteration %d: cost slices repeat, reusing the value field and flow", k)
-        flow_path, stats = transport_forward(value, m0, core_box=core_box, previous=transported)
+        flow_path, stats = transport_forward(value, m0, previous=transported)
         transported = (value, flow_path, stats)
         br_res, c1 = _checkpoint_distance(flow_path, path, ckpt, params.w1_size_cap, int(seeds[2 * k]))
         lam = float(damping_schedule(k))

@@ -45,7 +45,9 @@ class SpatialGrid:
             raise ValueError("lower, upper and n_cells must have matching lengths")
         if len(lower) not in (1, 2):
             raise ValueError(f"only dimensions 1 and 2 are supported, got {len(lower)}")
-        if any(b <= a for a, b in zip(lower, upper)):
+        if not np.isfinite(lower + upper).all():
+            raise ValueError("lower and upper must be finite")
+        if any(not b > a for a, b in zip(lower, upper)):
             raise ValueError("upper must exceed lower on every axis")
         if any(n < 2 for n in cells):
             raise ValueError("need at least 2 cells per axis")

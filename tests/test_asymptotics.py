@@ -20,6 +20,7 @@ from mfglab import (
     stable_within,
     sweep_verdict,
 )
+from mfglab.asymptotics import failed_checks
 from mfglab.cost_models import quadratic_congestion
 
 
@@ -48,7 +49,7 @@ def dummy_record(T, s_grid, slice_measures, argmin_points):
         support_dist=np.zeros(n_s), d1_to_limit=np.zeros(n_s),
         value_rate_err=np.zeros(n_s), wkam_err=np.zeros(n_s),
         u_slices=np.zeros((n_s, 1)), slice_measures=slice_measures,
-        rho=np.zeros(1), occ_bound=0.0, chi_hat=0.0, chi_prime_hat=0.0, r1_hat=0.0,
+        rho=np.zeros(1), occ_bound=0.0, chi_prime_hat=0.0,
         a_priori={}, converged=True, iterations=1,
         br_residual=0.0, c_star_used=0.0,
         argmin_points=np.asarray(argmin_points, dtype=float), estimated=False,
@@ -216,27 +217,33 @@ class TestFlatCostExactLimits:
         np.testing.assert_allclose(gaps, 0.0, atol=1e-14)
 
 
+def oscillating_sweep():
+    """A cost |x - mean| and three horizons whose slice measures flip
+    between the two poles at the largest horizons, so the lower/upper
+    envelopes of the cost stay 2 apart."""
+
+    def ev(pts, m):
+        return np.abs(pts[:, 0] - float(m.mean()[0]))
+
+    F = CostFunctional(
+        name="mean_chase", dim=1, evaluator=ev, m_bound=4.0,
+        core_lower=(-2.0,), core_upper=(2.0,), gap=0.0,
+    )
+    s_grid = (0.25, 0.5, 1.0)
+    left = [DiscreteMeasure.dirac([-1.0])] * 3
+    right = [DiscreteMeasure.dirac([1.0])] * 3
+    recs = [
+        dummy_record(1.0, s_grid, left, [[0.0]]),
+        dummy_record(2.0, s_grid, left, [[0.0]]),
+        dummy_record(4.0, s_grid, right, [[0.0]]),
+    ]
+    return F, recs
+
+
 class TestSemilimitSurrogates:
     def test_oscillation_yields_positive_gap(self):
-        # slice measures flip between the two poles at the largest horizons,
-        # so the lower/upper envelopes of |x - mean| stay 2 apart
-        def ev(pts, m):
-            return np.abs(pts[:, 0] - float(m.mean()[0]))
-
-        F = CostFunctional(
-            name="mean_chase", dim=1, evaluator=ev, m_bound=4.0,
-            core_lower=(-2.0,), core_upper=(2.0,), gap=0.0,
-        )
-        g = small_grid(40)
-        s_grid = (0.25, 0.5, 1.0)
-        left = [DiscreteMeasure.dirac([-1.0])] * 3
-        right = [DiscreteMeasure.dirac([1.0])] * 3
-        recs = [
-            dummy_record(1.0, s_grid, left, [[0.0]]),
-            dummy_record(2.0, s_grid, left, [[0.0]]),
-            dummy_record(4.0, s_grid, right, [[0.0]]),
-        ]
-        _, _, gaps = semilimit_surrogates(recs, F, g)
+        F, recs = oscillating_sweep()
+        _, _, gaps = semilimit_surrogates(recs, F, small_grid(40))
         assert gaps.min() >= 1.9
 
     def test_needs_three_records(self):
@@ -331,3 +338,11 @@ class TestSweepVerdict:
         within = verdict_records(support=[0.2, 0.1, 0.11])
         summary = sweep_verdict(within, flat_cost(), small_grid(40), **VERDICT_CAPS)
         assert summary["support_decay_ok"]
+
+    def test_oscillating_slices_fail_the_semilimit_check(self):
+        F, recs = oscillating_sweep()
+        summary = sweep_verdict(recs, F, small_grid(40), **VERDICT_CAPS)
+        assert summary["semilimit_gap_max"] >= 1.9
+        assert summary["semilimit_ok"] is False
+        assert "semilimit_ok" in failed_checks(summary)
+        assert not summary["passed"]

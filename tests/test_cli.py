@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from mfglab.cli_io import (
     write_csv,
     write_measure_csv,
 )
-from mfglab.cli_io.config import SCHEMA
+from mfglab.cli_io.config import SCHEMA, config_from_dict
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -40,6 +41,15 @@ model:
   name: quadratic_congestion
   dim: 1
 """
+
+
+def float_leaves(schema=SCHEMA, prefix=""):
+    """(dotted key, is a list) for every float-valued key of the schema."""
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from float_leaves(spec, f"{prefix}{key}.")
+        elif spec.kind.removeprefix("opt_").startswith("float"):
+            yield f"{prefix}{key}", spec.kind.endswith("_list")
 
 
 class TestParseConfig:
@@ -119,6 +129,19 @@ class TestParseConfig:
         text = MINIMAL + "static:\n  damping:\n    kind: constant\n    value: 1.5\n"
         with pytest.raises(ConfigError, match="damping"):
             parse_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("key, is_list", list(float_leaves()), ids=str)
+    def test_non_finite_float_names_its_key(self, key, is_list):
+        *sections, name = key.split(".")
+        where = f"{key}[0]" if is_list else key
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            raw = yaml.safe_load(MINIMAL)
+            node = raw
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[name] = [bad] if is_list else bad
+            with pytest.raises(ConfigSchemaError, match=rf"^'{re.escape(where)}' must be finite"):
+                config_from_dict(raw)
 
     def test_axis_length_mismatch(self, tmp_path):
         text = MINIMAL + "grid:\n  lower: [-2.0, -2.0]\n  upper: [2.0, 2.0]\n"
@@ -395,7 +418,7 @@ class TestSweepCommand:
             "support_final",
             "value_rate_times_T",
             "value_rate_ratio",
-            "chi_hat_stable",
+            "chi_prime_hat_stable",
             "occ_bound_max",
             "tainted_any",
             "passed",
@@ -417,8 +440,8 @@ class TestSweepCommand:
         header = lines[0].split(",")
         assert header == [
             "T", "dt", "n_steps", "s", "t", "support_dist", "d1_to_limit", "value_rate_err",
-            "value_rate_err_times_T", "wkam_err", "chi_hat", "chi_prime_hat", "r1_hat", "rho_max",
-            "occ_bound", "grad_max", "iterations", "converged", "tainted", "estimated", "c_star",
+            "value_rate_err_times_T", "wkam_err", "chi_prime_hat", "rho_max", "occ_bound",
+            "grad_max", "iterations", "converged", "tainted", "estimated", "c_star",
         ]
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         assert all(len(line.split(",")) == len(header) for line in lines[1:])
@@ -457,7 +480,7 @@ class TestSweepCommand:
             assert name in message
         assert summary["singleton"]["passed"] is False
         assert "singleton.passed" in message
-        for name in ("support_decay_ok", "chi_hat_stable", "r1_hat_stable", "semilimit_ok"):
+        for name in ("support_decay_ok", "semilimit_ok"):
             assert summary[name] is True
             assert name not in message
 
@@ -641,6 +664,7 @@ OUT_OF_RANGE = [
     ("sweep", "sweep.tol", float("nan"), {}),
     ("evolve", "evolve.w1_size_cap", 0, {"model.dim": 2, "grid.n_cells": [10, 10]}),
     ("static", "static.eps_min", -1.0, {}),
+    ("static", "static.eps_min", float("nan"), {}),
     ("ergodic", "ergodic.eps_min", -1.0, {"m0.kind": "dirac", "m0.point": [0.0]}),
     ("sweep", "sweep.eps_min", -1.0, {}),
     ("sweep", "sweep.R", -1.0, {}),

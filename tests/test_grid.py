@@ -39,6 +39,9 @@ class TestConstruction:
             SpatialGrid((0.0,), (1.0,), (0,))
         with pytest.raises(ValueError):
             SpatialGrid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2, 2, 2))
+        for lower, upper in (((np.nan,), (1.0,)), ((0.0,), (np.nan,)), ((0.0, -np.inf), (1.0, 1.0))):
+            with pytest.raises(ValueError, match="finite"):
+                SpatialGrid(lower, upper, (4,) * len(lower))
 
     def test_nearest_node_index(self):
         g = unit_1d(4)

@@ -852,11 +852,9 @@ class TestTransport:
     def test_trajectory_stats(self):
         F, g, value = self.make_riccati_value()
         m0 = DiscreteMeasure.uniform([[-1.0], [0.5]])
-        path, stats = transport_forward(value, m0, core_box=(F.core_lower, F.core_upper))
-        assert stats.chi_hat == pytest.approx(1.0)  # contraction never overshoots
+        path, stats = transport_forward(value, m0)
         assert stats.chi_prime_hat <= default_control_radius(F) + 1e-12
-        assert stats.sup_position.shape == (2,)
-        assert stats.r1_hat == pytest.approx(0.5)  # start at -1, core box radius 0.5
+        assert stats.sup_speed.shape == (2,)
 
     def test_weights_and_times_preserved(self):
         F, g, value = self.make_riccati_value(dt=0.1, T=1.0)
@@ -927,7 +925,7 @@ class TestSolveMfg:
         g = SpatialGrid((-2.0,), (2.0,), (100,))
         m0 = DiscreteMeasure.uniform([[-0.5], [0.3]])
         eq = solve_mfg(F, m0, 1.0, g, 0.05)
-        regenerated, _ = transport_forward(eq.value, m0, core_box=(F.core_lower, F.core_upper))
+        regenerated, _ = transport_forward(eq.value, m0)
         np.testing.assert_array_equal(regenerated.positions, eq.flow_path.positions)
 
     def test_quadratic_congestion_relaxes_to_origin(self):
@@ -1050,37 +1048,27 @@ class TestRepeatedInputs:
         self.assert_same_field(fresh, solve_hjb_backward(self.F, path, self.g, dt, control_mesh=mesh))
 
     def test_transport_reuses_only_its_own_field_and_cloud(self, monkeypatch):
-        box = (self.F.core_lower, self.F.core_upper)
         value = solve_hjb_backward(self.F, self.path, self.g, 0.1)
         equal_value = solve_hjb_backward(self.F, self.path, self.g, 0.1)
-        flow, stats = transport_forward(value, self.m0, core_box=box)
+        flow, stats = transport_forward(value, self.m0)
         previous = (value, flow, stats)
         calls = self.count_argmin(monkeypatch)
         same_cloud = DiscreteMeasure(self.m0.points.copy(), self.m0.weights.copy())
-        again, again_stats = transport_forward(value, same_cloud, core_box=box, previous=previous)
-        assert again is flow and calls == []
-        np.testing.assert_array_equal(again_stats.sup_position, stats.sup_position)
-        np.testing.assert_array_equal(again_stats.sup_speed, stats.sup_speed)
-        assert (again_stats.chi_hat, again_stats.chi_prime_hat, again_stats.r1_hat) == (
-            stats.chi_hat, stats.chi_prime_hat, stats.r1_hat,
-        )
-        # r1 is taken for this call's core box
-        assert np.isnan(transport_forward(value, same_cloud, previous=previous)[1].r1_hat)
-        assert calls == []
+        again, again_stats = transport_forward(value, same_cloud, previous=previous)
+        assert again is flow and again_stats is stats and calls == []
         for v, m0 in (
             (equal_value, self.m0),
             (value, DiscreteMeasure.uniform([[-0.5], [0.35]])),
             (value, DiscreteMeasure([[-0.5], [0.3]], [0.25, 0.75])),
         ):
-            got, got_stats = transport_forward(v, m0, core_box=box, previous=previous)
+            got, got_stats = transport_forward(v, m0, previous=previous)
             assert got is not flow
             assert len(calls) == value.n_steps
             calls.clear()
-            want, want_stats = transport_forward(v, m0, core_box=box)
+            want, want_stats = transport_forward(v, m0)
             np.testing.assert_array_equal(got.positions, want.positions)
             np.testing.assert_array_equal(got.weights, want.weights)
             np.testing.assert_array_equal(got_stats.sup_speed, want_stats.sup_speed)
-            assert got_stats.r1_hat == want_stats.r1_hat
             calls.clear()
 
     def test_mfg_with_a_measure_independent_cost_solves_once(self, monkeypatch):
