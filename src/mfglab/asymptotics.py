@@ -30,11 +30,8 @@ from .measures import DiscreteMeasure, support_distance, wasserstein1_capped
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_S_GRID = (0.1, 0.25, 0.5, 0.75, 1.0)
-DEFAULT_T_LIST = (5.0, 10.0, 20.0, 40.0)
 
-
-def nonincreasing_with_slack(values, slack: float = 0.25, atol: float = 0.01) -> bool:
+def nonincreasing_with_slack(values, slack: float, atol: float) -> bool:
     """Monotone-decay check with multiplicative slack per step.
 
     Accepts a sequence as "non-increasing" when no step grows by more than
@@ -75,23 +72,35 @@ def bounded_ratio(values) -> float:
 
 @dataclass
 class SweepParams:
-    """Knobs shared by every horizon in a sweep.
+    """Knobs shared by every horizon in a sweep, and the thresholds that
+    judge it: the ``sweep`` config section minus ``T_list``.
 
     ``mode`` selects the time resolution policy: "fixed_steps" keeps the
     number of steps constant across T (dt grows with T), "fixed_dt" keeps
     dt constant (step count grows with T; dt must divide every T).
     Every horizon's ``solve_mfg`` takes the one set of knobs ``mfg``.
+    ``sweep_verdict`` reads the thresholds: ``slack`` and ``atol`` bound
+    each step of a decay in T, ``support_cap`` the final support distance,
+    ``rate_ratio_cap`` the spread of T times the value-rate error,
+    ``wkam_cap`` the potential error at the largest horizon and
+    ``semilimit_tol`` the semilimit gaps.
     """
 
     mode: str = "fixed_steps"
     n_steps: int = 200
     dt: float | None = None
-    s_grid: tuple = DEFAULT_S_GRID
+    s_grid: tuple = (0.1, 0.25, 0.5, 0.75, 1.0)
     R: float = 1.0
     delta_occ: float = 0.1
     mfg: MfgParams = MfgParams()
     eps_min: float | None = None
     seed: int = 0
+    wkam_cap: float = 5e-2
+    slack: float = 0.25
+    atol: float = 0.01
+    support_cap: float = 0.1
+    rate_ratio_cap: float = 2.0
+    semilimit_tol: float = 0.05
 
     def __post_init__(self):
         if self.mode not in ("fixed_steps", "fixed_dt"):
@@ -311,34 +320,17 @@ def run_sweep(
     return records
 
 
-def singleton_limit_check(
-    records: list,
-    x_star,
-    grid: SpatialGrid,
-    wkam_cap: float = 5e-2,
-    slack: float = 0.25,
-    atol: float = 0.01,
-) -> dict:
+def singleton_limit_check(records: list, *, wkam_cap: float, slack: float, atol: float) -> dict:
     """Dirac-limit and ergodic-potential report for a one-point minimizing set.
 
-    Tabulates per (T, s) the records' ``d1_to_limit`` and ``wkam_err`` and
-    passes when both decay in T (within slack) at every s >= 0.25 and the
-    potential error at the largest horizon stays below ``wkam_cap`` at
-    interior s (the terminal slice s = 1 carries the flat terminal
-    condition, not the potential).  Raises ``ValueError`` when every
-    ``wkam_err`` is NaN (the sweep could not build the potential).
+    Tabulates per (T, s) the records' ``d1_to_limit`` and ``wkam_err``
+    (``d1_table``, ``wkam_table``) and ``passed`` when both decay in T
+    (within slack) at every s >= 0.25 and the potential error at the
+    largest horizon, ``wkam_final``, stays below ``wkam_cap`` at interior s
+    (the terminal slice s = 1 carries the flat terminal condition, not the
+    potential).  Raises ``ValueError`` when every ``wkam_err`` is NaN (the
+    sweep could not build the potential).
     """
-    if len(records) == 0:
-        raise ValueError("no sweep records supplied")
-    x_star = np.asarray(x_star, dtype=float).ravel()
-    for rec in records:
-        pts = np.asarray(rec.argmin_points, dtype=float)
-        if pts.shape[0] != 1:
-            raise ValueError("minimizing set recorded in the sweep is not a singleton")
-        if np.abs(pts[0] - x_star).max() > grid.max_spacing * (1.0 + 1e-9):
-            raise ValueError(
-                f"recorded minimizer {pts[0].tolist()} is not {x_star.tolist()}"
-            )
     records = sorted(records, key=lambda r: r.T)
     s_grid = records[0].s_grid
     d1 = np.stack([r.d1_to_limit for r in records])
@@ -357,19 +349,7 @@ def singleton_limit_check(
         and bool(np.isfinite(wkam_final))
         and wkam_final <= wkam_cap
     )
-    return {
-        "x_star": x_star,
-        "c_star": float(records[0].c_star_used),
-        "T_values": np.array([r.T for r in records]),
-        "s_grid": s_grid.copy(),
-        "d1_table": d1,
-        "wkam_table": wkam,
-        "d1_monotone": d1_monotone,
-        "wkam_monotone": wkam_monotone,
-        "wkam_final": wkam_final,
-        "wkam_cap": float(wkam_cap),
-        "passed": passed,
-    }
+    return {"d1_table": d1, "wkam_table": wkam, "wkam_final": wkam_final, "passed": passed}
 
 
 def semilimit_surrogates(
@@ -413,28 +393,24 @@ def sweep_verdict(
     records: list,
     F: CostFunctional,
     grid: SpatialGrid,
-    *,
-    slack: float,
-    atol: float,
-    support_cap: float,
-    rate_ratio_cap: float,
-    wkam_cap: float,
-    semilimit_tol: float,
+    params: SweepParams,
 ) -> dict:
-    """Summary of a horizon sweep, judged from the metrics in its records.
+    """Summary of a horizon sweep, judged from the metrics in its records
+    against the thresholds of ``params``.
 
-    Checks support decay in T (within slack) at s >= 0.25 and its final
-    value, the spread of T times the value-rate error, the stability of the
-    speed bound ``chi_prime_hat``, the singleton limit report (one-point
-    minimizing set with a built potential) and the semilimit gaps (three or
-    more horizons).
+    Checks support decay in T (within ``slack`` and ``atol``) at s >= 0.25
+    and its final value (``support_cap``), the spread of T times the
+    value-rate error (``rate_ratio_cap``), the stability of the speed bound
+    ``chi_prime_hat``, the singleton limit report (one-point minimizing set
+    with a built potential; ``wkam_cap``) and the semilimit gaps (three or
+    more horizons; ``semilimit_tol``).
     ``passed`` requires every check and no tainted horizon.
     """
     records = sorted(records, key=lambda r: r.T)
     s_grid = records[0].s_grid
     tail = [j for j, s in enumerate(s_grid) if s >= 0.25]
     support_decay_ok = all(
-        nonincreasing_with_slack([r.support_dist[j] for r in records], slack, atol)
+        nonincreasing_with_slack([r.support_dist[j] for r in records], params.slack, params.atol)
         for j in tail
     )
     support_final = float(records[-1].support_dist[-1])
@@ -448,33 +424,27 @@ def sweep_verdict(
         "tainted_any": not all(r.converged for r in records),
         "support_decay_ok": support_decay_ok,
         "support_final": support_final,
-        "support_final_ok": support_final <= support_cap,
+        "support_final_ok": support_final <= params.support_cap,
         "value_rate_times_T": rate_values,
         "value_rate_ratio": rate_ratio,
-        "value_rate_ok": rate_ratio <= rate_ratio_cap,
+        "value_rate_ok": rate_ratio <= params.rate_ratio_cap,
         "chi_prime_hat_stable": stable_within([r.chi_prime_hat for r in records]),
-        "occ_bound_max": float(np.nanmax([r.occ_bound for r in records])),
+        # fmax skips NaN bounds; all NaN (no particle starts off the
+        # argmin set) gives NaN without nanmax's warning
+        "occ_bound_max": float(np.fmax.reduce([r.occ_bound for r in records])),
     }
     if records[0].argmin_points.shape[0] == 1:
         try:
-            report = singleton_limit_check(
-                records,
-                records[0].argmin_points[0],
-                grid,
-                wkam_cap=wkam_cap,
-                slack=slack,
-                atol=atol,
+            summary["singleton"] = singleton_limit_check(
+                records, wkam_cap=params.wkam_cap, slack=params.slack, atol=params.atol
             )
         except ValueError as exc:
             logger.warning("singleton limit check unavailable: %s", exc)
-        else:
-            keep = ("d1_table", "wkam_table", "wkam_final", "passed")
-            summary["singleton"] = {k: report[k] for k in keep}
     if len(records) >= 3:
         _, _, gaps = semilimit_surrogates(records, F, grid)
         summary["semilimit_gaps"] = gaps
         summary["semilimit_gap_max"] = float(gaps.max())
-        summary["semilimit_ok"] = float(gaps.max()) <= semilimit_tol
+        summary["semilimit_ok"] = float(gaps.max()) <= params.semilimit_tol
 
     summary["passed"] = not failed_checks(summary) and not summary["tainted_any"]
     return summary

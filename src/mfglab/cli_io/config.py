@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from ..asymptotics import DEFAULT_S_GRID, DEFAULT_T_LIST
+from ..asymptotics import SweepParams
 from ..cost_models import BUILTIN_MODELS, CostFunctional, build_model
 from ..errors import ConfigError
 from ..finite_horizon import MfgParams, horizon_steps
@@ -60,6 +60,23 @@ _MFG = {
     "control_mesh": Field("opt_float", MfgParams.control_mesh),
     "path_cap": Field("int", MfgParams.path_cap),
     "w1_size_cap": Field("int", MfgParams.w1_size_cap),
+}
+
+# the keys of run_sweep's SweepParams besides mfg and seed
+_SWEEP = {
+    "mode": Field("enum", SweepParams.mode, choices=("fixed_steps", "fixed_dt")),
+    "n_steps": Field("int", SweepParams.n_steps),
+    "dt": Field("opt_float", SweepParams.dt),
+    "s_grid": Field("float_list", SweepParams.s_grid),
+    "R": Field("float", SweepParams.R),
+    "delta_occ": Field("float", SweepParams.delta_occ),
+    "eps_min": Field("opt_float", SweepParams.eps_min),
+    "wkam_cap": Field("float", SweepParams.wkam_cap),
+    "slack": Field("float", SweepParams.slack),
+    "atol": Field("float", SweepParams.atol),
+    "support_cap": Field("float", SweepParams.support_cap),
+    "rate_ratio_cap": Field("float", SweepParams.rate_ratio_cap),
+    "semilimit_tol": Field("float", SweepParams.semilimit_tol),
 }
 
 SCHEMA = {
@@ -106,21 +123,9 @@ SCHEMA = {
         "damping": _DAMPING,
     },
     "sweep": {
-        "T_list": Field("float_list", DEFAULT_T_LIST),
-        "mode": Field("enum", "fixed_steps", choices=("fixed_steps", "fixed_dt")),
-        "n_steps": Field("int", 200),
-        "dt": Field("opt_float", None),
-        "s_grid": Field("float_list", DEFAULT_S_GRID),
-        "R": Field("float", 1.0),
-        "delta_occ": Field("float", 0.1),
+        "T_list": Field("float_list", (5.0, 10.0, 20.0, 40.0)),
+        **_SWEEP,
         **_MFG,
-        "eps_min": Field("opt_float", None),
-        "wkam_cap": Field("float", 5e-2),
-        "slack": Field("float", 0.25),
-        "atol": Field("float", 0.01),
-        "support_cap": Field("float", 0.1),
-        "rate_ratio_cap": Field("float", 2.0),
-        "semilimit_tol": Field("float", 0.05),
     },
     "validate": {
         "n_random": Field("int", 3),
@@ -223,7 +228,8 @@ def _walk(user, schema: dict, path: str) -> dict:
 # keys that must be positive wherever a solver section sets them
 _POSITIVE = (
     "tol", "static_tol", "sweep_tol", "control_radius", "control_mesh",
-    "path_cap", "w1_size_cap", "R", "delta_occ",
+    "path_cap", "w1_size_cap", "R", "delta_occ", "wkam_cap", "support_cap",
+    "semilimit_tol",
 )
 
 
@@ -286,9 +292,10 @@ def _semantic_checks(cfg: dict):
         for key, val in cfg[section].items():
             if key in _POSITIVE and val is not None and not val > 0:
                 raise ConfigValueError(f"'{section}.{key}' must be positive, got {val}")
-            if key == "eps_min" and val is not None and val < 0:
+            if key in ("eps_min", "slack", "atol") and val is not None and val < 0:
                 raise ConfigValueError(f"'{section}.{key}' must be nonnegative, got {val}")
-            if key in ("max_iter", "max_sweeps") and val < 1:
+            # rate_ratio_cap bounds a max/min ratio, which is never below 1
+            if key in ("max_iter", "max_sweeps", "rate_ratio_cap") and val < 1:
                 raise ConfigValueError(f"'{section}.{key}' must be at least 1")
 
     for section in ("static", "evolve"):
@@ -444,6 +451,13 @@ def build_initial_measure(
 def mfg_params(section: dict) -> MfgParams:
     """The ``MfgParams`` of an ``evolve`` or ``sweep`` section."""
     return MfgParams(**{key: section[key] for key in _MFG})
+
+
+def sweep_params(section: dict, seed: int) -> SweepParams:
+    """The ``SweepParams`` of a ``sweep`` section, drawing with ``seed``."""
+    knobs = {key: section[key] for key in _SWEEP}
+    knobs["s_grid"] = tuple(knobs["s_grid"])
+    return SweepParams(**knobs, mfg=mfg_params(section), seed=seed)
 
 
 def make_damping(damping_cfg: dict):

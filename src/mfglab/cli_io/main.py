@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..asymptotics import SweepParams, failed_checks, run_sweep, sweep_verdict, value_ball
+from ..asymptotics import failed_checks, run_sweep, sweep_verdict, value_ball
 from ..cost_models import validate_assumptions
 from ..eikonal_ergodic import build_ergodic_triple
 from ..errors import ConfigError, MfgError, StaticResidualError
@@ -30,6 +30,7 @@ from .config import (
     make_damping,
     mfg_params,
     parse_config,
+    sweep_params,
 )
 from .formats import (
     read_measure_csv,
@@ -293,17 +294,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> int:
     sw = cfg.data["sweep"]
     if not value_ball(grid, sw["R"]).any():
         raise ConfigValueError(f"'sweep.R' = {sw['R']} leaves no grid node inside its ball")
-    params = SweepParams(
-        mode=sw["mode"],
-        n_steps=sw["n_steps"],
-        dt=sw["dt"],
-        s_grid=tuple(sw["s_grid"]),
-        R=sw["R"],
-        delta_occ=sw["delta_occ"],
-        mfg=mfg_params(sw),
-        eps_min=sw["eps_min"],
-        seed=cfg.seed,
-    )
+    params = sweep_params(sw, cfg.seed)
     records = run_sweep(F, m0, sw["T_list"], grid, params)
     sha, seed = cfg.sha256, cfg.seed
 
@@ -320,17 +311,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> int:
         ],
     )
 
-    summary = sweep_verdict(
-        records,
-        F,
-        grid,
-        slack=sw["slack"],
-        atol=sw["atol"],
-        support_cap=sw["support_cap"],
-        rate_ratio_cap=sw["rate_ratio_cap"],
-        wkam_cap=sw["wkam_cap"],
-        semilimit_tol=sw["semilimit_tol"],
-    )
+    summary = sweep_verdict(records, F, grid, params)
     write_json(out / "sweep_summary.json", summary, "sweep", sha, seed)
     for r in records:
         if not r.converged:

@@ -1,6 +1,7 @@
 """Horizon-sweep harness: records, limit checks, and decision helpers."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -58,13 +59,14 @@ def dummy_record(T, s_grid, slice_measures, argmin_points):
 
 class TestHelpers:
     def test_nonincreasing_with_slack(self):
-        assert nonincreasing_with_slack([1.0, 0.8, 0.5])
-        assert nonincreasing_with_slack([1.0, 1.2, 0.5], slack=0.25)
+        assert nonincreasing_with_slack([1.0, 0.8, 0.5], slack=0.25, atol=0.01)
+        assert nonincreasing_with_slack([1.0, 1.2, 0.5], slack=0.25, atol=0.01)
         assert not nonincreasing_with_slack([1.0, 1.2, 0.5], slack=0.1, atol=0.0)
-        assert not nonincreasing_with_slack([1.0, 0.5, 1.2])  # net growth
-        assert nonincreasing_with_slack([0.001, 0.005, 0.002])  # under the floor
-        assert nonincreasing_with_slack([0.7])
-        assert not nonincreasing_with_slack([1.0, np.nan])
+        assert not nonincreasing_with_slack([1.0, 0.5, 1.2], slack=0.25, atol=0.01)  # net growth
+        # under the floor
+        assert nonincreasing_with_slack([0.001, 0.005, 0.002], slack=0.25, atol=0.01)
+        assert nonincreasing_with_slack([0.7], slack=0.25, atol=0.01)
+        assert not nonincreasing_with_slack([1.0, np.nan], slack=0.25, atol=0.01)
 
     def test_stable_within(self):
         assert stable_within([1.0, 1.05, 0.98])
@@ -205,7 +207,7 @@ class TestFlatCostExactLimits:
 
     def test_singleton_check_passes(self, records):
         F, g, recs = records
-        report = singleton_limit_check(recs, [0.0], g)
+        report = singleton_limit_check(recs, wkam_cap=0.05, slack=0.25, atol=0.01)
         assert report["passed"]
         assert report["wkam_final"] == pytest.approx(0.0, abs=1e-14)
         np.testing.assert_allclose(report["d1_table"], 0.0, atol=1e-14)
@@ -255,26 +257,7 @@ class TestSemilimitSurrogates:
             semilimit_surrogates(recs, flat_cost(), small_grid(40))
 
 
-class TestSingletonPreconditions:
-    def test_multi_point_argmin_rejected(self):
-        recs = [dummy_record(1.0, (0.5, 1.0), [DiscreteMeasure.dirac([0.0])] * 2, [[-1.0], [1.0]])]
-        with pytest.raises(ValueError, match="singleton"):
-            singleton_limit_check(recs, [0.0], small_grid(40))
-
-    def test_wrong_anchor_rejected(self):
-        recs = [dummy_record(1.0, (0.5, 1.0), [DiscreteMeasure.dirac([0.0])] * 2, [[1.0]])]
-        with pytest.raises(ValueError, match="is not"):
-            singleton_limit_check(recs, [0.0], small_grid(40))
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError, match="record"):
-            singleton_limit_check([], [0.0], small_grid(40))
-
-
-VERDICT_CAPS = dict(
-    slack=0.25, atol=0.01, support_cap=0.05, rate_ratio_cap=3.0,
-    wkam_cap=0.05, semilimit_tol=0.05,
-)
+VERDICT_PARAMS = SweepParams(support_cap=0.05, rate_ratio_cap=3.0)
 
 
 def verdict_records(n_T=3, support=None):
@@ -293,14 +276,14 @@ class TestSweepVerdict:
     def test_tainted_record_fails_the_verdict(self):
         recs = verdict_records()
         recs[1].converged = False
-        summary = sweep_verdict(recs, flat_cost(), small_grid(40), **VERDICT_CAPS)
+        summary = sweep_verdict(recs, flat_cost(), small_grid(40), VERDICT_PARAMS)
         checks = [v for k, v in summary.items() if k.endswith("_ok") or k.endswith("_stable")]
         assert all(checks) and summary["singleton"]["passed"]
         assert summary["tainted_any"]
         assert not summary["passed"]
 
     def test_two_records_give_no_semilimit_keys(self):
-        summary = sweep_verdict(verdict_records(2), flat_cost(), small_grid(40), **VERDICT_CAPS)
+        summary = sweep_verdict(verdict_records(2), flat_cost(), small_grid(40), VERDICT_PARAMS)
         assert not [k for k in summary if k.startswith("semilimit_")]
         assert summary["passed"]
 
@@ -309,11 +292,24 @@ class TestSweepVerdict:
         for r in recs:
             r.wkam_err = np.full(3, np.nan)
         with pytest.raises(ValueError, match="potential"):
-            singleton_limit_check(recs, [0.0], small_grid(40))
+            singleton_limit_check(recs, wkam_cap=0.05, slack=0.25, atol=0.01)
         with caplog.at_level("WARNING", logger="mfglab.asymptotics"):
-            summary = sweep_verdict(recs, flat_cost(), small_grid(40), **VERDICT_CAPS)
+            summary = sweep_verdict(recs, flat_cost(), small_grid(40), VERDICT_PARAMS)
         assert "singleton" not in summary
         assert "singleton limit check unavailable" in caplog.text
+
+    def test_all_nan_occupational_bounds_give_nan_without_a_warning(self):
+        # no particle starts off the argmin set: every record's bound is NaN
+        recs = verdict_records()
+        for r in recs:
+            r.occ_bound = float("nan")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = sweep_verdict(recs, flat_cost(), small_grid(40), VERDICT_PARAMS)
+        assert np.isnan(summary["occ_bound_max"])
+        recs[1].occ_bound = 2.5
+        summary = sweep_verdict(recs, flat_cost(), small_grid(40), VERDICT_PARAMS)
+        assert summary["occ_bound_max"] == 2.5
 
     def test_singleton_tables_are_the_records_metrics(self):
         recs = verdict_records()
@@ -321,7 +317,7 @@ class TestSweepVerdict:
         for r in recs:
             r.d1_to_limit = rng.random(3) * 1e-3
             r.wkam_err = rng.random(3) * 1e-3
-        summary = sweep_verdict(recs, flat_cost(), small_grid(40), **VERDICT_CAPS)
+        summary = sweep_verdict(recs, flat_cost(), small_grid(40), VERDICT_PARAMS)
         np.testing.assert_array_equal(
             summary["singleton"]["d1_table"], np.stack([r.d1_to_limit for r in recs])
         )
@@ -332,16 +328,16 @@ class TestSweepVerdict:
     def test_support_step_above_slack_fails_decay(self):
         # 0.1 -> 0.14 grows by 40 %, above the 25 % slack plus the 0.01 floor
         grows = verdict_records(support=[0.2, 0.1, 0.14])
-        summary = sweep_verdict(grows, flat_cost(), small_grid(40), **VERDICT_CAPS)
+        summary = sweep_verdict(grows, flat_cost(), small_grid(40), VERDICT_PARAMS)
         assert not summary["support_decay_ok"]
         # the same step inside the slack passes
         within = verdict_records(support=[0.2, 0.1, 0.11])
-        summary = sweep_verdict(within, flat_cost(), small_grid(40), **VERDICT_CAPS)
+        summary = sweep_verdict(within, flat_cost(), small_grid(40), VERDICT_PARAMS)
         assert summary["support_decay_ok"]
 
     def test_oscillating_slices_fail_the_semilimit_check(self):
         F, recs = oscillating_sweep()
-        summary = sweep_verdict(recs, F, small_grid(40), **VERDICT_CAPS)
+        summary = sweep_verdict(recs, F, small_grid(40), VERDICT_PARAMS)
         assert summary["semilimit_gap_max"] >= 1.9
         assert summary["semilimit_ok"] is False
         assert "semilimit_ok" in failed_checks(summary)

@@ -550,6 +550,64 @@ class TestMfgParamsReachTheSolver:
         assert seen == [dataclasses.replace(MfgParams(), **{key: MFG_VALUES[key]})]
 
 
+# one setting per SweepParams key, none of them its default; fixed_dt
+# mode needs a dt that divides every horizon
+SWEEP_VALUES = {
+    "mode": {"mode": "fixed_dt", "dt": 0.25},
+    "n_steps": {"n_steps": 17},
+    "dt": {"dt": 0.125},
+    "s_grid": {"s_grid": (0.5, 1.0)},
+    "R": {"R": 1.5},
+    "delta_occ": {"delta_occ": 0.2},
+    "eps_min": {"eps_min": 1.0e-9},
+    "wkam_cap": {"wkam_cap": 0.07},
+    "slack": {"slack": 0.3},
+    "atol": {"atol": 0.02},
+    "support_cap": {"support_cap": 0.15},
+    "rate_ratio_cap": {"rate_ratio_cap": 2.5},
+    "semilimit_tol": {"semilimit_tol": 0.06},
+}
+
+
+class _VerdictReached(Exception):
+    pass
+
+
+class TestSweepParamsReachTheLibrary:
+    @pytest.mark.parametrize("key", sorted(SWEEP_VALUES))
+    def test_section_key_reaches_params(self, tmp_path, monkeypatch, key):
+        # the sweep section is T_list, the MfgParams keys and SweepParams'
+        # own keys, and nothing else
+        own = {f.name for f in dataclasses.fields(mfglab.SweepParams)} - {"mfg", "seed"}
+        assert own == set(SWEEP_VALUES)
+        assert set(SCHEMA["sweep"]) == {"T_list"} | own | set(MFG_VALUES)
+
+        seen = []
+
+        def run_sweep_spy(F, m0, T_list, grid, params):
+            seen.append(params)
+            return []
+
+        def sweep_verdict_spy(records, F, grid, params):
+            seen.append(params)
+            raise _VerdictReached
+
+        monkeypatch.setattr(mfglab.cli_io.main, "run_sweep", run_sweep_spy)
+        monkeypatch.setattr(mfglab.cli_io.main, "sweep_verdict", sweep_verdict_spy)
+        settings = SWEEP_VALUES[key]
+        text = MINIMAL + "seed: 3\nsweep:\n" + "".join(
+            f"  {name}: {list(value) if isinstance(value, tuple) else value}\n"
+            for name, value in settings.items()
+        )
+        with pytest.raises(_VerdictReached):
+            run("sweep", parse_config(write_config(tmp_path, text)), tmp_path)
+        # the one object the sweep ran with judges it: the set key arrives,
+        # every other key at its default
+        expected = dataclasses.replace(mfglab.SweepParams(seed=3), **settings)
+        assert seen == [expected, expected]
+        assert seen[0] is seen[1]
+
+
 VALIDATE_CONFIG = """
 seed: 0
 model:
@@ -669,6 +727,14 @@ OUT_OF_RANGE = [
     ("sweep", "sweep.eps_min", -1.0, {}),
     ("sweep", "sweep.R", -1.0, {}),
     ("sweep", "sweep.delta_occ", 0.0, {}),
+    ("sweep", "sweep.wkam_cap", -1.0, {}),
+    ("sweep", "sweep.wkam_cap", 0.0, {}),
+    ("sweep", "sweep.support_cap", -0.1, {}),
+    ("sweep", "sweep.semilimit_tol", 0.0, {}),
+    # T times the rate error has a max/min ratio of at least 1
+    ("sweep", "sweep.rate_ratio_cap", 0.5, {}),
+    ("sweep", "sweep.slack", -0.25, {}),
+    ("sweep", "sweep.atol", -0.01, {}),
     # 21 cells of [-2, 2] put no node within 0.001 of the origin
     ("sweep", "sweep.R", 0.001, {"grid.n_cells": [21]}),
 ]
