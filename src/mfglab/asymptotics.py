@@ -18,6 +18,7 @@ from .cost_models import CostFunctional, slice_stats
 from .eikonal_ergodic import build_ergodic_triple
 from .errors import SolverError, StaticResidualError
 from .finite_horizon import (
+    FirstIteration,
     MfgParams,
     a_priori_report,
     checkpoint_indices,
@@ -25,6 +26,7 @@ from .finite_horizon import (
     occupational_fractions,
     solve_mfg,
 )
+from .finite_horizon import logger as solve_logger  # the log of every solve_mfg
 from .grid_geometry import NodeSet, SpatialGrid, distance_to_set
 from .measures import DiscreteMeasure, support_distance, wasserstein1_capped
 
@@ -83,7 +85,8 @@ class SweepParams:
     each step of a decay in T, ``support_cap`` the final support distance,
     ``rate_ratio_cap`` the spread of T times the value-rate error,
     ``wkam_cap`` the potential error at the largest horizon and
-    ``semilimit_tol`` the semilimit gaps.
+    ``semilimit_tol`` the semilimit gaps.  A knob out of its range is a
+    ``ValueError`` whose message starts with the knob's name.
     """
 
     mode: str = "fixed_steps"
@@ -104,16 +107,24 @@ class SweepParams:
 
     def __post_init__(self):
         if self.mode not in ("fixed_steps", "fixed_dt"):
-            raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if self.mode == "fixed_dt" and (self.dt is None or self.dt <= 0):
-            raise ValueError("fixed_dt mode requires a positive dt")
+            raise ValueError(f"mode must be 'fixed_steps' or 'fixed_dt', got {self.mode!r}")
+        if self.mode == "fixed_dt" and not (self.dt is not None and self.dt > 0):
+            raise ValueError(f"dt must be set and positive in fixed_dt mode, got {self.dt}")
         if self.mode == "fixed_steps" and self.n_steps < 1:
-            raise ValueError("fixed_steps mode requires n_steps >= 1")
+            raise ValueError(f"n_steps must be at least 1 in fixed_steps mode, got {self.n_steps}")
         s = np.asarray(self.s_grid, dtype=float)
-        if s.size == 0 or np.any(s <= 0.0) or np.any(s > 1.0) or np.any(np.diff(s) <= 0):
-            raise ValueError("s_grid must be strictly increasing inside (0, 1]")
-        if self.R <= 0 or self.delta_occ <= 0:
-            raise ValueError("R and delta_occ must be positive")
+        if s.size == 0 or not (np.all(s > 0.0) and np.all(s <= 1.0) and np.all(np.diff(s) > 0)):
+            raise ValueError(f"s_grid must be strictly increasing inside (0, 1], got {list(self.s_grid)}")
+        # `not x > 0` and `not x >= 0` also refuse NaN
+        for name in ("R", "delta_occ", "wkam_cap", "support_cap", "semilimit_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("slack", "atol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        # it bounds a max/min ratio, which is never below 1
+        if not self.rate_ratio_cap >= 1:
+            raise ValueError(f"rate_ratio_cap must be at least 1, got {self.rate_ratio_cap}")
 
     def step_for(self, T: float) -> float:
         if self.mode == "fixed_steps":
@@ -187,6 +198,32 @@ def value_ball(grid: SpatialGrid, R: float) -> np.ndarray:
     return np.sqrt((grid.nodes * grid.nodes).sum(axis=1)) <= R + 1e-12
 
 
+class _Ahead:
+    """A solve run ahead of its turn: its log records on the solver's
+    logger and its result or error are held back until ``result()``."""
+
+    def __init__(self, solve):
+        self.records = []
+        solve_logger.addFilter(self._hold)
+        try:
+            self.value, self.error = solve(), None
+        except Exception as exc:  # raised by result(), at the solve's turn
+            self.value, self.error = None, exc
+        finally:
+            solve_logger.removeFilter(self._hold)
+
+    def _hold(self, record) -> bool:
+        self.records.append(record)
+        return False
+
+    def result(self):
+        for record in self.records:
+            solve_logger.handle(record)
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
 def run_sweep(
     F: CostFunctional,
     m0: DiscreteMeasure,
@@ -203,6 +240,17 @@ def run_sweep(
     taints its record instead of aborting the sweep.  Logs one INFO record
     per horizon on ``mfglab.asymptotics`` as its solve ends (T, dt,
     iterations, ``br_residual``, ``converged``).
+
+    In ``fixed_dt`` mode the longest horizon is solved first, and its
+    first iteration serves every horizon (``FirstIteration``): the value
+    field of the constant path m0 is solved once, and one stacked
+    transport carries m0 along each horizon's tail of it.  Each horizon
+    keeps its seed, and the records, the solves' log records and the
+    errors come in ascending T, as if the horizons were solved in that
+    order: the longest horizon's log records are held back until its
+    turn, and an error of its solve is raised only after the shorter
+    horizons have run (unshared).  Under ``fixed_steps`` the horizons
+    have different steps and share nothing.
     """
     if params is None:
         params = SweepParams()
@@ -214,16 +262,25 @@ def run_sweep(
     if not ball.any():
         raise ValueError(f"no grid node inside the ball of radius {params.R}")
     seeds = np.random.SeedSequence(params.seed).generate_state(len(horizons))
+    dts = [params.step_for(T) for T in horizons]
 
+    def solve(i: int, first: FirstIteration | None):
+        return solve_mfg(F, m0, horizons[i], grid, dts[i], params.mfg, seed=int(seeds[i]), first=first)
+
+    first = ahead = None
+    if params.mode == "fixed_dt":
+        first = FirstIteration(tuple(horizon_steps(T, params.dt) for T in horizons))
+        ahead = _Ahead(lambda: solve(-1, first))
+        if ahead.error is not None:
+            first = None  # the shorter horizons solve their own first iteration
     solves = []
-    for T, seed in zip(horizons, seeds):
-        dt = params.step_for(T)
-        eq = solve_mfg(F, m0, T, grid, dt, params.mfg, seed=int(seed))
+    for i, T in enumerate(horizons):
+        eq = ahead.result() if ahead is not None and i == len(horizons) - 1 else solve(i, first)
         logger.info(
             "sweep horizon T=%g: dt %g, %d iterations, br_residual %.3e, converged %s",
-            T, dt, eq.iterations, eq.br_residual, eq.converged,
+            T, dts[i], eq.iterations, eq.br_residual, eq.converged,
         )
-        solves.append((T, dt, eq))
+        solves.append((T, dts[i], eq))
 
     if F.analytic_argmin is not None and F.analytic_c_star is not None:
         argmin_set = NodeSet.from_points(grid, F.analytic_argmin)

@@ -225,11 +225,11 @@ def _walk(user, schema: dict, path: str) -> dict:
     return out
 
 
-# keys that must be positive wherever a solver section sets them
+# keys that must be positive wherever a solver section sets them; the
+# sweep's own keys are checked by SweepParams (see sweep_params)
 _POSITIVE = (
     "tol", "static_tol", "sweep_tol", "control_radius", "control_mesh",
-    "path_cap", "w1_size_cap", "R", "delta_occ", "wkam_cap", "support_cap",
-    "semilimit_tol",
+    "path_cap", "w1_size_cap",
 )
 
 
@@ -292,10 +292,9 @@ def _semantic_checks(cfg: dict):
         for key, val in cfg[section].items():
             if key in _POSITIVE and val is not None and not val > 0:
                 raise ConfigValueError(f"'{section}.{key}' must be positive, got {val}")
-            if key in ("eps_min", "slack", "atol") and val is not None and val < 0:
+            if key == "eps_min" and val is not None and val < 0:
                 raise ConfigValueError(f"'{section}.{key}' must be nonnegative, got {val}")
-            # rate_ratio_cap bounds a max/min ratio, which is never below 1
-            if key in ("max_iter", "max_sweeps", "rate_ratio_cap") and val < 1:
+            if key in ("max_iter", "max_sweeps") and val < 1:
                 raise ConfigValueError(f"'{section}.{key}' must be at least 1")
 
     for section in ("static", "evolve"):
@@ -322,20 +321,13 @@ def _semantic_checks(cfg: dict):
         raise ConfigValueError("'sweep.T_list' entries must be positive")
     if len(set(sw["T_list"])) != len(sw["T_list"]):
         raise ConfigValueError("'sweep.T_list' entries must be distinct")
-    s = sw["s_grid"]
-    if len(s) == 0 or any(x <= 0 or x > 1 for x in s) or any(b <= a for a, b in zip(s, s[1:])):
-        raise ConfigValueError("'sweep.s_grid' must be strictly increasing inside (0, 1]")
+    sweep_params(sw, cfg["seed"])  # the range rules of SweepParams
     if sw["mode"] == "fixed_dt":
-        if sw["dt"] is None or sw["dt"] <= 0:
-            raise ConfigValueError("'sweep.dt' must be set and positive in fixed_dt mode")
         bad = [T for T in sw["T_list"] if not _divides(sw["dt"], T)]
         if bad:
             raise ConfigValueError(
                 f"'sweep.dt' = {sw['dt']} does not divide 'sweep.T_list' entries {bad}"
             )
-    else:
-        if sw["n_steps"] < 1:
-            raise ConfigValueError("'sweep.n_steps' must be at least 1")
 
 
 @dataclass(eq=False)
@@ -454,10 +446,16 @@ def mfg_params(section: dict) -> MfgParams:
 
 
 def sweep_params(section: dict, seed: int) -> SweepParams:
-    """The ``SweepParams`` of a ``sweep`` section, drawing with ``seed``."""
+    """The ``SweepParams`` of a ``sweep`` section, drawing with ``seed``;
+    a knob out of its range is a ``ConfigValueError`` naming its key (the
+    ``ValueError`` of ``SweepParams`` or ``MfgParams`` starts with it)."""
     knobs = {key: section[key] for key in _SWEEP}
     knobs["s_grid"] = tuple(knobs["s_grid"])
-    return SweepParams(**knobs, mfg=mfg_params(section), seed=seed)
+    try:
+        return SweepParams(**knobs, mfg=mfg_params(section), seed=seed)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigValueError(f"'sweep.{name}' {rest}") from exc
 
 
 def make_damping(damping_cfg: dict):

@@ -21,17 +21,22 @@ forward along that feedback (the same argmin at the particle positions).
 The coupled system is solved by damped fixed-point iteration on the
 measure path (the value field is always the exact solution for the path
 it was computed against).  Each solve runs once per distinct input: the
-HJB gives back the last iteration's value field when the grid, time
-lattice, control lattice and cost slices all equal its own, and the
-transport gives back the last flow when it gets that same value field and
-an equal initial cloud.
+HJB gives back the last iteration's value field when the grid, dt and
+control lattice equal its own and its last cost slices equal all of its
+own, as the field itself or, when it is longer, as its tail (by dynamic
+programming, the field of the shorter horizon bit for bit); the transport
+gives back a flow it computed before, for that same field or tail and an
+equal initial cloud.  A sweep of one dt solves its horizons' common first
+iteration, the constant path m0, once (``FirstIteration``): the longest
+horizon's field, whose tails serve the shorter horizons, and one stacked
+transport of m0 from every horizon's start step along it.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -222,7 +227,7 @@ def _first_least(q: np.ndarray, index: np.ndarray, n_controls: int) -> np.ndarra
     return np.where((q == least) | np.isnan(q), index, n_controls).argmin(axis=0)
 
 
-def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None):
+def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None, clouds=1, line=None):
     """First lattice minimiser of dt|a|^2/2 + u(x + dt a) at fixed points.
 
     ``u`` is the multilinear interpolant of a node field.  Along one line
@@ -279,14 +284,17 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     index of the minimiser and the minimum (inf where every control
     escapes).  In 1D the (cell, point) geometry is built here; given
     ``reach_field``, the field the argmin will be called with, it holds
-    only the cells within that field's descent bound (``_line_kernel``).
-    In 2D the line filter's (point, line) feet and the cell geometry are
-    built per call, for the box's lines and the surviving pairs, so no
-    points x lines array of the whole lattice is built unless the box is
-    all of it, and no points x lines x reach array outlives a call.
+    only the cells within that field's descent bound (``_line_kernel``),
+    taken per cloud when ``points`` stacks ``clouds`` equal clouds, and
+    ``line`` holds the kernel's constants.  In 2D the line filter's
+    (point, line) feet and the cell geometry are built per call, for the
+    box's lines and the surviving pairs, so no points x lines array of
+    the whole lattice is built unless the box is all of it, and no
+    points x lines x reach array outlives a call.  Each 2D stage works
+    per point, so stacked clouds need no care there.
     """
     if grid.dim == 1:
-        return _line_kernel(grid, points, lattice, reach_field)
+        return _line_kernel(grid, points, lattice, reach_field, clouds, line)
 
     def argmin(field: np.ndarray):
         sub = _descent_box(grid, lattice, field)
@@ -295,7 +303,28 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     return argmin
 
 
-def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None):
+class _Line(NamedTuple):
+    """The constants of the 1D line kernel on one grid and lattice, built
+    once per HJB solve or transport: the padded node index (the clamp
+    cells -1 and n repeat the end nodes), the point columns, the moves of
+    the line's two ends, as a (2, 1) column, and the offsets of the two
+    evaluated steps."""
+
+    padded: np.ndarray
+    columns: np.ndarray
+    ends: np.ndarray
+    pair: np.ndarray
+
+    @classmethod
+    def of(cls, grid: SpatialGrid, lattice: _Lattice, n_points: int) -> "_Line":
+        n0, table = grid.n_cells[0], lattice.table[0]
+        padded = np.arange(-1, n0 + 2)
+        padded[[0, -1]] = 0, n0
+        ends = lattice.moves[table[:: table.size - 1], :1]
+        return cls(padded, np.arange(n_points), ends, np.arange(2)[:, None])
+
+
+def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None, clouds=1, line=None):
     """The bracketed argmin in 1D: one line, as (cell, point) arrays,
     one column of cells per point.
 
@@ -314,25 +343,43 @@ def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach
     equality the step back, of smaller norm and so of smaller sorted
     index, wins the tie.  The extra cell absorbs the rounding.  Where S is
     not finite every reached cell stays.
+
+    ``points`` may stack ``clouds`` clouds of equal size (a stacked
+    transport); S is then taken per cloud, over the cells its own feet
+    reach, so each cloud keeps the cells a call on it alone keeps.  Every
+    other stage is per column, and the shorter columns repeat their last
+    cell, which ranks as that cell, so each point's result is that of a
+    call on its cloud alone, bit for bit.  ``line`` holds the constants
+    (``_Line``) of an earlier call on the same grid and lattice, with
+    columns for at least as many points.
     """
     lo, h, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
     mesh, half, dt = lattice.mesh, lattice.half[0], lattice.dt
     s = dt * mesh / h
     table, moves = lattice.table[0], lattice.moves[:, 0]
     origin = table.size // 2 - 1  # the table column of step 0
+    if line is None:
+        line = _Line.of(grid, lattice, points.shape[0])
     x = points[:, 0]
     t = (x - lo) / h
     # the foot moves monotonically with the step, also in floats, so the
     # cells of the end feet bound every cell a point reaches
-    c_lo, c_hi = np.floor((x + moves[table[:: table.size - 1], None] - lo) / h).clip(-1, n0)
+    ends = np.floor((x + line.ends - lo) / h)
+    np.maximum(ends, -1.0, out=ends)
+    np.minimum(ends, n0, out=ends)
+    c_lo, c_hi = ends
     if reach_field is not None:
-        first, last = max(int(c_lo.min()), 0), min(int(c_hi.max()), n0 - 1)
-        f = reach_field.ravel()[first:last + 2]
-        slope = np.abs(f[1:] - f[:-1]).max(initial=0.0) / h
-        if np.isfinite(slope):
-            r = dt * (slope + 0.5 * mesh) / h
-            np.maximum(c_lo, np.floor(t - r) - 1.0, out=c_lo)
-            np.minimum(c_hi, np.floor(t + r) + 1.0, out=c_hi)
+        f = reach_field.ravel()
+        steep = np.abs(f[1:] - f[:-1])
+        first = np.maximum(c_lo.reshape(clouds, -1).min(axis=1), 0).astype(np.int64)
+        last = np.minimum(c_hi.reshape(clouds, -1).max(axis=1), n0 - 1).astype(np.int64)
+        slope = np.array([steep[a:b + 1].max(initial=0.0) for a, b in zip(first, last)]) / h
+        r = dt * (slope + 0.5 * mesh) / h
+        # a cloud whose slope is not finite keeps every reached cell
+        r[~np.isfinite(slope)] = np.inf
+        r = r.repeat(x.size // clouds)
+        np.maximum(c_lo, np.floor(t - r) - 1.0, out=c_lo)
+        np.minimum(c_hi, np.floor(t + r) + 1.0, out=c_hi)
     c_lo, c_hi = c_lo.astype(np.int64), c_hi.astype(np.int64)
     reach = int((c_hi - c_lo).max()) + 1
     cells = np.minimum(c_lo + np.arange(reach)[:, None], c_hi)
@@ -340,8 +387,7 @@ def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach
     k_lo, k_hi, step_lo, step_hi = _cell_steps(cells, offset, s, half, n0)
     holds = step_lo <= step_hi
     at = cells + 1  # into the padded nodes
-    padded = np.arange(-1, n0 + 2).clip(0, n0)
-    columns = np.arange(x.size)
+    padded, columns, pair = line.padded, line.columns[:x.size], line.pair
     n_controls = lattice.controls.shape[0]
 
     def argmin(field: np.ndarray):
@@ -350,11 +396,13 @@ def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach
         u_lo, d = pad[at], (pad[1:] - pad[:-1])[at]
         # fmax/fmin: where u is NaN the vertex still names a lattice step
         vertex = np.fmin(np.fmax(d / (-mesh * h), k_lo), k_hi)
-        step = np.rint(vertex).clip(step_lo, step_hi)
+        step = np.rint(vertex)
+        np.maximum(step, step_lo, out=step)
+        np.minimum(step, step_hi, out=step)
         index = table[origin + step.astype(np.int64)]
         value = np.where(holds, u_lo + d * (offset + s * step) + lattice.run_cost[index], np.inf)
         cell = _first_least(value, index, n_controls)
-        cand = table[origin + np.floor(vertex[cell, columns]).astype(np.int64) + np.arange(2)[:, None]]
+        cand = table[origin + np.floor(vertex[cell, columns]).astype(np.int64) + pair]
         j, w, escaped = clamp_cells((x + moves[cand] - lo) / h, n0)
         q = lerp(f, j, w)
         q[escaped] = np.inf
@@ -507,6 +555,7 @@ class ValueField:
     policy: np.ndarray
     f_slices: np.ndarray
     metadata: dict = field(default_factory=dict)
+    _tails: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dt(self) -> float:
@@ -515,6 +564,29 @@ class ValueField:
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
+
+    def tail(self, n_steps: int) -> "ValueField":
+        """The field's last ``n_steps`` steps, as the field of the horizon
+        ``n_steps dt``: the recursion from a zero terminal slice through
+        the same cost slices, bit for bit (dynamic programming).  Its
+        arrays are views of this field's; each ``n_steps`` gives one
+        object, and all the steps give this field itself."""
+        if not 1 <= n_steps <= self.n_steps:
+            raise ValueError(f"a tail of 1 to {self.n_steps} steps, not {n_steps}")
+        if n_steps == self.n_steps:
+            return self
+        if n_steps not in self._tails:
+            start = self.n_steps - n_steps
+            self._tails[n_steps] = ValueField(
+                grid=self.grid,
+                times=self.times[:n_steps + 1],
+                values=self.values[start:],
+                controls=self.controls,
+                policy=self.policy[start:],
+                f_slices=self.f_slices[start:],
+                metadata=dict(self.metadata),
+            )
+        return self._tails[n_steps]
 
 
 def horizon_steps(T: float, dt: float) -> int:
@@ -574,11 +646,15 @@ def solve_hjb_backward(
     that survive the filter.
 
     The recursion is a pure function of the grid, ``dt``, the control
-    lattice and the cost slices, so a ``previous`` field (from an earlier
-    call) is returned as is when all four match: an equal grid, the same
-    time lattice, equal controls and mesh, and ``f_slices`` equal under
-    ``np.array_equal``.  The slices are still evaluated, since that is how
-    a repeat is seen; the argmin geometry and the recursion are skipped.
+    lattice and the cost slices, and by dynamic programming the last n
+    steps of a longer recursion are the recursion of those n slices.  So
+    a ``previous`` field (from an earlier call) of at least as many steps
+    is returned as its tail (``ValueField.tail``; the field itself when
+    the steps agree) when all four match: an equal grid, the same time
+    lattice up to this horizon (the same dt), equal controls and mesh,
+    and its last ``f_slices`` equal to these under ``np.array_equal``.
+    The slices are still evaluated, since that is how a repeat is seen;
+    the argmin geometry and the recursion are skipped.
     """
     n_t, lattice = _check_alignment(path, dt)
     if control_radius is None:
@@ -599,12 +675,13 @@ def solve_hjb_backward(
     if (
         previous is not None
         and previous.grid == grid
-        and np.array_equal(previous.times, lattice)
+        and previous.n_steps >= n_t
+        and np.array_equal(previous.times[:n_t + 1], lattice)
         and previous.metadata["control_mesh"] == float(control_mesh)
         and np.array_equal(previous.controls, controls)
-        and np.array_equal(previous.f_slices, f_slices)
+        and np.array_equal(previous.f_slices[previous.n_steps - n_t:], f_slices)
     ):
-        return previous
+        return previous.tail(n_t)
 
     argmin = _bracketed_argmin(grid, grid.nodes, _Lattice.of(controls, control_mesh, dt))
     values = np.empty((n_t + 1,) + grid.shape)
@@ -648,12 +725,14 @@ class TrajectoryStats:
     chi_prime_hat: float
 
 
-def _assert_away_from_boundary(points: np.ndarray, grid: SpatialGrid, time_index: int):
+def _assert_away_from_boundary(points: np.ndarray, grid: SpatialGrid, time_index: int, starts=(0,)):
     """DomainEscapeError naming the first particle within the margin of
     the box.  The per-axis extremes decide first: ``x - lower`` and
     ``upper - x`` are monotone in x also in floats, so the least gaps are
     those of the extremes, and the per-particle gaps are built only when
-    one of them trips."""
+    one of them trips.  ``points`` stacks one equal cloud per step of
+    ``starts``, each started there: the error names the particle within
+    its cloud and the time index from its cloud's start."""
     margin = BOUNDARY_MARGIN_CELLS * grid.spacing
     if np.all(points.min(axis=0) - grid.lower_array >= margin) and np.all(
         grid.upper_array - points.max(axis=0) >= margin
@@ -664,8 +743,10 @@ def _assert_away_from_boundary(points: np.ndarray, grid: SpatialGrid, time_index
     bad = np.any((gap_lo < margin) | (gap_hi < margin), axis=1)
     if bad.any():
         i = int(np.argmax(bad))
+        cloud, particle = divmod(i, points.shape[0] // len(starts))
+        time_index -= starts[cloud]
         raise DomainEscapeError(
-            f"particle {i} at {points[i].tolist()} is within "
+            f"particle {particle} at {points[i].tolist()} is within "
             f"{BOUNDARY_MARGIN_CELLS:g} cells of the box boundary at time index {time_index}; "
             "enlarge the computational box",
             point=tuple(points[i].tolist()),
@@ -676,15 +757,17 @@ def _assert_away_from_boundary(points: np.ndarray, grid: SpatialGrid, time_index
 def transport_forward(
     value: ValueField,
     m0: DiscreteMeasure,
-    previous: tuple[ValueField, MeasurePath, TrajectoryStats] | None = None,
-) -> tuple[MeasurePath, TrajectoryStats]:
+    previous: tuple | list | None = None,
+    starts: Iterable[int] | None = None,
+) -> tuple[MeasurePath, TrajectoryStats] | list:
     """Push the initial cloud forward along the optimal feedback.
 
     Each step recomputes the semi-Lagrangian argmin control at the exact
     particle position (the running coupling cost does not depend on the
     control, so it drops out of the argmin); particles move by an explicit
     Euler step and weights never change.  Errors out if any particle comes
-    within two cells of the box boundary.
+    within two cells of the box boundary.  Returns the flow's
+    ``(path, stats)``.
 
     The argmin is the closed-form argmin of ``_bracketed_argmin`` at the
     particle positions, its two steps evaluated by ``interpolate_many``,
@@ -693,52 +776,82 @@ def transport_forward(
     within rounding.  Its geometry is built per step, for the step's
     slice, and drops no minimiser: in 1D only the cells within
     ``dt (S + mesh/2)`` of a particle, plus one on each side, S the
-    steepest slope of the slice within reach (``_line_kernel``); in 2D
-    only the controls of the slice's descent box, ``|a_i| <= S_i + mesh/2``
-    (``_descent_box``).
+    steepest slope of the slice within reach (``_line_kernel``, whose
+    constants are built once per call); in 2D only the controls of the
+    slice's descent box, ``|a_i| <= S_i + mesh/2`` (``_descent_box``).
+
+    ``starts``, step indices, carries m0 from each of them along the
+    field in one stacked pass: the cloud started at step s follows the
+    tail of ``n_steps - s`` steps (``ValueField.tail``) and joins the
+    stack at that step.  The call then returns one ``(tail, path, stats)``
+    triple per distinct start, in ascending order, each bit for bit the
+    result of a call on its tail (``_bracketed_argmin`` treats every
+    cloud as a call of its own), and an escape names the particle within
+    its cloud and the time index within its tail.  Without ``starts`` the
+    pass has the one start 0.
 
     The transport is a pure function of the value field and the cloud, so
-    ``previous``, the ``(value, path, stats)`` of an earlier call, gives
-    back its path and stats when ``value`` is that call's field (the same
-    object) and ``m0`` has the points and weights of its path at t = 0.
+    ``previous``, the ``(value, path, stats)`` of an earlier call or a
+    list of such triples (a stacked pass), gives back the path and stats
+    of a triple whose value is this call's field (the same object) and
+    whose path has the points and weights of ``m0`` at t = 0.
     """
-    if previous is not None:
-        prev_value, prev_path, prev_stats = previous
-        if (
-            prev_value is value
-            and np.array_equal(prev_path.positions[0], m0.points)
-            and np.array_equal(prev_path.weights, m0.weights)
-        ):
-            return prev_path, prev_stats
-    grid = value.grid
-    dt = value.dt
-    controls = value.controls
+    if previous is not None and starts is None:
+        for prev_value, prev_path, prev_stats in [previous] if isinstance(previous, tuple) else previous:
+            if (
+                prev_value is value
+                and np.array_equal(prev_path.positions[0], m0.points)
+                and np.array_equal(prev_path.weights, m0.weights)
+            ):
+                return prev_path, prev_stats
+    flows = _stacked_transport(value, m0, [0] if starts is None else sorted(set(starts)))
+    return flows[0][1:] if starts is None else flows
+
+
+def _stacked_transport(value: ValueField, m0: DiscreteMeasure, starts) -> list:
+    """The stacked pass of ``transport_forward`` from the ascending,
+    distinct ``starts``: one ``(tail, path, stats)`` per start."""
+    grid, dt, controls, n_t = value.grid, value.dt, value.controls, value.n_steps
+    if not 0 <= starts[0] <= starts[-1] < n_t:
+        raise ValueError(f"start steps must lie in [0, {n_t}), got {starts}")
     lattice = _Lattice.of(controls, value.metadata["control_mesh"], dt)
     n_p = m0.size
-    pts = m0.points.copy()
-    _assert_away_from_boundary(pts, grid, 0)
-    positions = np.empty((value.n_steps + 1, n_p, grid.dim))
-    positions[0] = pts
-    sup_speed = np.zeros(n_p)
-    for k in range(value.n_steps):
+    _assert_away_from_boundary(m0.points, grid, 0)  # every cloud starts as m0
+    size = len(starts) * n_p
+    line = _Line.of(grid, lattice, size) if grid.dim == 1 else None
+    positions = np.empty((n_t + 1, size, grid.dim))
+    picks = np.empty((n_t, size), dtype=np.intp)
+    active = 0
+    for k in range(starts[0], n_t):
+        if active < len(starts) and starts[active] == k:
+            positions[k, active * n_p:(active + 1) * n_p] = m0.points
+            active += 1
+            pts = positions[k, :active * n_p]
         u_next = value.values[k + 1]
-        pick, best = _bracketed_argmin(grid, pts, lattice, u_next)(u_next)
+        pick, best = _bracketed_argmin(grid, pts, lattice, u_next, clouds=active, line=line)(u_next)
         feasible = np.isfinite(best)
         if not feasible.all():
             i = int(np.argmin(feasible))
+            cloud, particle = divmod(i, n_p)
             raise DomainEscapeError(
-                f"no feasible control for particle {i} at {pts[i].tolist()} "
-                f"at time index {k}",
+                f"no feasible control for particle {particle} at {pts[i].tolist()} "
+                f"at time index {k - starts[cloud]}",
                 point=tuple(pts[i].tolist()),
-                time_index=k,
+                time_index=k - starts[cloud],
             )
-        alpha = controls[pick]
-        pts = pts + dt * alpha
-        _assert_away_from_boundary(pts, grid, k + 1)
-        positions[k + 1] = pts
-        sup_speed = np.maximum(sup_speed, np.sqrt((alpha * alpha).sum(axis=1)))
-    stats = TrajectoryStats(sup_speed=sup_speed, chi_prime_hat=float(sup_speed.max()))
-    return MeasurePath(value.times, positions, m0.weights), stats
+        pts = pts + dt * controls[pick]
+        _assert_away_from_boundary(pts, grid, k + 1, starts[:active])
+        positions[k + 1, :pts.shape[0]] = pts
+        picks[k, :pick.size] = pick
+    speeds = np.sqrt((controls * controls).sum(axis=1))
+    flows = []
+    for cloud, start in enumerate(starts):
+        slots = slice(cloud * n_p, (cloud + 1) * n_p)
+        sup_speed = speeds[picks[start:, slots]].max(axis=0)
+        tail = value.tail(n_t - start)
+        path = MeasurePath(tail.times, positions[start:, slots], m0.weights)
+        flows.append((tail, path, TrajectoryStats(sup_speed=sup_speed, chi_prime_hat=float(sup_speed.max()))))
+    return flows
 
 
 def checkpoint_indices(n_steps: int, n_checkpoints: int = N_CHECKPOINTS) -> np.ndarray:
@@ -817,6 +930,27 @@ class MfgParams:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
+@dataclass(eq=False)
+class FirstIteration:
+    """The first fixed-point iteration of a sweep's horizons of one dt,
+    solved once for all of them.
+
+    Every horizon starts from the constant path m0, so by dynamic
+    programming its first value field is the tail of the longest one's
+    (``ValueField.tail``) and its first flow the transport of m0 along that
+    tail.  ``steps`` are the horizons' step counts.  The first
+    ``solve_mfg`` handed this object, which must be the longest horizon's,
+    keeps its first value field in ``value`` and carries m0 from every
+    horizon's start step in one stacked ``transport_forward``, whose flows
+    it keeps in ``flows``; every later solve hands both to its first HJB
+    and transport as ``previous``, which give back the tail and its flow.
+    """
+
+    steps: tuple
+    value: ValueField | None = None
+    flows: list | None = None
+
+
 def solve_mfg(
     F: CostFunctional,
     m0: DiscreteMeasure,
@@ -826,6 +960,7 @@ def solve_mfg(
     params: MfgParams = MfgParams(),
     damping_schedule: Callable[[int], float] | None = None,
     seed: int = 0,
+    first: FirstIteration | None = None,
 ) -> MfgEquilibrium:
     """Damped fixed-point iteration coupling backward HJB to forward transport.
 
@@ -844,6 +979,9 @@ def solve_mfg(
     cost slices repeat the last one's (F independent of m, or a path that
     did not change) takes both back instead of solving again, and logs
     that at DEBUG.  Both functions are still called once per iteration.
+    ``first`` shares the first iteration with the other horizons of a
+    sweep (``FirstIteration``): the results are those of a solve without
+    it, bit for bit.
     """
     if damping_schedule is None:
         damping_schedule = harmonic_damping
@@ -861,12 +999,19 @@ def solve_mfg(
     capped_any = False
     iterations = 0
     value = transported = None
+    if first is not None and first.flows is not None:
+        value, transported = first.value, first.flows
     for k in range(max_iter):
         last_value = value
         value = solve_hjb_backward(F, path, grid, dt, params.control_radius, params.control_mesh, previous=value)
         if value is last_value:
             logger.debug("mfg iteration %d: cost slices repeat, reusing the value field and flow", k)
-        flow_path, stats = transport_forward(value, m0, previous=transported)
+        if first is not None and first.flows is None:
+            starts = [n_t - n for n in first.steps]
+            first.value, first.flows = value, transport_forward(value, m0, starts=starts)
+            _, flow_path, stats = first.flows[0]
+        else:
+            flow_path, stats = transport_forward(value, m0, previous=transported)
         transported = (value, flow_path, stats)
         br_res, c1 = _checkpoint_distance(flow_path, path, ckpt, params.w1_size_cap, int(seeds[2 * k]))
         lam = float(damping_schedule(k))
@@ -983,9 +1128,13 @@ def a_priori_report(value: ValueField, F: CostFunctional | None = None) -> dict:
     grid = value.grid
     dt = value.dt
     n_t = value.n_steps
+    # blocks of slices of about 2^16 nodes: a slice whose norm has a NaN
+    # is skipped (fmax), as a running Python max over the slices skips it
+    block = max(1, 65536 // grid.n_nodes)
     grad_max = 0.0
-    for k in range(n_t + 1):
-        grad_max = max(grad_max, float(grid.upwind_gradient_norm_field(value.values[k]).max()))
+    for k in range(0, n_t + 1, block):
+        norms = grid.upwind_gradient_norm_field(value.values[k:k + block])
+        grad_max = float(np.fmax.reduce(norms.reshape(norms.shape[0], -1).max(axis=1), initial=grad_max))
     dt_rate_max = float(np.abs(np.diff(value.values, axis=0)).max() / dt)
     remaining = value.times[-1] - value.times[:-1]
     ratios = value.values[:-1] / remaining.reshape((-1,) + (1,) * grid.dim)

@@ -82,12 +82,12 @@ class SpatialGrid:
     def max_spacing(self) -> float:
         return float(self.spacing.max())
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         """Nodes per axis."""
         return tuple(n + 1 for n in self.n_cells)
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
         return int(np.prod(self.shape))
 
@@ -167,18 +167,20 @@ class SpatialGrid:
     # -- upwind gradient ---------------------------------------------------
 
     def upwind_gradient_norm_field(self, field) -> np.ndarray:
-        """Godunov upwind gradient norm at every node.
+        """Godunov upwind gradient norm at every node, of one field or of
+        a stack of fields along leading axes (each elementwise as alone).
 
         Per axis the contribution is ``max(D-, -D+, 0)`` with one-sided
         differences at the box boundary; the norm is the Euclidean
         combination across axes.
         """
         arr = np.asarray(field, dtype=float)
-        if arr.shape != self.shape:
+        lead = arr.ndim - self.dim
+        if lead < 0 or arr.shape[lead:] != self.shape:
             raise ValueError(f"field has shape {arr.shape}, expected {self.shape}")
-        total = np.zeros(self.shape)
-        for ax in range(self.dim):
-            d = np.diff(arr, axis=ax) / self.spacing[ax]
+        total = np.zeros(arr.shape)
+        for ax in range(lead, arr.ndim):
+            d = np.diff(arr, axis=ax) / self.spacing[ax - lead]
             pad_shape = list(arr.shape)
             pad_shape[ax] = 1
             pad = np.full(pad_shape, -np.inf)

@@ -1,6 +1,7 @@
 """Horizon-sweep harness: records, limit checks, and decision helpers."""
 
 import dataclasses
+import logging
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from mfglab import (
     CostFunctional,
     DiscreteMeasure,
+    DomainEscapeError,
     MfgParams,
     SpatialGrid,
     SweepParams,
@@ -17,6 +19,7 @@ from mfglab import (
     nonincreasing_with_slack,
     run_sweep,
     semilimit_surrogates,
+    solve_mfg,
     singleton_limit_check,
     stable_within,
     sweep_verdict,
@@ -113,6 +116,29 @@ class TestSweepParams:
             SweepParams(delta_occ=-0.1)
 
     @pytest.mark.parametrize(
+        "name, value, rule",
+        [
+            *[
+                (name, value, "must be positive")
+                for name in ("wkam_cap", "support_cap", "semilimit_tol")
+                for value in (0.0, -0.1, float("nan"))
+            ],
+            *[(name, value, "must be nonnegative") for name in ("slack", "atol") for value in (-0.01, float("nan"))],
+            ("rate_ratio_cap", 0.5, "must be at least 1"),
+            ("rate_ratio_cap", float("nan"), "must be at least 1"),
+        ],
+    )
+    def test_threshold_range_names_the_field(self, name, value, rule):
+        with pytest.raises(ValueError, match=f"^{name} {rule}"):
+            SweepParams(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value", [("slack", 0.0), ("atol", 0.0), ("rate_ratio_cap", 1.0), ("wkam_cap", 1e-12)]
+    )
+    def test_threshold_range_bounds_are_allowed(self, name, value):
+        assert getattr(SweepParams(**{name: value}), name) == value
+
+    @pytest.mark.parametrize(
         "name, value",
         [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("max_iter", 0), ("path_cap", 0), ("w1_size_cap", 0)],
     )
@@ -174,6 +200,83 @@ class TestRunSweepQuick:
         params = SweepParams(mode="fixed_steps", n_steps=10, mfg=MfgParams(tol=1e-15, max_iter=1))
         records = run_sweep(F, m0, (1.0,), g, params)
         assert not records[0].converged
+
+
+class TestFixedDtSweepOrder:
+    """A fixed_dt sweep solves the longest horizon first and shares its
+    first iteration, yet reports as the unshared solves in ascending T."""
+
+    LOGGERS = ("mfglab.finite_horizon", "mfglab.asymptotics")
+
+    def ascending(self, F, m0, horizons, grid, params, caplog):
+        """(eq, log records) of the unshared solves in ascending T, each
+        with the seed the sweep draws for it."""
+        seeds = np.random.SeedSequence(params.seed).generate_state(len(horizons))
+        caplog.clear()
+        with caplog.at_level("DEBUG"):
+            solved = []
+            for T, seed in zip(horizons, seeds):
+                eq = solve_mfg(F, m0, T, grid, params.dt, params.mfg, seed=int(seed))
+                logging.getLogger("mfglab.asymptotics").info(
+                    "sweep horizon T=%g: dt %g, %d iterations, br_residual %.3e, converged %s",
+                    T, params.dt, eq.iterations, eq.br_residual, eq.converged,
+                )
+                solved.append(eq)
+        return solved, self.messages(caplog)
+
+    def messages(self, caplog):
+        return [(r.name, r.levelname, r.getMessage()) for r in caplog.records if r.name in self.LOGGERS]
+
+    def test_records_seeds_and_log_lines_of_the_ascending_solve(self, caplog):
+        F = quadratic_congestion(dim=1)
+        grid = small_grid(40)
+        m0 = DiscreteMeasure.uniform([[-0.6], [-0.1], [0.3], [0.7]])
+        # a path cap below the mixture's slots resamples with the seed
+        params = SweepParams(mode="fixed_dt", dt=0.1, mfg=MfgParams(max_iter=4, path_cap=6), seed=5)
+        solved, expected_log = self.ascending(F, m0, [0.5, 1.0, 2.0], grid, params, caplog)
+        # the seed reaches the result: another seed moves a residual
+        other = solve_mfg(F, m0, 1.0, grid, 0.1, params.mfg, seed=1)
+        assert other.trace != solved[1].trace
+        caplog.clear()
+        with caplog.at_level("DEBUG"):
+            records = run_sweep(F, m0, (2.0, 0.5, 1.0), grid, params)
+        assert self.messages(caplog) == expected_log
+        assert [r.T for r in records] == [0.5, 1.0, 2.0]
+        for r, eq in zip(records, solved):
+            assert (r.iterations, r.br_residual, r.converged) == (eq.iterations, eq.br_residual, eq.converged)
+            ks = [round(s * eq.value.n_steps) for s in r.s_grid]
+            np.testing.assert_array_equal(r.u_slices, eq.value.values[ks].reshape(len(ks), -1))
+            for m, k in zip(r.slice_measures, ks):
+                np.testing.assert_array_equal(m.points, eq.flow_path.positions[k])
+            assert r.chi_prime_hat == eq.trajectory_stats.chi_prime_hat
+
+    def test_an_error_of_the_longest_horizon_comes_at_its_turn(self, caplog):
+        # a ridge cost drives the cloud out of the box over the longer
+        # horizon only
+        def ridge(pts, m):
+            return 5.0 - 5.0 * np.abs(pts[:, 0])
+
+        F = CostFunctional(
+            name="ridge", dim=1, evaluator=ridge, m_bound=5.0,
+            core_lower=(-0.5,), core_upper=(0.5,), gap=0.0,
+        )
+        grid = SpatialGrid((-1.0,), (1.0,), (40,))
+        m0 = DiscreteMeasure.dirac([0.3])
+        params = SweepParams(
+            mode="fixed_dt", dt=0.1, mfg=MfgParams(control_radius=5.0, control_mesh=0.5), seed=2
+        )
+        seeds = np.random.SeedSequence(params.seed).generate_state(2)
+        with pytest.raises(DomainEscapeError) as alone:
+            solve_mfg(F, m0, 1.0, grid, 0.1, params.mfg, seed=int(seeds[1]))
+        shorter = solve_mfg(F, m0, 0.5, grid, 0.1, params.mfg, seed=int(seeds[0]))
+        caplog.clear()
+        with caplog.at_level("INFO", logger="mfglab.asymptotics"), pytest.raises(DomainEscapeError) as err:
+            run_sweep(F, m0, (1.0, 0.5), grid, params)
+        assert str(err.value) == str(alone.value)
+        assert [r.getMessage() for r in caplog.records if r.name == "mfglab.asymptotics"] == [
+            f"sweep horizon T=0.5: dt 0.1, {shorter.iterations} iterations, "
+            f"br_residual {shorter.br_residual:.3e}, converged {shorter.converged}"
+        ]
 
 
 # every default s value lands exactly on a step of a 20-step lattice, so

@@ -735,6 +735,8 @@ OUT_OF_RANGE = [
     ("sweep", "sweep.rate_ratio_cap", 0.5, {}),
     ("sweep", "sweep.slack", -0.25, {}),
     ("sweep", "sweep.atol", -0.01, {}),
+    ("sweep", "sweep.s_grid", [0.5, 0.25], {}),
+    ("sweep", "sweep.dt", None, {"sweep.mode": "fixed_dt"}),
     # 21 cells of [-2, 2] put no node within 0.001 of the origin
     ("sweep", "sweep.R", 0.001, {"grid.n_cells": [21]}),
 ]

@@ -124,6 +124,17 @@ class TestInterpolation:
 
 
 class TestUpwindGradient:
+    def test_a_stack_is_each_field_alone(self):
+        rng = np.random.default_rng(5)
+        for g in (SpatialGrid((-1.0,), (1.0,), (16,)), SpatialGrid((-1.0, 0.0), (1.0, 3.0), (5, 7))):
+            stack = rng.normal(size=(4,) + g.shape)
+            stack[2].flat[3] = np.nan
+            norms = g.upwind_gradient_norm_field(stack)
+            for k in range(4):
+                np.testing.assert_array_equal(norms[k], g.upwind_gradient_norm_field(stack[k]))
+            with pytest.raises(ValueError, match="shape"):
+                g.upwind_gradient_norm_field(stack[..., :-1])
+
     def test_kink_of_abs_is_zero(self):
         # at the minimum of |x| both one-sided slopes point away: norm 0
         g = SpatialGrid((-1.0,), (1.0,), (10,))

@@ -833,6 +833,25 @@ class TestAPriori:
         assert report["eps"] == pytest.approx(10.0 * (g.max_spacing + 0.02))
         assert report["dt_rate_max"] <= report["f_max"] + 1e-10
 
+    @pytest.mark.parametrize("n_cells", [(100,), (250, 250)])
+    def test_grad_max_is_the_largest_slice_norm_skipping_nan_slices(self, n_cells):
+        # 250^2 nodes put one slice per block; a NaN voids only its slice
+        g = SpatialGrid((-2.0,) * len(n_cells), (2.0,) * len(n_cells), n_cells)
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(5,) + g.shape)
+        # the steepest slice holds a NaN: its finite norms do not count
+        values[1] *= 100.0
+        values[1].flat[7] = np.nan
+        values[3] *= 10.0
+        value = ValueField(
+            g, np.arange(5) * 0.1, values, control_lattice(g.dim, 1.0, 0.5),
+            np.zeros((4, g.n_nodes), dtype=np.int32), np.zeros((4,) + g.shape), {},
+        )
+        want = 0.0
+        for k in range(5):
+            want = max(want, float(g.upwind_gradient_norm_field(values[k]).max()))
+        assert a_priori_report(value)["grad_max"] == want
+
 
 class TestTransport:
     def make_riccati_value(self, dt=0.02, T=1.0):
@@ -894,6 +913,72 @@ class TestTransport:
         with pytest.raises(DomainEscapeError) as err:
             transport_forward(value, DiscreteMeasure.dirac([0.5]))
         assert err.value.time_index >= 1
+
+
+class TestStackedTransport:
+    """A stacked pass from several start steps gives, per start, the
+    transport along the field's tail bit for bit."""
+
+    @staticmethod
+    def assert_stacked_equals_separate(value, m0, starts):
+        flows = transport_forward(value, m0, starts=starts)
+        assert [tail.n_steps for tail, _, _ in flows] == [value.n_steps - s for s in sorted(set(starts))]
+        for tail, path, stats in flows:
+            assert tail is value.tail(tail.n_steps)
+            want, want_stats = transport_forward(tail, m0)
+            np.testing.assert_array_equal(path.times, want.times)
+            np.testing.assert_array_equal(path.positions, want.positions)
+            np.testing.assert_array_equal(path.weights, want.weights)
+            np.testing.assert_array_equal(stats.sup_speed, want_stats.sup_speed)
+            assert stats.chi_prime_hat == want_stats.chi_prime_hat
+        return flows
+
+    @pytest.mark.parametrize("F", [lqr_oracle(dim=1), quadratic_congestion(dim=1), two_wells(dim=1)])
+    def test_1d(self, F):
+        g = SpatialGrid((-2.0,), (2.0,), (160,))
+        rng = np.random.default_rng(3)
+        m0 = DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(40, 1)), rng.dirichlet(np.ones(40)))
+        value = solve_hjb_backward(F, constant_path(m0, 2.0, 0.05), g, 0.05, control_mesh=0.02)
+        flows = self.assert_stacked_equals_separate(value, m0, [0, 20, 30, 39])
+        assert flows[0][0] is value
+
+    @pytest.mark.parametrize("F", [quadratic_congestion(dim=2), two_wells(dim=2)])
+    def test_2d(self, F):
+        g = SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16))
+        rng = np.random.default_rng(4)
+        m0 = DiscreteMeasure.uniform(rng.uniform(-0.8, 0.8, size=(12, 2)))
+        value = solve_hjb_backward(F, constant_path(m0, 0.6, 0.05), g, 0.05)
+        self.assert_stacked_equals_separate(value, m0, [2, 5, 9])
+
+    def test_a_start_out_of_range_is_a_value_error(self):
+        value = solve_hjb_backward(lqr_oracle(dim=1), constant_path(DiscreteMeasure.dirac([0.0]), 1.0, 0.1),
+                                   SpatialGrid((-2.0,), (2.0,), (40,)), 0.1)
+        for starts in ([-1, 0], [0, 10]):
+            with pytest.raises(ValueError, match="start steps"):
+                transport_forward(value, DiscreteMeasure.dirac([0.5]), starts=starts)
+
+    def test_an_escape_names_the_particle_and_time_within_its_own_horizon(self):
+        # u pulls toward the origin over the first half and pushes outward
+        # over the second: only the cloud started halfway reaches the margin
+        g = SpatialGrid((-1.0,), (1.0,), (40,))
+        x = g.nodes[:, 0]
+        values = np.array([3.0 * x * x if k <= 5 else -np.abs(x) for k in range(11)])
+        values[10] = 0.0
+        value = ValueField(
+            g, np.arange(11) * 0.1, values, control_lattice(1, 5.0, 0.5),
+            np.zeros((10, g.n_nodes), dtype=np.int32), np.zeros((10, g.n_nodes)),
+            {"control_radius": 5.0, "control_mesh": 0.5},
+        )
+        m0 = DiscreteMeasure.uniform([[0.1], [0.6], [-0.2]])
+        with pytest.raises(DomainEscapeError) as alone:
+            transport_forward(value.tail(5), m0)
+        assert alone.value.time_index == 4 and str(alone.value).startswith("particle 1 at ")
+        for s in (0, 3, 7):
+            transport_forward(value.tail(10 - s), m0)
+        with pytest.raises(DomainEscapeError) as err:
+            transport_forward(value, m0, starts=[0, 3, 5, 7])
+        assert str(err.value) == str(alone.value)
+        assert err.value.point == alone.value.point and err.value.time_index == 4
 
 
 class TestCheckpoints:
@@ -1070,6 +1155,59 @@ class TestRepeatedInputs:
             np.testing.assert_array_equal(got.weights, want.weights)
             np.testing.assert_array_equal(got_stats.sup_speed, want_stats.sup_speed)
             calls.clear()
+
+    def test_hjb_returns_the_tail_of_a_longer_constant_path_field(self, monkeypatch):
+        longer = solve_hjb_backward(self.F, constant_path(self.m0, 1.0, 0.1), self.g, 0.1)
+        short = constant_path(self.m0, 0.4, 0.1)
+        fresh = solve_hjb_backward(self.F, short, self.g, 0.1)
+        calls = self.count_argmin(monkeypatch)
+        tail = solve_hjb_backward(self.F, short, self.g, 0.1, previous=longer)
+        assert calls == [] and tail is longer.tail(4)
+        self.assert_same_field(tail, fresh)
+        # the tail's arrays are views of the longer field's
+        assert np.shares_memory(tail.values, longer.values)
+
+    @pytest.mark.parametrize("change", ["slice", "dt", "grid", "control_mesh"])
+    def test_hjb_computes_afresh_unless_a_longer_field_matches(self, change):
+        mesh, grid, dt = 0.25, self.g, 0.1
+        longer = solve_hjb_backward(self.F, constant_path(self.m0, 1.0, 0.1), self.g, 0.1, control_mesh=mesh)
+        path = constant_path(self.m0, 0.4, 0.1)
+        if change == "slice":
+            # the same measure at every step but the last: a slice differs
+            positions = path.positions.copy()
+            positions[3, 0, 0] += 0.05
+            path = MeasurePath(path.times, positions, path.weights)
+        elif change == "dt":
+            # eight steps of the same constant measure: equal slices, other dt
+            path, dt = constant_path(self.m0, 0.4, 0.05), 0.05
+        elif change == "grid":
+            grid = SpatialGrid((-2.0,), (2.0,), (50,))
+        else:
+            mesh = 0.2
+        fresh = solve_hjb_backward(self.F, path, grid, dt, control_mesh=mesh, previous=longer)
+        assert fresh is not longer and not np.shares_memory(fresh.values, longer.values)
+        self.assert_same_field(fresh, solve_hjb_backward(self.F, path, grid, dt, control_mesh=mesh))
+
+    def test_tail_of_every_step_is_the_field_itself(self):
+        value = solve_hjb_backward(self.F, self.path, self.g, 0.1)
+        assert value.tail(value.n_steps) is value
+        assert value.tail(3) is value.tail(3)
+        for bad in (0, value.n_steps + 1):
+            with pytest.raises(ValueError, match="tail"):
+                value.tail(bad)
+
+    def test_transport_gives_back_the_flow_of_a_stacked_pass(self, monkeypatch):
+        value = solve_hjb_backward(self.F, self.path, self.g, 0.1)
+        other = solve_hjb_backward(self.F, self.path, self.g, 0.1).tail(4)
+        flows = transport_forward(value, self.m0, starts=[6, 0, 3])
+        calls = self.count_argmin(monkeypatch)
+        for tail, path, stats in flows:
+            assert transport_forward(tail, self.m0, previous=flows) == (path, stats)
+        assert calls == []
+        # a tail of an equal field, not of this one: computed afresh
+        got, _ = transport_forward(other, self.m0, previous=flows)
+        assert calls == [self.m0.size] * 4
+        np.testing.assert_array_equal(got.positions, flows[2][1].positions)
 
     def test_mfg_with_a_measure_independent_cost_solves_once(self, monkeypatch):
         # iteration 1 sees the slices of iteration 0: no argmin is built
