@@ -16,17 +16,16 @@ import numpy as np
 
 from .cost_models import CostFunctional, slice_stats
 from .eikonal_ergodic import build_ergodic_triple
-from .errors import SolverError, StaticResidualError
+from .errors import MfgError, SolverError, StaticResidualError
 from .finite_horizon import (
-    FirstIteration,
     MfgParams,
     a_priori_report,
     checkpoint_indices,
+    first_iterations,
     horizon_steps,
     occupational_fractions,
     solve_mfg,
 )
-from .finite_horizon import logger as solve_logger  # the log of every solve_mfg
 from .grid_geometry import NodeSet, SpatialGrid, distance_to_set
 from .measures import DiscreteMeasure, support_distance, wasserstein1_capped
 
@@ -198,32 +197,6 @@ def value_ball(grid: SpatialGrid, R: float) -> np.ndarray:
     return np.sqrt((grid.nodes * grid.nodes).sum(axis=1)) <= R + 1e-12
 
 
-class _Ahead:
-    """A solve run ahead of its turn: its log records on the solver's
-    logger and its result or error are held back until ``result()``."""
-
-    def __init__(self, solve):
-        self.records = []
-        solve_logger.addFilter(self._hold)
-        try:
-            self.value, self.error = solve(), None
-        except Exception as exc:  # raised by result(), at the solve's turn
-            self.value, self.error = None, exc
-        finally:
-            solve_logger.removeFilter(self._hold)
-
-    def _hold(self, record) -> bool:
-        self.records.append(record)
-        return False
-
-    def result(self):
-        for record in self.records:
-            solve_logger.handle(record)
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
 def run_sweep(
     F: CostFunctional,
     m0: DiscreteMeasure,
@@ -239,18 +212,18 @@ def run_sweep(
     the records are flagged ``estimated``.  A non-converged fixed point
     taints its record instead of aborting the sweep.  Logs one INFO record
     per horizon on ``mfglab.asymptotics`` as its solve ends (T, dt,
-    iterations, ``br_residual``, ``converged``).
+    iterations, ``br_residual``, ``converged``).  A model that declares
+    no minimizing set or critical value needs a point s >= 1/2 in
+    ``s_grid``; without one the sweep is a ``ValueError`` before any solve.
 
-    In ``fixed_dt`` mode the longest horizon is solved first, and its
-    first iteration serves every horizon (``FirstIteration``): the value
-    field of the constant path m0 is solved once, and one stacked
-    transport carries m0 along each horizon's tail of it.  Each horizon
-    keeps its seed, and the records, the solves' log records and the
-    errors come in ascending T, as if the horizons were solved in that
-    order: the longest horizon's log records are held back until its
-    turn, and an error of its solve is raised only after the shorter
-    horizons have run (unshared).  Under ``fixed_steps`` the horizons
-    have different steps and share nothing.
+    The horizons are solved in ascending T, each with its own seed.  In
+    ``fixed_dt`` mode their first iterations, which all start from the
+    constant path m0, are solved before any of them by one
+    ``first_iterations`` call, and each horizon's ``solve_mfg`` takes its
+    share back, bit for bit its own result.  If that call fails, nothing
+    is shared: each horizon solves its first iteration itself and meets
+    its own error at its turn.  Under ``fixed_steps`` the horizons have
+    different steps and share nothing.
     """
     if params is None:
         params = SweepParams()
@@ -261,36 +234,37 @@ def run_sweep(
     ball = value_ball(grid, params.R)
     if not ball.any():
         raise ValueError(f"no grid node inside the ball of radius {params.R}")
+    estimated = F.analytic_argmin is None or F.analytic_c_star is None
+    if estimated and not np.any(s_grid >= 0.5):
+        raise ValueError(
+            f"s_grid must hold a point s >= 0.5 to estimate c* of a model that declares none, "
+            f"got {list(params.s_grid)}"
+        )
     seeds = np.random.SeedSequence(params.seed).generate_state(len(horizons))
     dts = [params.step_for(T) for T in horizons]
-
-    def solve(i: int, first: FirstIteration | None):
-        return solve_mfg(F, m0, horizons[i], grid, dts[i], params.mfg, seed=int(seeds[i]), first=first)
-
-    first = ahead = None
+    steps = [horizon_steps(T, dt) for T, dt in zip(horizons, dts)]
+    shared = {}
     if params.mode == "fixed_dt":
-        first = FirstIteration(tuple(horizon_steps(T, params.dt) for T in horizons))
-        ahead = _Ahead(lambda: solve(-1, first))
-        if ahead.error is not None:
-            first = None  # the shorter horizons solve their own first iteration
+        try:
+            shared = first_iterations(F, m0, grid, params.dt, steps, params.mfg)
+        except MfgError:
+            pass  # each horizon solves its own first iteration, and fails at its turn
     solves = []
-    for i, T in enumerate(horizons):
-        eq = ahead.result() if ahead is not None and i == len(horizons) - 1 else solve(i, first)
+    for T, dt, n, seed in zip(horizons, dts, steps, seeds):
+        eq = solve_mfg(F, m0, T, grid, dt, params.mfg, seed=int(seed), first=shared.get(n))
         logger.info(
             "sweep horizon T=%g: dt %g, %d iterations, br_residual %.3e, converged %s",
-            T, dts[i], eq.iterations, eq.br_residual, eq.converged,
+            T, dt, eq.iterations, eq.br_residual, eq.converged,
         )
-        solves.append((T, dts[i], eq))
+        solves.append((T, dt, eq))
 
-    if F.analytic_argmin is not None and F.analytic_c_star is not None:
-        argmin_set = NodeSet.from_points(grid, F.analytic_argmin)
-        c_star = float(F.analytic_c_star)
-        estimated = False
-    else:
+    if estimated:
         argmin_set, c_star = _estimate_argmin_and_c(
             F, solves[-1][2], s_grid, grid, params.eps_min
         )
-        estimated = True
+    else:
+        argmin_set = NodeSet.from_points(grid, F.analytic_argmin)
+        c_star = float(F.analytic_c_star)
     argmin_points = argmin_set.points
     singleton = argmin_points.shape[0] == 1
 

@@ -294,6 +294,12 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> int:
     sw = cfg.data["sweep"]
     if not value_ball(grid, sw["R"]).any():
         raise ConfigValueError(f"'sweep.R' = {sw['R']} leaves no grid node inside its ball")
+    # c* of a model that declares none is estimated over s >= 1/2
+    if (F.analytic_argmin is None or F.analytic_c_star is None) and max(sw["s_grid"]) < 0.5:
+        raise ConfigValueError(
+            f"'sweep.s_grid' = {sw['s_grid']} has no point s >= 0.5, where the sweep "
+            f"estimates c* of '{F.name}', which declares none"
+        )
     params = sweep_params(sw, cfg.seed)
     records = run_sweep(F, m0, sw["T_list"], grid, params)
     sha, seed = cfg.sha256, cfg.seed

@@ -21,22 +21,24 @@ forward along that feedback (the same argmin at the particle positions).
 The coupled system is solved by damped fixed-point iteration on the
 measure path (the value field is always the exact solution for the path
 it was computed against).  Each solve runs once per distinct input: the
-HJB gives back the last iteration's value field when the grid, dt and
-control lattice equal its own and its last cost slices equal all of its
+HJB gives back the field it is handed when the grid, dt and control
+lattice equal its own and the field's last cost slices equal all of its
 own, as the field itself or, when it is longer, as its tail (by dynamic
 programming, the field of the shorter horizon bit for bit); the transport
-gives back a flow it computed before, for that same field or tail and an
-equal initial cloud.  A sweep of one dt solves its horizons' common first
-iteration, the constant path m0, once (``FirstIteration``): the longest
-horizon's field, whose tails serve the shorter horizons, and one stacked
-transport of m0 from every horizon's start step along it.
+gives back the flow it is handed with that same field and an equal
+initial cloud.  Every horizon of one dt starts from the constant path m0,
+so ``first_iterations`` solves the first iteration of all of them at
+once: the longest horizon's field, whose tails are the shorter horizons'
+fields, and one stacked transport of m0 from every horizon's start step
+along it.  Each horizon's ``solve_mfg`` takes its share back through
+``previous``.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -555,7 +557,6 @@ class ValueField:
     policy: np.ndarray
     f_slices: np.ndarray
     metadata: dict = field(default_factory=dict)
-    _tails: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dt(self) -> float:
@@ -569,24 +570,21 @@ class ValueField:
         """The field's last ``n_steps`` steps, as the field of the horizon
         ``n_steps dt``: the recursion from a zero terminal slice through
         the same cost slices, bit for bit (dynamic programming).  Its
-        arrays are views of this field's; each ``n_steps`` gives one
-        object, and all the steps give this field itself."""
+        arrays are views of this field's; all the steps give this field
+        itself."""
         if not 1 <= n_steps <= self.n_steps:
             raise ValueError(f"a tail of 1 to {self.n_steps} steps, not {n_steps}")
         if n_steps == self.n_steps:
             return self
-        if n_steps not in self._tails:
-            start = self.n_steps - n_steps
-            self._tails[n_steps] = ValueField(
-                grid=self.grid,
-                times=self.times[:n_steps + 1],
-                values=self.values[start:],
-                controls=self.controls,
-                policy=self.policy[start:],
-                f_slices=self.f_slices[start:],
-                metadata=dict(self.metadata),
-            )
-        return self._tails[n_steps]
+        start = self.n_steps - n_steps
+        return replace(
+            self,
+            times=self.times[:n_steps + 1],
+            values=self.values[start:],
+            policy=self.policy[start:],
+            f_slices=self.f_slices[start:],
+            metadata=dict(self.metadata),
+        )
 
 
 def horizon_steps(T: float, dt: float) -> int:
@@ -651,18 +649,39 @@ def solve_hjb_backward(
     a ``previous`` field (from an earlier call) of at least as many steps
     is returned as its tail (``ValueField.tail``; the field itself when
     the steps agree) when all four match: an equal grid, the same time
-    lattice up to this horizon (the same dt), equal controls and mesh,
-    and its last ``f_slices`` equal to these under ``np.array_equal``.
-    The slices are still evaluated, since that is how a repeat is seen;
-    the argmin geometry and the recursion are skipped.
+    lattice up to this horizon (the same dt), the same control radius and
+    mesh, and its last ``f_slices`` equal to these under
+    ``np.array_equal``.  The slices are still evaluated, since that is how
+    a repeat is seen; the argmin geometry and the recursion are skipped.
     """
     n_t, lattice = _check_alignment(path, dt)
-    if control_radius is None:
-        control_radius = default_control_radius(F)
-    if control_mesh is None:
-        control_mesh = default_control_mesh(grid, dt)
-    controls = control_lattice(grid.dim, control_radius, control_mesh)
+    metadata = _control_knobs(F, grid, dt, control_radius, control_mesh)
+    f_slices = _cost_slices(F, path, grid)
+    if (
+        previous is not None
+        and previous.grid == grid
+        and previous.n_steps >= n_t
+        and np.array_equal(previous.times[:n_t + 1], lattice)
+        and previous.metadata == metadata
+        and np.array_equal(previous.f_slices[previous.n_steps - n_t:], f_slices)
+    ):
+        return previous.tail(n_t)
+    return _backward(grid, dt, f_slices, metadata)
 
+
+def _control_knobs(F: CostFunctional, grid: SpatialGrid, dt: float, control_radius, control_mesh) -> dict:
+    """The control radius and mesh of an HJB solve, None taking its
+    resolution default: the ``ValueField.metadata``, which fixes the
+    control lattice on the grid."""
+    return {
+        "control_radius": float(default_control_radius(F) if control_radius is None else control_radius),
+        "control_mesh": float(default_control_mesh(grid, dt) if control_mesh is None else control_mesh),
+    }
+
+
+def _cost_slices(F: CostFunctional, path: MeasurePath, grid: SpatialGrid) -> np.ndarray:
+    """F(., m(t_k)) on the nodes at every step k of the path but the last."""
+    n_t = path.n_times - 1
     f_slices = np.empty((n_t,) + grid.shape)
     evaluated = None
     for k in range(n_t - 1, -1, -1):
@@ -672,18 +691,16 @@ def solve_hjb_backward(
             evaluated = path.positions[k]
             fk = F.evaluate_many(grid.nodes, path.measure_at(k))
         f_slices[k] = fk.reshape(grid.shape)
-    if (
-        previous is not None
-        and previous.grid == grid
-        and previous.n_steps >= n_t
-        and np.array_equal(previous.times[:n_t + 1], lattice)
-        and previous.metadata["control_mesh"] == float(control_mesh)
-        and np.array_equal(previous.controls, controls)
-        and np.array_equal(previous.f_slices[previous.n_steps - n_t:], f_slices)
-    ):
-        return previous.tail(n_t)
+    return f_slices
 
-    argmin = _bracketed_argmin(grid, grid.nodes, _Lattice.of(controls, control_mesh, dt))
+
+def _backward(grid: SpatialGrid, dt: float, f_slices: np.ndarray, metadata: dict) -> ValueField:
+    """The recursion of ``solve_hjb_backward`` through the given cost
+    slices, from a zero terminal slice, on the control lattice of the
+    knobs in ``metadata``."""
+    n_t = f_slices.shape[0]
+    controls = control_lattice(grid.dim, metadata["control_radius"], metadata["control_mesh"])
+    argmin = _bracketed_argmin(grid, grid.nodes, _Lattice.of(controls, metadata["control_mesh"], dt))
     values = np.empty((n_t + 1,) + grid.shape)
     values[n_t] = 0.0
     policy = np.empty((n_t, grid.n_nodes), dtype=np.int32)
@@ -704,15 +721,12 @@ def solve_hjb_backward(
         values[k] = (best + dt * fk).reshape(grid.shape)
     return ValueField(
         grid=grid,
-        times=lattice,
+        times=np.arange(n_t + 1) * dt,
         values=values,
         controls=controls,
         policy=policy,
         f_slices=f_slices,
-        metadata={
-            "control_radius": float(control_radius),
-            "control_mesh": float(control_mesh),
-        },
+        metadata=metadata,
     )
 
 
@@ -757,9 +771,8 @@ def _assert_away_from_boundary(points: np.ndarray, grid: SpatialGrid, time_index
 def transport_forward(
     value: ValueField,
     m0: DiscreteMeasure,
-    previous: tuple | list | None = None,
-    starts: Iterable[int] | None = None,
-) -> tuple[MeasurePath, TrajectoryStats] | list:
+    previous: tuple[ValueField, MeasurePath, TrajectoryStats] | None = None,
+) -> tuple[MeasurePath, TrajectoryStats]:
     """Push the initial cloud forward along the optimal feedback.
 
     Each step recomputes the semi-Lagrangian argmin control at the exact
@@ -780,40 +793,36 @@ def transport_forward(
     constants are built once per call); in 2D only the controls of the
     slice's descent box, ``|a_i| <= S_i + mesh/2`` (``_descent_box``).
 
-    ``starts``, step indices, carries m0 from each of them along the
-    field in one stacked pass: the cloud started at step s follows the
-    tail of ``n_steps - s`` steps (``ValueField.tail``) and joins the
-    stack at that step.  The call then returns one ``(tail, path, stats)``
-    triple per distinct start, in ascending order, each bit for bit the
-    result of a call on its tail (``_bracketed_argmin`` treats every
-    cloud as a call of its own), and an escape names the particle within
-    its cloud and the time index within its tail.  Without ``starts`` the
-    pass has the one start 0.
-
     The transport is a pure function of the value field and the cloud, so
-    ``previous``, the ``(value, path, stats)`` of an earlier call or a
-    list of such triples (a stacked pass), gives back the path and stats
-    of a triple whose value is this call's field (the same object) and
-    whose path has the points and weights of ``m0`` at t = 0.
+    ``previous``, the ``(value, path, stats)`` of an earlier call or of
+    ``first_iterations``, gives back its path and stats when ``value`` is
+    that triple's field (the same object) and ``m0`` has the points and
+    weights of its path at t = 0.
     """
-    if previous is not None and starts is None:
-        for prev_value, prev_path, prev_stats in [previous] if isinstance(previous, tuple) else previous:
-            if (
-                prev_value is value
-                and np.array_equal(prev_path.positions[0], m0.points)
-                and np.array_equal(prev_path.weights, m0.weights)
-            ):
-                return prev_path, prev_stats
-    flows = _stacked_transport(value, m0, [0] if starts is None else sorted(set(starts)))
-    return flows[0][1:] if starts is None else flows
+    if previous is not None:
+        prev_value, prev_path, prev_stats = previous
+        if (
+            prev_value is value
+            and np.array_equal(prev_path.positions[0], m0.points)
+            and np.array_equal(prev_path.weights, m0.weights)
+        ):
+            return prev_path, prev_stats
+    [(_, path, stats)] = _stacked_transport(value, m0, [0])
+    return path, stats
 
 
-def _stacked_transport(value: ValueField, m0: DiscreteMeasure, starts) -> list:
-    """The stacked pass of ``transport_forward`` from the ascending,
-    distinct ``starts``: one ``(tail, path, stats)`` per start."""
+def _stacked_transport(value: ValueField, m0: DiscreteMeasure, starts: list) -> list:
+    """The transport of m0 from each of the ascending, distinct step
+    indices ``starts`` along the field, in one stacked pass: one
+    ``(tail, path, stats)`` per start, the cloud started at step s
+    following the tail of ``n_steps - s`` steps (``ValueField.tail``).
+
+    Each is bit for bit the transport along its tail alone
+    (``_bracketed_argmin`` treats every cloud as a call of its own), and an
+    escape names the particle within its cloud and the time index within
+    its tail.
+    """
     grid, dt, controls, n_t = value.grid, value.dt, value.controls, value.n_steps
-    if not 0 <= starts[0] <= starts[-1] < n_t:
-        raise ValueError(f"start steps must lie in [0, {n_t}), got {starts}")
     lattice = _Lattice.of(controls, value.metadata["control_mesh"], dt)
     n_p = m0.size
     _assert_away_from_boundary(m0.points, grid, 0)  # every cloud starts as m0
@@ -930,25 +939,36 @@ class MfgParams:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
-@dataclass(eq=False)
-class FirstIteration:
-    """The first fixed-point iteration of a sweep's horizons of one dt,
-    solved once for all of them.
+def first_iterations(
+    F: CostFunctional,
+    m0: DiscreteMeasure,
+    grid: SpatialGrid,
+    dt: float,
+    steps,
+    params: MfgParams = MfgParams(),
+) -> dict:
+    """The first fixed-point iteration of ``solve_mfg`` for every horizon
+    of ``steps`` steps dt, solved at once: per step count n, the
+    ``(value, flow_path, stats)`` that the n-step solve's first HJB and
+    transport compute, bit for bit.
 
     Every horizon starts from the constant path m0, so by dynamic
-    programming its first value field is the tail of the longest one's
-    (``ValueField.tail``) and its first flow the transport of m0 along that
-    tail.  ``steps`` are the horizons' step counts.  The first
-    ``solve_mfg`` handed this object, which must be the longest horizon's,
-    keeps its first value field in ``value`` and carries m0 from every
-    horizon's start step in one stacked ``transport_forward``, whose flows
-    it keeps in ``flows``; every later solve hands both to its first HJB
-    and transport as ``previous``, which give back the tail and its flow.
+    programming each horizon's first value field is the tail of the
+    longest one's (``ValueField.tail``).  The backward recursion runs once,
+    through the cost slices of the longest constant path, and one stacked
+    transport carries m0 from every horizon's start step along that field.
+    Handed to ``solve_mfg`` as ``first``, a triple comes back through the
+    reuse rules of ``solve_hjb_backward`` and ``transport_forward``; they
+    are not called here, so a traced run still counts one call of each per
+    fixed-point iteration.
     """
-
-    steps: tuple
-    value: ValueField | None = None
-    flows: list | None = None
+    steps = sorted(set(steps))
+    n_t = steps[-1]
+    path = MeasurePath.constant(m0, np.arange(n_t + 1) * dt)
+    metadata = _control_knobs(F, grid, dt, params.control_radius, params.control_mesh)
+    value = _backward(grid, dt, _cost_slices(F, path, grid), metadata)
+    flows = _stacked_transport(value, m0, [n_t - n for n in reversed(steps)])
+    return {flow[0].n_steps: flow for flow in flows}
 
 
 def solve_mfg(
@@ -960,7 +980,7 @@ def solve_mfg(
     params: MfgParams = MfgParams(),
     damping_schedule: Callable[[int], float] | None = None,
     seed: int = 0,
-    first: FirstIteration | None = None,
+    first: tuple[ValueField, MeasurePath, TrajectoryStats] | None = None,
 ) -> MfgEquilibrium:
     """Damped fixed-point iteration coupling backward HJB to forward transport.
 
@@ -979,9 +999,10 @@ def solve_mfg(
     cost slices repeat the last one's (F independent of m, or a path that
     did not change) takes both back instead of solving again, and logs
     that at DEBUG.  Both functions are still called once per iteration.
-    ``first`` shares the first iteration with the other horizons of a
-    sweep (``FirstIteration``): the results are those of a solve without
-    it, bit for bit.
+    ``first``, this horizon's triple from ``first_iterations``, is handed
+    to the first iteration's HJB and transport as ``previous``, so they
+    take it back instead of solving: the results are those of a solve
+    without it, bit for bit.
     """
     if damping_schedule is None:
         damping_schedule = harmonic_damping
@@ -998,20 +1019,15 @@ def solve_mfg(
     converged = False
     capped_any = False
     iterations = 0
-    value = transported = None
-    if first is not None and first.flows is not None:
-        value, transported = first.value, first.flows
+    # the last iteration's (value, flow_path, stats), handed to both solves
+    value, transported = None, first
     for k in range(max_iter):
         last_value = value
-        value = solve_hjb_backward(F, path, grid, dt, params.control_radius, params.control_mesh, previous=value)
+        previous = None if transported is None else transported[0]
+        value = solve_hjb_backward(F, path, grid, dt, params.control_radius, params.control_mesh, previous=previous)
         if value is last_value:
             logger.debug("mfg iteration %d: cost slices repeat, reusing the value field and flow", k)
-        if first is not None and first.flows is None:
-            starts = [n_t - n for n in first.steps]
-            first.value, first.flows = value, transport_forward(value, m0, starts=starts)
-            _, flow_path, stats = first.flows[0]
-        else:
-            flow_path, stats = transport_forward(value, m0, previous=transported)
+        flow_path, stats = transport_forward(value, m0, previous=transported)
         transported = (value, flow_path, stats)
         br_res, c1 = _checkpoint_distance(flow_path, path, ckpt, params.w1_size_cap, int(seeds[2 * k]))
         lam = float(damping_schedule(k))

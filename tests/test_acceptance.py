@@ -16,6 +16,7 @@ from scipy.optimize import linprog
 
 import mfglab
 from mfglab import (
+    CostFunctional,
     DiscreteMeasure,
     MeasurePath,
     MfgParams,
@@ -440,6 +441,50 @@ class TestCriterion12Riccati2DOrder:
     def test_observed_order_along_dt_h(self):
         errs = lqr_errors(2, (20, 40, 80), dt_per_h=1.0)
         certify_order(12, errs, "20^2, 40^2, 80^2 cells at dt=h", 2.5e-2)
+
+
+def rotated_lq_errors(cells):
+    """Sup error of the T = 1 value at t = 0 on the unit ball for the
+    cross-term cost F = x^T A x / 2, A = R diag(1, 4) R^T with R the 30
+    degree rotation, against x^T P(0) x / 2, P(0) = A^{1/2} tanh(A^{1/2})
+    (the Riccati solution, diagonal in the eigenbasis of A), default
+    control lattice, on [-2, 2]^2 with each cell count per axis and
+    dt = h."""
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    rot = np.array([[c, -s], [s, c]])
+    eig = np.array([1.0, 4.0])
+    A = rot @ np.diag(eig) @ rot.T
+    P0 = rot @ np.diag(np.sqrt(eig) * np.tanh(np.sqrt(eig))) @ rot.T
+
+    def quadratic(pts, m):
+        return 0.5 * np.einsum("ki,ij,kj->k", pts, A, pts)
+
+    # sup of F on the box: the largest eigenvalue at a corner, 4 * 8 / 2
+    F = CostFunctional(
+        name="rotated_lq", dim=2, evaluator=quadratic, m_bound=16.0,
+        core_lower=(-0.5, -0.5), core_upper=(0.5, 0.5), gap=0.0,
+    )
+    errs = []
+    for n in cells:
+        grid = SpatialGrid((-2.0, -2.0), (2.0, 2.0), (n, n))
+        dt = grid.max_spacing
+        times = np.arange(int(round(1.0 / dt)) + 1) * dt
+        path = MeasurePath.constant(DiscreteMeasure.dirac([0.0, 0.0]), times)
+        u0 = solve_hjb_backward(F, path, grid, dt).values[0].ravel()
+        x = grid.nodes
+        ball = (x * x).sum(axis=1) <= 1.0
+        exact = 0.5 * np.einsum("ki,ij,kj->k", x[ball], P0, x[ball])
+        errs.append(float(np.abs(u0[ball] - exact).max()))
+    return errs
+
+
+class TestCriterion15RotatedLQ2DOrder:
+    """A 2D HJB whose cost couples the axes (ROADMAP item 14): the value
+    converges at first order along dt = h to the closed form."""
+
+    def test_observed_order_along_dt_h(self):
+        errs = rotated_lq_errors((20, 40, 80))
+        certify_order(15, errs, "20^2, 40^2, 80^2 cells at dt=h, A = R diag(1, 4) R^T", 6e-2)
 
 
 class TestUniformInHorizonRegression:

@@ -24,8 +24,9 @@ from mfglab import (
     stable_within,
     sweep_verdict,
 )
+from mfglab import asymptotics, finite_horizon
 from mfglab.asymptotics import failed_checks
-from mfglab.cost_models import quadratic_congestion
+from mfglab.cost_models import fg_plus_g, lqr_oracle, quadratic_congestion
 
 
 def small_grid(n=80):
@@ -170,6 +171,18 @@ class TestRunSweepQuick:
         # longer horizon ends (relatively) closer to the minimizing point
         assert records[1].support_dist[-1] <= records[0].support_dist[0] + 1e-9
 
+    def test_an_estimated_c_star_needs_a_late_slice(self, monkeypatch):
+        # fG_plus_g declares no c*, and c* is the mean slice minimum over
+        # s >= 0.5: an s_grid without such a point is refused before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the s_grid check")
+
+        monkeypatch.setattr(asymptotics, "solve_mfg", no_solve)
+        params = SweepParams(mode="fixed_dt", dt=0.1, s_grid=(0.1, 0.25))
+        m0 = DiscreteMeasure.uniform([[-0.4], [0.4]])
+        with pytest.raises(ValueError, match=r"^s_grid must hold a point s >= 0.5"):
+            run_sweep(fg_plus_g(dim=1), m0, (1.0,), small_grid(40), params)
+
     def test_logs_one_record_per_horizon(self, caplog):
         F = quadratic_congestion(dim=1)
         m0 = DiscreteMeasure.uniform([[-0.4], [0.4]])
@@ -203,8 +216,8 @@ class TestRunSweepQuick:
 
 
 class TestFixedDtSweepOrder:
-    """A fixed_dt sweep solves the longest horizon first and shares its
-    first iteration, yet reports as the unshared solves in ascending T."""
+    """A fixed_dt sweep shares its horizons' first iteration, yet reports
+    as the unshared solves in ascending T."""
 
     LOGGERS = ("mfglab.finite_horizon", "mfglab.asymptotics")
 
@@ -281,6 +294,40 @@ class TestFixedDtSweepOrder:
 
 # every default s value lands exactly on a step of a 20-step lattice, so
 # the snapped slice times agree with the nominal ones
+class TestSharedFirstIterationMeter:
+    def test_one_hjb_and_one_transport_call_per_iteration(self, monkeypatch):
+        # perfbench's coverage gate equates these calls with the iteration
+        # sums of the artifacts, and the shared first iteration solves the
+        # recursion at the nodes once for the whole sweep
+        calls = {"solve_hjb_backward": 0, "transport_forward": 0, "node_argmins": 0}
+        g = small_grid(40)
+
+        def counting(name):
+            original = getattr(finite_horizon, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(finite_horizon, name, spy)
+
+        counting("solve_hjb_backward")
+        counting("transport_forward")
+        bracketed = finite_horizon._bracketed_argmin
+
+        def argmin_spy(grid, points, *args, **kwargs):
+            calls["node_argmins"] += points is grid.nodes
+            return bracketed(grid, points, *args, **kwargs)
+
+        monkeypatch.setattr(finite_horizon, "_bracketed_argmin", argmin_spy)
+        m0 = DiscreteMeasure.uniform([[-0.4], [0.1], [0.5]])
+        params = SweepParams(mode="fixed_dt", dt=0.1, mfg=MfgParams(control_mesh=0.1), seed=0)
+        records = run_sweep(lqr_oracle(dim=1), m0, (0.5, 1.0, 2.0), g, params)
+        iterations = sum(r.iterations for r in records)
+        assert iterations == 6  # lqr_oracle ignores m: two iterations each
+        assert calls == {"solve_hjb_backward": iterations, "transport_forward": iterations, "node_argmins": 1}
+
+
 @pytest.fixture(scope="module")
 def records():
     F = flat_cost(0.3)

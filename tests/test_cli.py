@@ -736,6 +736,8 @@ OUT_OF_RANGE = [
     ("sweep", "sweep.slack", -0.25, {}),
     ("sweep", "sweep.atol", -0.01, {}),
     ("sweep", "sweep.s_grid", [0.5, 0.25], {}),
+    # fG_plus_g declares no c*, which the sweep estimates over s >= 0.5
+    ("sweep", "sweep.s_grid", [0.1, 0.25], {"model.name": "fG_plus_g"}),
     ("sweep", "sweep.dt", None, {"sweep.mode": "fixed_dt"}),
     # 21 cells of [-2, 2] put no node within 0.001 of the origin
     ("sweep", "sweep.R", 0.001, {"grid.n_cells": [21]}),

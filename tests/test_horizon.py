@@ -34,6 +34,7 @@ from mfglab.finite_horizon import (
     checkpoint_indices,
     default_control_mesh,
     default_control_radius,
+    first_iterations,
 )
 
 
@@ -915,70 +916,74 @@ class TestTransport:
         assert err.value.time_index >= 1
 
 
-class TestStackedTransport:
-    """A stacked pass from several start steps gives, per start, the
-    transport along the field's tail bit for bit."""
+class TestFirstIterations:
+    """The first iterations of several horizons, solved at once, give per
+    horizon the field of its own HJB and the transport along it, bit for
+    bit."""
 
     @staticmethod
-    def assert_stacked_equals_separate(value, m0, starts):
-        flows = transport_forward(value, m0, starts=starts)
-        assert [tail.n_steps for tail, _, _ in flows] == [value.n_steps - s for s in sorted(set(starts))]
-        for tail, path, stats in flows:
-            assert tail is value.tail(tail.n_steps)
+    def assert_each_horizon_alone(F, m0, g, dt, steps, **knobs):
+        shared = first_iterations(F, m0, g, dt, steps, MfgParams(**knobs))
+        assert sorted(shared) == sorted(set(steps))
+        longest = shared[max(steps)][0]
+        for n, (tail, path, stats) in shared.items():
+            assert tail.n_steps == n
+            # every tail is a view of the one field solved
+            assert np.shares_memory(tail.values, longest.values)
+            TestRepeatedInputs.assert_same_field(
+                tail, solve_hjb_backward(F, constant_path(m0, n * dt, dt), g, dt, **knobs)
+            )
             want, want_stats = transport_forward(tail, m0)
             np.testing.assert_array_equal(path.times, want.times)
             np.testing.assert_array_equal(path.positions, want.positions)
             np.testing.assert_array_equal(path.weights, want.weights)
             np.testing.assert_array_equal(stats.sup_speed, want_stats.sup_speed)
             assert stats.chi_prime_hat == want_stats.chi_prime_hat
-        return flows
 
     @pytest.mark.parametrize("F", [lqr_oracle(dim=1), quadratic_congestion(dim=1), two_wells(dim=1)])
     def test_1d(self, F):
         g = SpatialGrid((-2.0,), (2.0,), (160,))
         rng = np.random.default_rng(3)
         m0 = DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(40, 1)), rng.dirichlet(np.ones(40)))
-        value = solve_hjb_backward(F, constant_path(m0, 2.0, 0.05), g, 0.05, control_mesh=0.02)
-        flows = self.assert_stacked_equals_separate(value, m0, [0, 20, 30, 39])
-        assert flows[0][0] is value
+        self.assert_each_horizon_alone(F, m0, g, 0.05, [40, 20, 10, 1, 20], control_mesh=0.02)
 
     @pytest.mark.parametrize("F", [quadratic_congestion(dim=2), two_wells(dim=2)])
     def test_2d(self, F):
         g = SpatialGrid((-2.0, -2.0), (2.0, 2.0), (16, 16))
         rng = np.random.default_rng(4)
         m0 = DiscreteMeasure.uniform(rng.uniform(-0.8, 0.8, size=(12, 2)))
-        value = solve_hjb_backward(F, constant_path(m0, 0.6, 0.05), g, 0.05)
-        self.assert_stacked_equals_separate(value, m0, [2, 5, 9])
-
-    def test_a_start_out_of_range_is_a_value_error(self):
-        value = solve_hjb_backward(lqr_oracle(dim=1), constant_path(DiscreteMeasure.dirac([0.0]), 1.0, 0.1),
-                                   SpatialGrid((-2.0,), (2.0,), (40,)), 0.1)
-        for starts in ([-1, 0], [0, 10]):
-            with pytest.raises(ValueError, match="start steps"):
-                transport_forward(value, DiscreteMeasure.dirac([0.5]), starts=starts)
+        self.assert_each_horizon_alone(F, m0, g, 0.05, [10, 7, 3])
 
     def test_an_escape_names_the_particle_and_time_within_its_own_horizon(self):
-        # u pulls toward the origin over the first half and pushes outward
-        # over the second: only the cloud started halfway reaches the margin
-        g = SpatialGrid((-1.0,), (1.0,), (40,))
-        x = g.nodes[:, 0]
-        values = np.array([3.0 * x * x if k <= 5 else -np.abs(x) for k in range(11)])
-        values[10] = 0.0
-        value = ValueField(
-            g, np.arange(11) * 0.1, values, control_lattice(1, 5.0, 0.5),
-            np.zeros((10, g.n_nodes), dtype=np.int32), np.zeros((10, g.n_nodes)),
-            {"control_radius": 5.0, "control_mesh": 0.5},
+        # a deep well at -0.5 and a shallow slope down to the right edge:
+        # with 7 steps or more to go the cloud heads for the well, with 5
+        # it runs out of the box, so only the third of four stacked clouds
+        # (started at step 5 of 10) reaches the margin
+        def well_and_edge(pts, m):
+            x = pts[:, 0]
+            return np.minimum(8.0 * (x + 0.5) ** 2 - 4.0, 1.0 - 4.0 * np.maximum(x - 0.5, 0.0))
+
+        F = CostFunctional(
+            name="well_and_edge", dim=1, evaluator=well_and_edge, m_bound=4.0,
+            core_lower=(-1.0,), core_upper=(1.0,), gap=0.0,
         )
+        g = SpatialGrid((-1.0,), (1.0,), (40,))
         m0 = DiscreteMeasure.uniform([[0.1], [0.6], [-0.2]])
-        with pytest.raises(DomainEscapeError) as alone:
-            transport_forward(value.tail(5), m0)
-        assert alone.value.time_index == 4 and str(alone.value).startswith("particle 1 at ")
-        for s in (0, 3, 7):
-            transport_forward(value.tail(10 - s), m0)
+        params = MfgParams(control_radius=5.0, control_mesh=0.5)
+
+        def alone(n):
+            value = solve_hjb_backward(F, constant_path(m0, n * 0.1, 0.1), g, 0.1, 5.0, 0.5)
+            return transport_forward(value, m0)
+
+        with pytest.raises(DomainEscapeError) as single:
+            alone(5)
+        assert single.value.time_index == 3 and str(single.value).startswith("particle 1 at ")
+        for n in (10, 7, 4):
+            alone(n)
         with pytest.raises(DomainEscapeError) as err:
-            transport_forward(value, m0, starts=[0, 3, 5, 7])
-        assert str(err.value) == str(alone.value)
-        assert err.value.point == alone.value.point and err.value.time_index == 4
+            first_iterations(F, m0, g, 0.1, [10, 7, 5, 4], params)
+        assert str(err.value) == str(single.value)
+        assert err.value.point == single.value.point and err.value.time_index == 3
 
 
 class TestCheckpoints:
@@ -1162,7 +1167,7 @@ class TestRepeatedInputs:
         fresh = solve_hjb_backward(self.F, short, self.g, 0.1)
         calls = self.count_argmin(monkeypatch)
         tail = solve_hjb_backward(self.F, short, self.g, 0.1, previous=longer)
-        assert calls == [] and tail is longer.tail(4)
+        assert calls == [] and tail.n_steps == 4
         self.assert_same_field(tail, fresh)
         # the tail's arrays are views of the longer field's
         assert np.shares_memory(tail.values, longer.values)
@@ -1191,23 +1196,24 @@ class TestRepeatedInputs:
     def test_tail_of_every_step_is_the_field_itself(self):
         value = solve_hjb_backward(self.F, self.path, self.g, 0.1)
         assert value.tail(value.n_steps) is value
-        assert value.tail(3) is value.tail(3)
+        tail = value.tail(3)
+        self.assert_same_field(tail, solve_hjb_backward(self.F, constant_path(self.m0, 0.3, 0.1), self.g, 0.1))
+        assert np.shares_memory(tail.values, value.values)
         for bad in (0, value.n_steps + 1):
             with pytest.raises(ValueError, match="tail"):
                 value.tail(bad)
 
-    def test_transport_gives_back_the_flow_of_a_stacked_pass(self, monkeypatch):
-        value = solve_hjb_backward(self.F, self.path, self.g, 0.1)
+    def test_transport_gives_back_the_flow_of_first_iterations(self, monkeypatch):
+        shared = first_iterations(self.F, self.m0, self.g, 0.1, [4, 10, 7])
         other = solve_hjb_backward(self.F, self.path, self.g, 0.1).tail(4)
-        flows = transport_forward(value, self.m0, starts=[6, 0, 3])
         calls = self.count_argmin(monkeypatch)
-        for tail, path, stats in flows:
-            assert transport_forward(tail, self.m0, previous=flows) == (path, stats)
+        for tail, path, stats in shared.values():
+            assert transport_forward(tail, self.m0, previous=(tail, path, stats)) == (path, stats)
         assert calls == []
         # a tail of an equal field, not of this one: computed afresh
-        got, _ = transport_forward(other, self.m0, previous=flows)
+        got, _ = transport_forward(other, self.m0, previous=shared[4])
         assert calls == [self.m0.size] * 4
-        np.testing.assert_array_equal(got.positions, flows[2][1].positions)
+        np.testing.assert_array_equal(got.positions, shared[4][1].positions)
 
     def test_mfg_with_a_measure_independent_cost_solves_once(self, monkeypatch):
         # iteration 1 sees the slices of iteration 0: no argmin is built
