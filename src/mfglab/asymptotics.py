@@ -118,8 +118,8 @@ class SweepParams:
         for name in ("R", "delta_occ", "wkam_cap", "support_cap", "semilimit_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("slack", "atol"):
-            if not getattr(self, name) >= 0:
+        for name in ("slack", "atol", "eps_min"):
+            if getattr(self, name) is not None and not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         # it bounds a max/min ratio, which is never below 1
         if not self.rate_ratio_cap >= 1:
@@ -214,7 +214,9 @@ def run_sweep(
     per horizon on ``mfglab.asymptotics`` as its solve ends (T, dt,
     iterations, ``br_residual``, ``converged``).  A model that declares
     no minimizing set or critical value needs a point s >= 1/2 in
-    ``s_grid``; without one the sweep is a ``ValueError`` before any solve.
+    ``s_grid``; without one the sweep is a ``ValueError`` before any
+    solve, as is a ``T_list`` that is empty or holds a nonpositive,
+    infinite or repeated horizon.
 
     The horizons are solved in ascending T, each with its own seed.  In
     ``fixed_dt`` mode their first iterations, which all start from the
@@ -228,8 +230,8 @@ def run_sweep(
     if params is None:
         params = SweepParams()
     horizons = sorted(float(T) for T in T_list)
-    if len(horizons) == 0:
-        raise ValueError("T_list must not be empty")
+    if not (horizons and all(0 < T < np.inf for T in horizons) and len(set(horizons)) == len(horizons)):
+        raise ValueError(f"T_list must be nonempty, positive, finite and distinct, got {list(T_list)}")
     s_grid = np.asarray(params.s_grid, dtype=float)
     ball = value_ball(grid, params.R)
     if not ball.any():

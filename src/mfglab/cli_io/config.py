@@ -288,13 +288,13 @@ def _semantic_checks(cfg: dict):
         if m0["path"] is None:
             raise ConfigValueError("m0.kind 'file' requires 'm0.path'")
 
-    for section in ("static", "ergodic", "evolve", "sweep"):
+    for section in ("static", "ergodic", "evolve", "sweep", "validate"):
         for key, val in cfg[section].items():
             if key in _POSITIVE and val is not None and not val > 0:
                 raise ConfigValueError(f"'{section}.{key}' must be positive, got {val}")
-            if key == "eps_min" and val is not None and val < 0:
+            if key in ("eps_min", "n_random") and val is not None and val < 0:
                 raise ConfigValueError(f"'{section}.{key}' must be nonnegative, got {val}")
-            if key in ("max_iter", "max_sweeps") and val < 1:
+            if key in ("max_iter", "max_sweeps", "lipschitz_slack") and val < 1:
                 raise ConfigValueError(f"'{section}.{key}' must be at least 1")
 
     for section in ("static", "evolve"):

@@ -393,7 +393,13 @@ def validate_assumptions(
     :func:`monotonicity_pairing_min` over the sampled measures and Diracs
     at the two box corners: a negative value witnesses that F is not
     Lasry-Lions monotone.  Each sampled measure's slice is evaluated once.
+    ``n_random < 0`` or ``lipschitz_slack < 1`` is a ``ValueError`` naming
+    it, before any evaluation.
     """
+    if n_random < 0:
+        raise ValueError(f"n_random must be nonnegative, got {n_random}")
+    if not lipschitz_slack >= 1:
+        raise ValueError(f"lipschitz_slack must be at least 1, got {lipschitz_slack}")
     samples = _sample_measures(F, grid, seed, n_random)
     slices = [slice_stats(F, m, grid) for m in samples]
     violations: list[str] = []

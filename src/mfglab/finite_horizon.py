@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -82,8 +83,13 @@ def control_lattice(dim: int, radius: float, mesh: float) -> np.ndarray:
     minimum over this lattice breaks ties toward the smallest control, then
     lexicographically — a deterministic feedback selection.
     """
-    if mesh <= 0 or radius <= 0:
+    if not (mesh > 0 and radius > 0):
         raise ValueError("control mesh and radius must be positive")
+    # counted before any allocation (inf past the floats): numpy cannot
+    # index an array of more bytes than the largest intp
+    count = math.prod([2.0 * radius / mesh + 1.0] * dim)
+    if not count * dim * 8.0 < np.iinfo(np.intp).max:
+        raise MemoryError(f"a control lattice of up to {count:.3g} points (radius {radius:g}, mesh {mesh:g})")
     n = int(math.floor(radius / mesh + 1e-12))
     axis = np.arange(-n, n + 1, dtype=float) * mesh
     if dim == 1:
@@ -100,7 +106,7 @@ def control_lattice(dim: int, radius: float, mesh: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Lattice:
-    """The sorted control lattice of one step, split into lines along axis 0.
+    """The sorted control lattice of a value field, in lines along axis 0.
 
     Line ``l`` holds the controls with one axis-1 component (in 1D, the
     whole lattice) and axis-0 components ``k * mesh`` for
@@ -109,22 +115,25 @@ class _Lattice:
     its nearest end, so ``table[:, 0]`` and ``table[:, -1]`` are the line
     ends.  ``moves`` is ``dt * controls`` and ``run_cost`` is
     ``dt |a|^2 / 2`` per control; ``line_cost`` is the run cost of each
-    line's step 0, the control with axis-0 component 0.  A descent box
-    (``_descent_box``) is a ``_Lattice`` of the same controls whose table
-    is a slice of this one's, n its step bound.
+    line's step 0, the control with axis-0 component 0; ``radius`` and
+    ``mesh`` fix the lattice.  A descent box (``_descent_box``) is a
+    ``_Lattice`` of the same controls whose table is a slice of this
+    one's, n its step bound.
     """
 
     controls: np.ndarray
     moves: np.ndarray
     run_cost: np.ndarray
     dt: float
+    radius: float
     mesh: float
     half: np.ndarray
     table: np.ndarray
     line_cost: np.ndarray
 
     @classmethod
-    def of(cls, controls: np.ndarray, mesh: float, dt: float) -> "_Lattice":
+    def of(cls, dim: int, radius: float, mesh: float, dt: float) -> "_Lattice":
+        controls = control_lattice(dim, radius, mesh)
         k = np.rint(controls / mesh).astype(np.int64)
         n = int(np.abs(k).max())
         _, line = np.unique(k[:, -1] if k.shape[1] == 2 else 0 * k[:, 0], return_inverse=True)
@@ -136,7 +145,13 @@ class _Lattice:
         table = dense[np.arange(half.size)[:, None], n + steps]
         run_cost = dt * 0.5 * (controls * controls).sum(axis=1)
         line_cost = run_cost[table[:, n]]
-        return cls(controls, dt * controls, run_cost, float(dt), float(mesh), half, table, line_cost)
+        return cls(controls, dt * controls, run_cost, float(dt), float(radius), float(mesh), half, table, line_cost)
+
+    @cached_property
+    def line_ends(self) -> np.ndarray:
+        """The axis-0 moves of line 0's two ends, a (2, 1) column."""
+        table = self.table[0]
+        return self.moves[table[:: table.size - 1], :1]
 
 
 def _descent_box(grid: SpatialGrid, lattice: _Lattice, field: np.ndarray) -> _Lattice:
@@ -229,7 +244,7 @@ def _first_least(q: np.ndarray, index: np.ndarray, n_controls: int) -> np.ndarra
     return np.where((q == least) | np.isnan(q), index, n_controls).argmin(axis=0)
 
 
-def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None, clouds=1, line=None):
+def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None, clouds=1):
     """First lattice minimiser of dt|a|^2/2 + u(x + dt a) at fixed points.
 
     ``u`` is the multilinear interpolant of a node field.  Along one line
@@ -287,46 +302,24 @@ def _bracketed_argmin(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, 
     escapes).  In 1D the (cell, point) geometry is built here; given
     ``reach_field``, the field the argmin will be called with, it holds
     only the cells within that field's descent bound (``_line_kernel``),
-    taken per cloud when ``points`` stacks ``clouds`` equal clouds, and
-    ``line`` holds the kernel's constants.  In 2D the line filter's
-    (point, line) feet and the cell geometry are built per call, for the
-    box's lines and the surviving pairs, so no points x lines array of
-    the whole lattice is built unless the box is all of it, and no
-    points x lines x reach array outlives a call.  Each 2D stage works
-    per point, so stacked clouds need no care there.
+    taken per cloud when ``points`` stacks ``clouds`` equal clouds.  In 2D
+    the line filter's (point, line) feet and the cell geometry are built
+    per call, for the box's lines and the surviving pairs, so no points x
+    lines array of the whole lattice is built unless the box is all of
+    it, and no points x lines x reach array outlives a call.  Each 2D
+    stage works per point, so stacked clouds need no care there.
     """
     if grid.dim == 1:
-        return _line_kernel(grid, points, lattice, reach_field, clouds, line)
+        return _line_kernel(grid, points, lattice, reach_field, clouds)
 
     def argmin(field: np.ndarray):
         sub = _descent_box(grid, lattice, field)
-        return _cell_stage(grid, points, sub, _line_filter(grid, points, sub)(field))(field)
+        return _cell_stage(grid, points, sub, _line_filter(grid, points, sub, field), field)
 
     return argmin
 
 
-class _Line(NamedTuple):
-    """The constants of the 1D line kernel on one grid and lattice, built
-    once per HJB solve or transport: the padded node index (the clamp
-    cells -1 and n repeat the end nodes), the point columns, the moves of
-    the line's two ends, as a (2, 1) column, and the offsets of the two
-    evaluated steps."""
-
-    padded: np.ndarray
-    columns: np.ndarray
-    ends: np.ndarray
-    pair: np.ndarray
-
-    @classmethod
-    def of(cls, grid: SpatialGrid, lattice: _Lattice, n_points: int) -> "_Line":
-        n0, table = grid.n_cells[0], lattice.table[0]
-        padded = np.arange(-1, n0 + 2)
-        padded[[0, -1]] = 0, n0
-        ends = lattice.moves[table[:: table.size - 1], :1]
-        return cls(padded, np.arange(n_points), ends, np.arange(2)[:, None])
-
-
-def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None, clouds=1, line=None):
+def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach_field=None, clouds=1):
     """The bracketed argmin in 1D: one line, as (cell, point) arrays,
     one column of cells per point.
 
@@ -351,22 +344,18 @@ def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach
     reach, so each cloud keeps the cells a call on it alone keeps.  Every
     other stage is per column, and the shorter columns repeat their last
     cell, which ranks as that cell, so each point's result is that of a
-    call on its cloud alone, bit for bit.  ``line`` holds the constants
-    (``_Line``) of an earlier call on the same grid and lattice, with
-    columns for at least as many points.
+    call on its cloud alone, bit for bit.
     """
     lo, h, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
     mesh, half, dt = lattice.mesh, lattice.half[0], lattice.dt
     s = dt * mesh / h
     table, moves = lattice.table[0], lattice.moves[:, 0]
     origin = table.size // 2 - 1  # the table column of step 0
-    if line is None:
-        line = _Line.of(grid, lattice, points.shape[0])
     x = points[:, 0]
     t = (x - lo) / h
     # the foot moves monotonically with the step, also in floats, so the
     # cells of the end feet bound every cell a point reaches
-    ends = np.floor((x + line.ends - lo) / h)
+    ends = np.floor((x + lattice.line_ends - lo) / h)
     np.maximum(ends, -1.0, out=ends)
     np.minimum(ends, n0, out=ends)
     c_lo, c_hi = ends
@@ -388,8 +377,11 @@ def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach
     offset = t - cells
     k_lo, k_hi, step_lo, step_hi = _cell_steps(cells, offset, s, half, n0)
     holds = step_lo <= step_hi
+    # the node index padded by the clamp cells -1 and n: the end nodes
+    padded = np.arange(-1, n0 + 2)
+    padded[0], padded[-1] = 0, n0
     at = cells + 1  # into the padded nodes
-    padded, columns, pair = line.padded, line.columns[:x.size], line.pair
+    columns, pair = np.arange(x.size), np.arange(2)[:, None]
     n_controls = lattice.controls.shape[0]
 
     def argmin(field: np.ndarray):
@@ -415,7 +407,7 @@ def _line_kernel(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, reach
     return argmin
 
 
-def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
+def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, field: np.ndarray) -> _Pairs:
     """The 2D lines that can hold a point's minimiser, as (point, line) pairs.
 
     Along line l, with axis-1 control a1 and run cost ``c_l = dt a1^2/2``,
@@ -432,14 +424,12 @@ def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
     with ``LB_l > UB + slack`` holds neither the minimiser nor a tie, and
     is dropped; the line of UB always stays, so every point keeps a line.
 
-    The slopes come from one pass over the field per call: the signed
+    The slopes come from one pass over the field: the signed
     axis-0 node differences, zero-padded for the clamp zones, and their
     least and greatest values over every window of that many cells.  The
     least of a weighted sum of two columns is at least the weighted sum of
     their leasts (and likewise for the greatest), so the slope bounds hold
-    on every line.
-
-    The returned ``keep(field)`` gives the surviving ``_Pairs``.
+    on every line.  Returns the surviving ``_Pairs``.
     """
     (lo0, lo1), (h0, h1), (n0, n1) = grid.lower_array, grid.spacing, grid.n_cells
     n_p, cols = points.shape[0], n1 + 1
@@ -459,34 +449,31 @@ def _line_filter(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice):
     right = (np.floor(t0).astype(np.int64) + width)[:, None] * cols + j1
     left = np.ceil(t0).astype(np.int64)[:, None] * cols + j1
     diff = np.zeros((n0 + 2 * width, cols))
-
-    def keep(field: np.ndarray):
-        f = field.reshape(n0 + 1, cols)
-        u_x0 = ((1.0 - w0) * f[i0] + w0 * f[i0 + 1]).ravel()
-        value = v1 * u_x0[at_x0] + w1 * u_x0[at_x0 + 1] + lattice.line_cost
-        np.subtract(f[1:], f[:-1], out=diff[width:width + n0])
-        windows = sliding_window_view(diff, width, axis=0)
-        least, most = windows.min(axis=-1).ravel(), windows.max(axis=-1).ravel()
-        fall_right = -(v1 * least[right] + w1 * least[right + 1])
-        fall_left = v1 * most[left] + w1 * most[left + 1]
-        slope = np.maximum(np.maximum(fall_right, fall_left), 0.0) / h0
-        lower = value - 0.5 * lattice.dt * slope * slope
-        upper = np.where(feasible, value, np.inf).min(axis=1)
-        kept = ~(lower > (upper + _slack(f, lattice))[:, None])
-        who, line = np.nonzero(kept)
-        counts = kept.sum(axis=1)
-        return _Pairs(who, np.cumsum(counts) - counts, line, j1[who, line], w1[who, line], escaped[who, line])
-
-    return keep
+    f = field.reshape(n0 + 1, cols)
+    u_x0 = ((1.0 - w0) * f[i0] + w0 * f[i0 + 1]).ravel()
+    value = v1 * u_x0[at_x0] + w1 * u_x0[at_x0 + 1] + lattice.line_cost
+    np.subtract(f[1:], f[:-1], out=diff[width:width + n0])
+    windows = sliding_window_view(diff, width, axis=0)
+    least, most = windows.min(axis=-1).ravel(), windows.max(axis=-1).ravel()
+    fall_right = -(v1 * least[right] + w1 * least[right + 1])
+    fall_left = v1 * most[left] + w1 * most[left + 1]
+    slope = np.maximum(np.maximum(fall_right, fall_left), 0.0) / h0
+    lower = value - 0.5 * lattice.dt * slope * slope
+    upper = np.where(feasible, value, np.inf).min(axis=1)
+    kept = ~(lower > (upper + _slack(f, lattice))[:, None])
+    who, line = np.nonzero(kept)
+    counts = kept.sum(axis=1)
+    return _Pairs(who, np.cumsum(counts) - counts, line, j1[who, line], w1[who, line], escaped[who, line])
 
 
-def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, pairs: _Pairs):
-    """The 2D cell stage of ``_bracketed_argmin`` on the given pairs;
-    returns ``argmin(field)``.  The cells form (cell, pair) arrays, one
-    column of cells per pair, and the two candidates of each point a
-    (2, point) block whose feet are evaluated candidate-major by
-    ``interpolate_many``, inf where a foot escapes.  A pair whose axis-1
-    foot escapes holds no step."""
+def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, pairs: _Pairs, field: np.ndarray):
+    """The 2D cell stage of ``_bracketed_argmin`` on the given pairs of
+    ``field``'s step: per point, the minimiser's sorted-lattice index and
+    the minimum.  The cells form (cell, pair) arrays, one column of cells
+    per pair, and the two candidates of each point a (2, point) block
+    whose feet are evaluated candidate-major by ``interpolate_many``, inf
+    where a foot escapes.  A pair whose axis-1 foot escapes holds no
+    step."""
     who, starts, line, j1, w1, escaped = pairs
     lo0, h0, n0 = grid.lower_array[0], grid.spacing[0], grid.n_cells[0]
     mesh, half = lattice.mesh, lattice.half[line]
@@ -511,33 +498,32 @@ def _cell_stage(grid: SpatialGrid, points: np.ndarray, lattice: _Lattice, pairs:
     at_hi = np.clip(cells + 1, 0, n0) * n_cols + j1
     table = lattice.table.ravel()
     columns, pair_columns = np.arange(starts.size), np.arange(who.size)
+    # free the geometry that the evaluation no longer reads before it
+    # makes (cell, pair) arrays of its own: it sets the 2D peak RSS
+    del half, ends, t_ends, c_lo, c_hi, cells
     n_controls = lattice.controls.shape[0]
-
-    def argmin(field: np.ndarray):
-        f = field.ravel()
-        u_lo = (1.0 - w1) * f[at_lo] + w1 * f[at_lo + 1]
-        d = (1.0 - w1) * f[at_hi] + w1 * f[at_hi + 1] - u_lo
-        # fmax/fmin: where u is NaN the vertex still names a lattice step
-        vertex = np.fmin(np.fmax(d / (-mesh * h0), k_lo), k_hi)
-        step = np.clip(np.rint(vertex), step_lo, step_hi)
-        index = table[origin + step.astype(np.int64)]
-        value = np.where(holds, u_lo + d * (offset + s * step) + lattice.run_cost[index], np.inf)
-        cell = _first_least(value, index, n_controls)
-        # per point, the pair whose cell is first by the same rule
-        value, index = value[cell, pair_columns], index[cell, pair_columns]
-        least = np.minimum.reduceat(value, starts)[who]
-        key = np.where((value == least) | np.isnan(value), index, n_controls)
-        first = np.minimum.reduceat(key, starts)[who]
-        pair = np.minimum.reduceat(np.where(key == first, pair_columns, who.size), starts)
-        vertex_step = np.floor(vertex[cell[pair], pair]).astype(np.int64)
-        cand = table[origin[pair] + vertex_step + np.arange(2)[:, None]]
-        feet = (points + lattice.moves[cand]).reshape(-1, grid.dim)
-        u = grid.interpolate_many(field, feet, out_of_range="inf")
-        q = (u + lattice.run_cost[cand].ravel()).reshape(cand.shape)
-        pick = _first_least(q, cand, n_controls)
-        return cand[pick, columns], q[pick, columns]
-
-    return argmin
+    f = field.ravel()
+    u_lo = (1.0 - w1) * f[at_lo] + w1 * f[at_lo + 1]
+    d = (1.0 - w1) * f[at_hi] + w1 * f[at_hi + 1] - u_lo
+    # fmax/fmin: where u is NaN the vertex still names a lattice step
+    vertex = np.fmin(np.fmax(d / (-mesh * h0), k_lo), k_hi)
+    step = np.clip(np.rint(vertex), step_lo, step_hi)
+    index = table[origin + step.astype(np.int64)]
+    value = np.where(holds, u_lo + d * (offset + s * step) + lattice.run_cost[index], np.inf)
+    cell = _first_least(value, index, n_controls)
+    # per point, the pair whose cell is first by the same rule
+    value, index = value[cell, pair_columns], index[cell, pair_columns]
+    least = np.minimum.reduceat(value, starts)[who]
+    key = np.where((value == least) | np.isnan(value), index, n_controls)
+    first = np.minimum.reduceat(key, starts)[who]
+    pair = np.minimum.reduceat(np.where(key == first, pair_columns, who.size), starts)
+    vertex_step = np.floor(vertex[cell[pair], pair]).astype(np.int64)
+    cand = table[origin[pair] + vertex_step + np.arange(2)[:, None]]
+    feet = (points + lattice.moves[cand]).reshape(-1, grid.dim)
+    u = grid.interpolate_many(field, feet, out_of_range="inf")
+    q = (u + lattice.run_cost[cand].ravel()).reshape(cand.shape)
+    pick = _first_least(q, cand, n_controls)
+    return cand[pick, columns], q[pick, columns]
 
 
 @dataclass(eq=False)
@@ -547,16 +533,21 @@ class ValueField:
     ``values[k]`` is the node array at time ``times[k]`` (terminal slice is
     zero); ``policy[k]`` holds, flat per node, the index into ``controls``
     of the optimal control over the step [t_k, t_{k+1}]; ``f_slices[k]``
-    stores the coupling cost slice used at step k.
+    stores the coupling cost slice used at step k.  ``lattice`` is the
+    control lattice of the recursion, built once per field, whose radius
+    and mesh decide whether a later solve may reuse the field.
     """
 
     grid: SpatialGrid
     times: np.ndarray
     values: np.ndarray
-    controls: np.ndarray
+    lattice: _Lattice
     policy: np.ndarray
     f_slices: np.ndarray
-    metadata: dict = field(default_factory=dict)
+
+    @property
+    def controls(self) -> np.ndarray:
+        return self.lattice.controls
 
     @property
     def dt(self) -> float:
@@ -583,13 +574,14 @@ class ValueField:
             values=self.values[start:],
             policy=self.policy[start:],
             f_slices=self.f_slices[start:],
-            metadata=dict(self.metadata),
         )
 
 
 def horizon_steps(T: float, dt: float) -> int:
-    """The number of steps dt in the horizon T; ValueError unless dt
-    divides T up to 1e-9 relative."""
+    """The number of steps dt in the horizon T; ValueError unless dt is
+    positive and divides T up to 1e-9 relative."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n_t = int(round(T / dt))
     if n_t < 1 or abs(n_t * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"step {dt} does not divide the horizon {T}")
@@ -599,11 +591,10 @@ def horizon_steps(T: float, dt: float) -> int:
 def _check_alignment(path: MeasurePath, dt: float):
     T = float(path.times[-1])
     n_t = horizon_steps(T, dt)
-    scale = max(1.0, abs(T))
-    lattice = np.arange(n_t + 1) * dt
-    if path.n_times != n_t + 1 or not np.allclose(path.times, lattice, rtol=0.0, atol=1e-9 * scale):
+    times = np.arange(n_t + 1) * dt
+    if path.n_times != n_t + 1 or not np.allclose(path.times, times, rtol=0.0, atol=1e-9 * max(1.0, abs(T))):
         raise ValueError("measure-path times do not align with the dt lattice")
-    return n_t, lattice
+    return n_t, times
 
 
 def solve_hjb_backward(
@@ -654,29 +645,28 @@ def solve_hjb_backward(
     ``np.array_equal``.  The slices are still evaluated, since that is how
     a repeat is seen; the argmin geometry and the recursion are skipped.
     """
-    n_t, lattice = _check_alignment(path, dt)
-    metadata = _control_knobs(F, grid, dt, control_radius, control_mesh)
+    n_t, times = _check_alignment(path, dt)
+    knobs = _control_knobs(F, grid, dt, control_radius, control_mesh)
     f_slices = _cost_slices(F, path, grid)
     if (
         previous is not None
         and previous.grid == grid
         and previous.n_steps >= n_t
-        and np.array_equal(previous.times[:n_t + 1], lattice)
-        and previous.metadata == metadata
+        and np.array_equal(previous.times[:n_t + 1], times)
+        and (previous.lattice.radius, previous.lattice.mesh) == knobs
         and np.array_equal(previous.f_slices[previous.n_steps - n_t:], f_slices)
     ):
         return previous.tail(n_t)
-    return _backward(grid, dt, f_slices, metadata)
+    return _backward(grid, dt, f_slices, knobs)
 
 
-def _control_knobs(F: CostFunctional, grid: SpatialGrid, dt: float, control_radius, control_mesh) -> dict:
-    """The control radius and mesh of an HJB solve, None taking its
-    resolution default: the ``ValueField.metadata``, which fixes the
-    control lattice on the grid."""
-    return {
-        "control_radius": float(default_control_radius(F) if control_radius is None else control_radius),
-        "control_mesh": float(default_control_mesh(grid, dt) if control_mesh is None else control_mesh),
-    }
+def _control_knobs(F: CostFunctional, grid: SpatialGrid, dt: float, control_radius, control_mesh) -> tuple:
+    """The ``(radius, mesh)`` of an HJB solve's control lattice, None
+    taking its resolution default: they fix the lattice on the grid."""
+    return (
+        float(default_control_radius(F) if control_radius is None else control_radius),
+        float(default_control_mesh(grid, dt) if control_mesh is None else control_mesh),
+    )
 
 
 def _cost_slices(F: CostFunctional, path: MeasurePath, grid: SpatialGrid) -> np.ndarray:
@@ -694,13 +684,13 @@ def _cost_slices(F: CostFunctional, path: MeasurePath, grid: SpatialGrid) -> np.
     return f_slices
 
 
-def _backward(grid: SpatialGrid, dt: float, f_slices: np.ndarray, metadata: dict) -> ValueField:
+def _backward(grid: SpatialGrid, dt: float, f_slices: np.ndarray, knobs: tuple) -> ValueField:
     """The recursion of ``solve_hjb_backward`` through the given cost
     slices, from a zero terminal slice, on the control lattice of the
-    knobs in ``metadata``."""
+    ``(radius, mesh)`` knobs."""
     n_t = f_slices.shape[0]
-    controls = control_lattice(grid.dim, metadata["control_radius"], metadata["control_mesh"])
-    argmin = _bracketed_argmin(grid, grid.nodes, _Lattice.of(controls, metadata["control_mesh"], dt))
+    lattice = _Lattice.of(grid.dim, *knobs, dt)
+    argmin = _bracketed_argmin(grid, grid.nodes, lattice)
     values = np.empty((n_t + 1,) + grid.shape)
     values[n_t] = 0.0
     policy = np.empty((n_t, grid.n_nodes), dtype=np.int32)
@@ -719,15 +709,8 @@ def _backward(grid: SpatialGrid, dt: float, f_slices: np.ndarray, metadata: dict
             )
         policy[k] = pol.astype(np.int32)
         values[k] = (best + dt * fk).reshape(grid.shape)
-    return ValueField(
-        grid=grid,
-        times=np.arange(n_t + 1) * dt,
-        values=values,
-        controls=controls,
-        policy=policy,
-        f_slices=f_slices,
-        metadata=metadata,
-    )
+    times = np.arange(n_t + 1) * dt
+    return ValueField(grid=grid, times=times, values=values, lattice=lattice, policy=policy, f_slices=f_slices)
 
 
 @dataclass(eq=False)
@@ -789,9 +772,10 @@ def transport_forward(
     within rounding.  Its geometry is built per step, for the step's
     slice, and drops no minimiser: in 1D only the cells within
     ``dt (S + mesh/2)`` of a particle, plus one on each side, S the
-    steepest slope of the slice within reach (``_line_kernel``, whose
-    constants are built once per call); in 2D only the controls of the
-    slice's descent box, ``|a_i| <= S_i + mesh/2`` (``_descent_box``).
+    steepest slope of the slice within reach (``_line_kernel``); in 2D
+    only the controls of the slice's descent box,
+    ``|a_i| <= S_i + mesh/2`` (``_descent_box``).  The control lattice is
+    the field's own (``ValueField.lattice``).
 
     The transport is a pure function of the value field and the cloud, so
     ``previous``, the ``(value, path, stats)`` of an earlier call or of
@@ -822,12 +806,10 @@ def _stacked_transport(value: ValueField, m0: DiscreteMeasure, starts: list) -> 
     escape names the particle within its cloud and the time index within
     its tail.
     """
-    grid, dt, controls, n_t = value.grid, value.dt, value.controls, value.n_steps
-    lattice = _Lattice.of(controls, value.metadata["control_mesh"], dt)
+    grid, lattice, n_t = value.grid, value.lattice, value.n_steps
     n_p = m0.size
     _assert_away_from_boundary(m0.points, grid, 0)  # every cloud starts as m0
     size = len(starts) * n_p
-    line = _Line.of(grid, lattice, size) if grid.dim == 1 else None
     positions = np.empty((n_t + 1, size, grid.dim))
     picks = np.empty((n_t, size), dtype=np.intp)
     active = 0
@@ -837,7 +819,7 @@ def _stacked_transport(value: ValueField, m0: DiscreteMeasure, starts: list) -> 
             active += 1
             pts = positions[k, :active * n_p]
         u_next = value.values[k + 1]
-        pick, best = _bracketed_argmin(grid, pts, lattice, u_next, clouds=active, line=line)(u_next)
+        pick, best = _bracketed_argmin(grid, pts, lattice, u_next, clouds=active)(u_next)
         feasible = np.isfinite(best)
         if not feasible.all():
             i = int(np.argmin(feasible))
@@ -848,11 +830,11 @@ def _stacked_transport(value: ValueField, m0: DiscreteMeasure, starts: list) -> 
                 point=tuple(pts[i].tolist()),
                 time_index=k - starts[cloud],
             )
-        pts = pts + dt * controls[pick]
+        pts = pts + lattice.moves[pick]
         _assert_away_from_boundary(pts, grid, k + 1, starts[:active])
         positions[k + 1, :pts.shape[0]] = pts
         picks[k, :pick.size] = pick
-    speeds = np.sqrt((controls * controls).sum(axis=1))
+    speeds = np.sqrt((lattice.controls * lattice.controls).sum(axis=1))
     flows = []
     for cloud, start in enumerate(starts):
         slots = slice(cloud * n_p, (cloud + 1) * n_p)
@@ -934,6 +916,9 @@ class MfgParams:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        for name in ("control_radius", "control_mesh"):
+            if getattr(self, name) is not None and not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("max_iter", "path_cap", "w1_size_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -965,8 +950,8 @@ def first_iterations(
     steps = sorted(set(steps))
     n_t = steps[-1]
     path = MeasurePath.constant(m0, np.arange(n_t + 1) * dt)
-    metadata = _control_knobs(F, grid, dt, params.control_radius, params.control_mesh)
-    value = _backward(grid, dt, _cost_slices(F, path, grid), metadata)
+    knobs = _control_knobs(F, grid, dt, params.control_radius, params.control_mesh)
+    value = _backward(grid, dt, _cost_slices(F, path, grid), knobs)
     flows = _stacked_transport(value, m0, [n_t - n for n in reversed(steps)])
     return {flow[0].n_steps: flow for flow in flows}
 

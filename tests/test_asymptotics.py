@@ -124,7 +124,11 @@ class TestSweepParams:
                 for name in ("wkam_cap", "support_cap", "semilimit_tol")
                 for value in (0.0, -0.1, float("nan"))
             ],
-            *[(name, value, "must be nonnegative") for name in ("slack", "atol") for value in (-0.01, float("nan"))],
+            *[
+                (name, value, "must be nonnegative")
+                for name in ("slack", "atol", "eps_min")
+                for value in (-0.01, float("nan"))
+            ],
             ("rate_ratio_cap", 0.5, "must be at least 1"),
             ("rate_ratio_cap", float("nan"), "must be at least 1"),
         ],
@@ -195,6 +199,27 @@ class TestRunSweepQuick:
             f"br_residual {r.br_residual:.3e}, converged {r.converged}"
             for r in records
         ]
+
+    @pytest.mark.parametrize(
+        "mode, T_list",
+        [
+            ("fixed_dt", (1.0, 1.0, 2.0)),
+            ("fixed_steps", (1.0, 1.0, 2.0)),
+            ("fixed_steps", (-1.0, 1.0)),
+            ("fixed_dt", (0.0, 1.0)),
+            ("fixed_steps", (1.0, float("inf"))),
+            ("fixed_steps", (1.0, float("nan"))),
+        ],
+    )
+    def test_a_repeated_nonpositive_or_infinite_horizon_is_refused_before_any_solve(self, monkeypatch, mode, T_list):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the T_list check")
+
+        monkeypatch.setattr(asymptotics, "solve_mfg", no_solve)
+        params = SweepParams(mode=mode, dt=0.1, n_steps=10)
+        m0 = DiscreteMeasure.uniform([[-0.4], [0.4]])
+        with pytest.raises(ValueError, match=r"^T_list must be nonempty, positive, finite and distinct"):
+            run_sweep(lqr_oracle(dim=1), m0, T_list, small_grid(40), params)
 
     def test_empty_horizon_list(self):
         with pytest.raises(ValueError, match="T_list"):

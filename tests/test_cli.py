@@ -741,6 +741,10 @@ OUT_OF_RANGE = [
     ("sweep", "sweep.dt", None, {"sweep.mode": "fixed_dt"}),
     # 21 cells of [-2, 2] put no node within 0.001 of the origin
     ("sweep", "sweep.R", 0.001, {"grid.n_cells": [21]}),
+    ("validate", "validate.n_random", -3, {}),
+    # a slack below 1 reports a false Lipschitz violation
+    ("validate", "validate.lipschitz_slack", -1.0, {}),
+    ("validate", "validate.lipschitz_slack", 0.5, {}),
 ]
 
 
@@ -804,6 +808,15 @@ class TestEntrypointErrors:
         with caplog.at_level("ERROR", logger="mfglab.cli"):
             assert entrypoint([command, str(cfg), "--output-dir", str(tmp_path)]) == 2
         assert f"'model.params' rejected by '{model}': {key} must be finite" in caplog.text
+
+    @pytest.mark.parametrize("key, value", [("control_mesh", 1e-300), ("control_radius", 1e300)])
+    def test_a_control_lattice_too_large_to_index_exits_3(self, tmp_path, caplog, key, value):
+        raw = {section: dict(body) for section, body in SMALL_RUN.items()}
+        raw["evolve"][key] = value
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        with caplog.at_level("ERROR", logger="mfglab.cli"):
+            assert entrypoint(["evolve", str(cfg), "--output-dir", str(tmp_path)]) == 3
+        assert "solver error: out of memory: a control lattice of up to" in caplog.text
 
     def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, caplog):
         def run_out_of_memory(*args, **kwargs):

@@ -263,6 +263,18 @@ class TestOneSlicePerMeasure:
         build_ergodic_triple(quadratic_congestion(dim=1), DiscreteMeasure.dirac([0.0]), g, eps_min=1e-9)
         assert calls.count(g.n_nodes) == 1
 
+    @pytest.mark.parametrize(
+        "name, value, rule",
+        [("n_random", -3, "must be nonnegative"), ("lipschitz_slack", -1.0, "must be at least 1"),
+         ("lipschitz_slack", 0.5, "must be at least 1"), ("lipschitz_slack", float("nan"), "must be at least 1")],
+    )
+    def test_validate_refuses_a_knob_out_of_range_before_any_evaluation(self, calls, name, value, rule):
+        # a slack below 1 reports a false Lipschitz violation; a negative
+        # count silently adds no sample
+        with pytest.raises(ValueError, match=f"^{name} {rule}, got {value}$"):
+            validate_assumptions(quadratic_congestion(dim=1), grid_1d(40), seed=0, **{name: value})
+        assert calls == []
+
     def test_validate_one_grid_evaluation_per_sample(self, calls):
         g = grid_1d(160)
         validate_assumptions(quadratic_congestion(dim=1), g, seed=0, n_random=3)

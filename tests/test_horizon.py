@@ -1,6 +1,7 @@
 """Backward semi-Lagrangian values, forward transport, and the coupled loop."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from mfglab.finite_horizon import (
     default_control_mesh,
     default_control_radius,
     first_iterations,
+    horizon_steps,
 )
 
 
@@ -111,9 +113,8 @@ def one_step_value(grid, field, dt, radius, mesh):
     """A value field whose one transport step follows the node field."""
     values = np.stack([field, field]).reshape((2,) + grid.shape)
     return ValueField(
-        grid=grid, times=np.array([0.0, dt]), values=values, controls=control_lattice(grid.dim, radius, mesh),
+        grid=grid, times=np.array([0.0, dt]), values=values, lattice=_Lattice.of(grid.dim, radius, mesh, dt),
         policy=np.zeros((1, grid.n_nodes), dtype=np.int32), f_slices=np.zeros((1,) + grid.shape),
-        metadata={"control_radius": radius, "control_mesh": mesh},
     )
 
 
@@ -216,7 +217,7 @@ class TestBracketedArgminOracle:
         grid = SpatialGrid((-1.625, -1.625), (1.625, 1.625), (26, 26))
         radius = 4.0 * grid.max_spacing / dt
         mesh = radius / 25
-        assert _Lattice.of(control_lattice(2, radius, mesh), mesh, dt).half.size == 51
+        assert _Lattice.of(2, radius, mesh, dt).half.size == 51
         self.assert_matches_the_full_lattice(grid, dt, radius, mesh, kind, scale, rng, n_t=2)
 
     @pytest.mark.parametrize(
@@ -234,7 +235,7 @@ class TestBracketedArgminOracle:
 
     @pytest.mark.parametrize("kind, scale", [("convex", 0.5), ("kink", 10.0), ("noise", 1.0)])
     def test_the_2d_benchmark_lattice_matches_the_full_lattice(self, kind, scale):
-        lattice = _Lattice.of(control_lattice(2, self.RADIUS_2D, self.MESH_2D), self.MESH_2D, self.DT)
+        lattice = _Lattice.of(2, self.RADIUS_2D, self.MESH_2D, self.DT)
         assert lattice.controls.shape[0] == 3705 and lattice.half.size == 69
         rng = np.random.default_rng([29, len(kind), int(np.log10(scale)) + 3])
         self.assert_matches_the_full_lattice(
@@ -377,7 +378,7 @@ class TestBracketedArgminOracle:
         noise[np.abs(grid.nodes - 0.4).max(axis=1) < 1e-9] = np.nan
         F, path = slice_cost([np.zeros(grid.n_nodes), noise], dt, dim), indexed_path(2, dt, dim)
         value = solve_hjb_backward(F, path, grid, dt)
-        radius, mesh = value.metadata["control_radius"], value.metadata["control_mesh"]
+        radius, mesh = value.lattice.radius, value.lattice.mesh
         values, policy = brute_force_hjb(F, path, grid, dt, radius, mesh)
         np.testing.assert_array_equal(value.values[1], values[1])
         clean = ~np.isnan(values[0].ravel())
@@ -419,7 +420,7 @@ class TestDescentBox:
 
     @staticmethod
     def box(grid, field, dt, radius, mesh):
-        lattice = _Lattice.of(control_lattice(2, radius, mesh), mesh, dt)
+        lattice = _Lattice.of(2, radius, mesh, dt)
         return lattice, _descent_box(grid, lattice, field)
 
     @staticmethod
@@ -503,8 +504,9 @@ class TestLineFilter:
     def kept_lines(field, points, dt, radius, mesh):
         """Kept (point, line) mask, full-lattice objective, line of each control."""
         grid = TestLineFilter.GRID
-        controls = control_lattice(2, radius, mesh)
-        pairs = _line_filter(grid, points, _Lattice.of(controls, mesh, dt))(field.reshape(grid.shape))
+        lattice = _Lattice.of(2, radius, mesh, dt)
+        controls = lattice.controls
+        pairs = _line_filter(grid, points, lattice, field.reshape(grid.shape))
         line_of = np.unique(np.rint(controls[:, 1] / mesh), return_inverse=True)[1]
         kept = np.zeros((points.shape[0], line_of.max() + 1), dtype=bool)
         kept[pairs.who, pairs.line] = True
@@ -623,6 +625,17 @@ class TestControlLattice:
         pts, sq = pts[sq <= radius * radius + 1e-12], sq[sq <= radius * radius + 1e-12]
         order = sorted(range(len(pts)), key=lambda i: (sq[i], *pts[i]))
         np.testing.assert_array_equal(control_lattice(dim, radius, mesh), pts[order])
+
+    @pytest.mark.parametrize(
+        "dim, radius, mesh, count",
+        [(1, 3.8, 1e-300, "7.6e+300"), (1, 1e300, 0.1, "2e+301"), (2, 1e10, 1e-5, "4e+30"), (1, 1e300, 1e-300, "inf")],
+    )
+    def test_a_lattice_too_large_to_index_is_a_memory_error_naming_it(self, dim, radius, mesh, count):
+        # counted before any allocation: 2 x 10^15 steps per axis would
+        # otherwise fail in np.arange or np.meshgrid
+        message = f"a control lattice of up to {count} points (radius {radius:g}, mesh {mesh:g})"
+        with pytest.raises(MemoryError, match=f"^{re.escape(message)}$"):
+            control_lattice(dim, radius, mesh)
 
     def test_radius_filter(self):
         lat = control_lattice(2, 1.0, 0.9)
@@ -755,15 +768,10 @@ class TestBackwardValues:
 
         line_filter = finite_horizon._line_filter
 
-        def every_line(grid, points, lattice):
-            keep = line_filter(grid, points, lattice)
-
-            def pairs(field):
-                kept = keep(np.full(grid.shape, np.nan))
-                assert kept.who.size == points.shape[0] * lattice.half.size
-                return kept
-
-            return pairs
+        def every_line(grid, points, lattice, field):
+            kept = line_filter(grid, points, lattice, np.full(grid.shape, np.nan))
+            assert kept.who.size == points.shape[0] * lattice.half.size
+            return kept
 
         monkeypatch.setattr(finite_horizon, "_line_filter", every_line)
         every_value, every_flow = solve()
@@ -845,8 +853,8 @@ class TestAPriori:
         values[1].flat[7] = np.nan
         values[3] *= 10.0
         value = ValueField(
-            g, np.arange(5) * 0.1, values, control_lattice(g.dim, 1.0, 0.5),
-            np.zeros((4, g.n_nodes), dtype=np.int32), np.zeros((4,) + g.shape), {},
+            g, np.arange(5) * 0.1, values, _Lattice.of(g.dim, 1.0, 0.5, 0.1),
+            np.zeros((4, g.n_nodes), dtype=np.int32), np.zeros((4,) + g.shape),
         )
         want = 0.0
         for k in range(5):
@@ -1034,6 +1042,21 @@ class TestSolveMfg:
         with pytest.raises(ValueError, match="does not divide"):
             solve_mfg(F, DiscreteMeasure.dirac([0.0]), 1.0, g, 0.3)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5, float("nan")])
+    def test_a_step_that_is_not_positive_is_a_value_error_naming_it(self, dt):
+        with pytest.raises(ValueError, match=f"^dt must be positive, got {dt}$"):
+            horizon_steps(1.0, dt)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("control_mesh", float("nan")), ("control_mesh", 0.0), ("control_radius", float("inf")), ("control_radius", -1.0)],
+    )
+    def test_a_control_knob_must_be_positive_and_finite(self, name, value):
+        # a NaN mesh or an infinite radius would fail only inside the
+        # lattice, with another error
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            MfgParams(**{name: value})
+
     @pytest.mark.parametrize(
         "name, value",
         [("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("max_iter", 0), ("path_cap", 0), ("w1_size_cap", 0)],
@@ -1105,7 +1128,7 @@ class TestRepeatedInputs:
         assert a.grid == b.grid
         for name in ("times", "values", "controls", "policy", "f_slices"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        assert a.metadata == b.metadata
+        assert (a.lattice.radius, a.lattice.mesh) == (b.lattice.radius, b.lattice.mesh)
 
     def test_hjb_with_equal_slices_returns_the_previous_field(self, monkeypatch):
         first = solve_hjb_backward(self.F, self.path, self.g, 0.1)
